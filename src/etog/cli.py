@@ -21,11 +21,13 @@ from .conditions import (
     EtogCondition,
     UnionCondition,
     UPWord,
+    Valuation,
     describe_condition,
+    load_valuation,
     parse_condition,
 )
 from .errors import EtogError
-from .groups import Ordering
+from .groups import InverseOrder, Ordering
 from .laws import CheckResult
 from .notation import format_element, parse_element, parse_group
 
@@ -66,6 +68,16 @@ def _resolve_seed(args) -> int:
         except ValueError:
             raise EtogError(f"ETOG_SEED is not an integer: {env!r}") from None
     return DEFAULT_SEED
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _data_path(name: str) -> str:
@@ -145,12 +157,7 @@ def cmd_solve(args) -> int:
 def build_refutation_setup():
     """The shipped 3-node arena plus the union of the two mutually inverse
     free-group energy conditions over it."""
-    with open(shipped_valuation_path(), "r", encoding="ascii") as handle:
-        text = handle.read()
-    from .conditions import Valuation, parse_valuation
-    from .groups import InverseOrder
-
-    valuation = parse_valuation(text)
+    valuation = load_valuation(shipped_valuation_path())
     straight = EtogCondition(valuation)
     reverse = EtogCondition(
         Valuation(valuation.colors, InverseOrder(valuation.group), valuation.mapping)
@@ -309,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         "counterexample",
         help="reproduce the union-not-half-positional experiment on the shipped arena",
     )
-    p.add_argument("--bob-memory", type=int, default=2)
-    p.add_argument("--ramsey-depth", type=int, default=3)
+    p.add_argument("--bob-memory", type=_positive_int, default=2)
+    p.add_argument("--ramsey-depth", type=_positive_int, default=3)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(handler=cmd_counterexample)
 

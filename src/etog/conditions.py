@@ -18,7 +18,14 @@ from typing import Mapping, Sequence
 
 from .errors import NotationError, UnknownColorError
 from .groups import Integers, InverseOrder, LexProduct, LexVectors, OrderedGroup, Ordering
-from .notation import parse_element, parse_group
+from .notation import (
+    _check_nesting,
+    _split_top,
+    format_group,
+    parse_element,
+    parse_group,
+    read_ascii,
+)
 
 Word = tuple[str, ...]
 
@@ -244,8 +251,7 @@ def parse_valuation(text: str) -> Valuation:
 
 
 def load_valuation(path: str) -> Valuation:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_valuation(handle.read())
+    return parse_valuation(read_ascii(path))
 
 
 def _flatten(cond) -> tuple[EtogCondition, ...]:
@@ -262,8 +268,7 @@ def parse_condition(text: str, base_dir: str | None = None):
     and ``union(<cond>,<cond>)`` the union of two condition specs.  Relative
     file paths resolve against ``base_dir``.
     """
-    from .notation import _split_top  # shared bracket-aware splitter
-
+    _check_nesting(text)
     text = text.strip()
     for head, invert in (("etog(", False), ("inv-etog(", True)):
         if text.startswith(head) and text.endswith(")"):
@@ -289,7 +294,5 @@ def parse_condition(text: str, base_dir: str | None = None):
 def describe_condition(cond) -> str:
     """Short human-readable description used in CLI reports."""
     if isinstance(cond, EtogCondition):
-        from .notation import format_group
-
         return f"energy condition over {format_group(cond.valuation.group)}"
     return " u ".join(describe_condition(m) for m in cond.members)

@@ -25,6 +25,10 @@ class FirstCoefficientMissingError(EtogError):
     """
 
 
+class InputFileError(EtogError):
+    """An input file could not be read or is not ASCII text."""
+
+
 class NotationError(EtogError, ValueError):
     """Malformed group spec, element literal, valuation file or condition spec."""
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .conditions import UPWord
+from .conditions import EtogCondition, UnionCondition, UPWord
 from .errors import (
     ArenaError,
     DuplicateNodeError,
@@ -31,6 +31,7 @@ from .errors import (
     UnknownEndpointError,
 )
 from .groups import FreeWord, multiply
+from .notation import read_ascii
 
 
 class Player(enum.Enum):
@@ -121,8 +122,7 @@ def parse_arena(text: str, alphabet: Iterable[str] | None = None) -> Arena:
 
 
 def load_arena(path: str, alphabet: Iterable[str] | None = None) -> Arena:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_arena(handle.read(), alphabet)
+    return parse_arena(read_ascii(path), alphabet)
 
 
 @dataclass(frozen=True)
@@ -248,8 +248,6 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     region (such uniform witnesses exist because the condition and its
     complement are both positionally determined).
     """
-    from .conditions import EtogCondition, UnionCondition
-
     if isinstance(cond, UnionCondition):
         raise ValueError(
             "union conditions have no exact positional solver; "

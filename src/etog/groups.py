@@ -84,19 +84,11 @@ class FreeWord:
 
     @property
     def exponent_sums(self) -> dict[str, int]:
-        """Per-generator exponent totals; equal to the degree-1 expansion.
-
-        Cancelling a ``g g^-1`` pair never changes a total, so products can
-        seed this cache additively instead of rescanning their letters.
-        """
-        cached = self.__dict__.get("_sums")
-        if cached is None:
-            sums: dict[str, int] = {}
-            for symbol, exponent in self.letters:
-                sums[symbol] = sums.get(symbol, 0) + exponent
-            cached = {s: v for s, v in sums.items() if v}
-            object.__setattr__(self, "_sums", cached)
-        return cached
+        """Per-generator non-zero exponent totals; the degree-1 expansion."""
+        sums: dict[str, int] = {}
+        for symbol, exponent in self.letters:
+            sums[symbol] = sums.get(symbol, 0) + exponent
+        return {s: v for s, v in sums.items() if v}
 
     @property
     def symbols(self) -> frozenset[str]:
@@ -107,20 +99,20 @@ class FreeWord:
         return cached
 
     def inverse(self) -> "FreeWord":
-        inv = FreeWord(tuple((s, -e) for s, e in reversed(self.letters)))
-        sums = self.__dict__.get("_sums")
-        if sums is not None:
-            object.__setattr__(inv, "_sums", {s: -v for s, v in sums.items()})
-        return inv
+        return FreeWord(tuple((s, -e) for s, e in reversed(self.letters)))
 
     def __repr__(self) -> str:
-        if not self.letters:
-            return "FreeWord(e)"
-        body = " ".join(s if e > 0 else f"{s}^-1" for s, e in self.letters)
-        return f"FreeWord({body})"
+        return f"FreeWord({format_word(self)})"
 
 
 IDENTITY_WORD = FreeWord()
+
+
+def format_word(word: FreeWord) -> str:
+    """Space-separated letters, inverse letters as ``g^-1``; ``e`` if empty."""
+    if not word.letters:
+        return "e"
+    return " ".join(s if e > 0 else f"{s}^-1" for s, e in word.letters)
 
 
 def reduce_word(
@@ -157,19 +149,7 @@ def multiply(x: FreeWord, y: FreeWord) -> FreeWord:
             j += 1
         else:
             break
-    word = FreeWord(lx[:i] + ly[j:])
-    sums_x = x.__dict__.get("_sums")
-    sums_y = y.__dict__.get("_sums")
-    if sums_x is not None and sums_y is not None:
-        merged = dict(sums_x)
-        for s, v in sums_y.items():
-            total = merged.get(s, 0) + v
-            if total:
-                merged[s] = total
-            elif s in merged:
-                del merged[s]
-        object.__setattr__(word, "_sums", merged)
-    return word
+    return FreeWord(lx[:i] + ly[j:])
 
 
 @dataclass(frozen=True)
@@ -331,22 +311,15 @@ class FreeGroup(OrderedGroup):
     depth starts small and deepens only while every coefficient so far
     vanishes, which is equivalent to expanding at ``len(word)`` outright
     because low-degree coefficients never depend on the cap.
-
-    ``misorder_fault`` is test instrumentation only: it swaps the scan
-    positions of the two monomials ``(g0, g1)`` and ``(g1,)``, deliberately
-    breaking the order so the law checkers can demonstrate their sensitivity.
     """
 
     generators: tuple[str, ...]
-    misorder_fault: bool = False
 
     def __post_init__(self) -> None:
         if not self.generators:
             raise ValueError("generator list must be non-empty")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator list must be duplicate-free")
-        if self.misorder_fault and len(self.generators) < 2:
-            raise ValueError("the misorder fault needs at least two generators")
         object.__setattr__(self, "_genset", frozenset(self.generators))
         object.__setattr__(
             self, "_index", {g: i for i, g in enumerate(self.generators)}
@@ -375,45 +348,31 @@ class FreeGroup(OrderedGroup):
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
         self.validate(x)
         self.validate(y)
-        if not self.misorder_fault:
-            # (p u)(p v)^-1 is the conjugate by p of u v^-1.  Conjugation only
-            # adds terms of strictly higher degree than the lowest non-constant
-            # term, so under the degree-graded scan both share the same leading
-            # coefficient; stripping the common prefix keeps words short.
-            k = 0
-            limit = min(len(x.letters), len(y.letters))
-            while k < limit and x.letters[k] == y.letters[k]:
-                k += 1
-            w = multiply(FreeWord(x.letters[k:]), FreeWord(y.letters[k:]).inverse())
-        else:
-            w = multiply(x, y.inverse())
-        return self._leading_sign(w)
+        # (p u)(p v)^-1 is the conjugate by p of u v^-1.  Conjugation only adds
+        # terms of strictly higher degree than the lowest non-constant term, so
+        # under the degree-graded scan both share the same leading coefficient;
+        # stripping the common prefix keeps words short.
+        k = 0
+        limit = min(len(x.letters), len(y.letters))
+        while k < limit and x.letters[k] == y.letters[k]:
+            k += 1
+        w = multiply(FreeWord(x.letters[k:]), FreeWord(y.letters[k:]).inverse())
+        if w.is_identity:
+            return Ordering.EQUAL
+        sums = w.exponent_sums
+        for g in self.generators:
+            total = sums.get(g, 0)
+            if total:
+                return _sign_ordering(total)
+        return self._scan(w, 2)  # degree-1 part vanished entirely
 
     def _monomial_key(self, monomial: tuple[str, ...]):
         index = self._index  # type: ignore[attr-defined]
-        if self.misorder_fault:
-            g0, g1 = self.generators[0], self.generators[1]
-            if monomial == (g1,):
-                return (2, (0, 1))
-            if monomial == (g0, g1):
-                return (1, (1,))
         return (len(monomial), tuple(index[s] for s in monomial))
 
-    def _leading_sign(self, w: FreeWord) -> Ordering:
-        if w.is_identity:
-            return Ordering.EQUAL
-        if self.misorder_fault:
-            # the faulted scan mixes a degree-2 monomial into the degree-1
-            # positions, so the first expansion must already cover degree 2
-            start = min(2, len(w.letters))
-        else:
-            sums = w.exponent_sums
-            if sums:
-                for g in self.generators:
-                    total = sums.get(g, 0)
-                    if total:
-                        return _sign_ordering(total)
-            start = 2  # degree-1 part vanished entirely
+    def _scan(self, w: FreeWord, start: int) -> Ordering:
+        """Sign of the first non-constant coefficient of a non-identity word,
+        expanding from degree ``start`` up to the word's length."""
         for degree in range(start, len(w.letters) + 1):
             series = magnus_expand(w, degree)
             best = None
@@ -428,6 +387,38 @@ class FreeGroup(OrderedGroup):
         raise FirstCoefficientMissingError(
             f"no non-constant coefficient up to degree {len(w.letters)} for {w!r}"
         )
+
+
+class MisorderedFreeGroup(FreeGroup):
+    """A deliberately broken free-group order; test instrumentation only.
+
+    It swaps the scan positions of the two monomials ``(g0, g1)`` and
+    ``(g1,)`` and compares without the prefix strip, so that the law checkers
+    can demonstrate their sensitivity (``etog check --inject-fault``).
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.generators) < 2:
+            raise ValueError("the misorder fault needs at least two generators")
+
+    def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
+        self.validate(x)
+        self.validate(y)
+        w = multiply(x, y.inverse())
+        if w.is_identity:
+            return Ordering.EQUAL
+        # the faulted scan mixes a degree-2 monomial into the degree-1
+        # positions, so the first expansion must already cover degree 2
+        return self._scan(w, min(2, len(w.letters)))
+
+    def _monomial_key(self, monomial: tuple[str, ...]):
+        g0, g1 = self.generators[0], self.generators[1]
+        if monomial == (g1,):
+            return (2, (0, 1))
+        if monomial == (g0, g1):
+            return (1, (1,))
+        return super()._monomial_key(monomial)
 
 
 @dataclass(frozen=True)

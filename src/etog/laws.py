@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import EtogCondition, UPWord, Valuation, up_member_oracle
 from .groups import (
@@ -21,8 +21,10 @@ from .groups import (
     InverseOrder,
     LexProduct,
     LexVectors,
+    MisorderedFreeGroup,
     OrderedGroup,
     Ordering,
+    format_word,
     magnus_expand,
     multiply,
 )
@@ -51,6 +53,22 @@ def words_up_to(alphabet: Sequence[str], max_len: int) -> Iterable[Word]:
     """All words over the alphabet with 1 <= length <= max_len."""
     for length in range(1, max_len + 1):
         yield from itertools.product(alphabet, repeat=length)
+
+
+def reduced_words(generators: Sequence[str], max_len: int) -> Iterator[FreeWord]:
+    """All reduced words over the generators and their inverses with length
+    <= max_len, shortest first, starting with the empty word."""
+    letters = [(g, 1) for g in generators] + [(g, -1) for g in generators]
+    frontier = [FreeWord()]
+    yield from frontier
+    for _ in range(max_len):
+        frontier = [
+            FreeWord(word.letters + (letter,))
+            for word in frontier
+            for letter in letters
+            if not word.letters or word.letters[-1] != (letter[0], -letter[1])
+        ]
+        yield from frontier
 
 
 def random_word(rng: random.Random, alphabet: Sequence[str], max_len: int, min_len: int = 0) -> Word:
@@ -362,9 +380,9 @@ def check_invariant_subsemigroup(
 
     With a ``valuation``, membership of a word depends only on its image value
     (the valuation extends to a homomorphism with val(c^-1) = val(c)^-1), so
-    the pair scans run over distinct values while counterexamples are reported
-    as witness words.  A raw ``membership`` predicate skips that quotient and
-    scans words directly.
+    the scans run over distinct values.  A raw ``membership`` predicate scans
+    the words themselves.  Either way counterexamples are reported as witness
+    words.
     """
     if (valuation is None) == (membership is None):
         raise ValueError("pass exactly one of valuation / membership")
@@ -374,100 +392,52 @@ def check_invariant_subsemigroup(
         raise ValueError("need a color alphabet")
     detail = f"exhaustive up to length {max_len} over {len(colors)} colors"
 
-    # reduced words over colors + formal inverses, breadth-first
-    words: list[FreeWord] = [FreeWord()]
-    frontier: list[FreeWord] = [FreeWord()]
-    letters = [(c, 1) for c in colors] + [(c, -1) for c in colors]
-    for _ in range(max_len):
-        nxt = []
-        for word in frontier:
-            for letter in letters:
-                if word.letters and word.letters[-1] == (letter[0], -letter[1]):
-                    continue
-                nxt.append(FreeWord(word.letters + (letter,)))
-        words.extend(nxt)
-        frontier = nxt
+    if valuation is not None:
+        group = valuation.group
+        identity = group.identity()
+        mul, inv = group.compose, group.invert
 
-    def render(word: FreeWord) -> str:
-        if word.is_identity:
-            return "e"
-        return " ".join(s if e > 0 else f"{s}^-1" for s, e in word.letters)
+        def in_s(value) -> bool:
+            return group.compare(value, identity) is not Ordering.LESS
 
-    if membership is not None:
-        in_s = {w: membership(w) for w in words}
-        for g in words:
-            if not in_s[g] and not in_s.get(g.inverse(), membership(g.inverse())):
-                return CheckResult(
-                    name, False, detail,
-                    f"neither {render(g)} nor its inverse is in the set",
+        def element(word: FreeWord):
+            value = identity
+            for color, exponent in word.letters:
+                image = valuation.value_of(color)
+                value = mul(value, image if exponent > 0 else inv(image))
+            return value
+    else:
+        in_s, mul, inv = membership, multiply, FreeWord.inverse
+
+        def element(word: FreeWord):
+            return word
+
+    # element -> the first (shortest) word that represents it
+    witness: dict = {}
+    for word in reduced_words(colors, max_len):
+        witness.setdefault(element(word), word)
+
+    def fail(message: str) -> CheckResult:
+        return CheckResult(name, False, detail, message)
+
+    members = []
+    for g, word in witness.items():
+        if in_s(g):
+            members.append(g)
+        elif not in_s(inv(g)):
+            return fail(f"neither {format_word(word)} nor its inverse is in S")
+    for x in members:
+        for y in members:
+            if not in_s(mul(x, y)):
+                return fail(
+                    f"product escapes S: ({format_word(witness[x])}) ({format_word(witness[y])})"
                 )
-        members = [w for w in words if in_s[w]]
+    for g, word in witness.items():
+        g_inv = inv(g)
         for x in members:
-            for y in members:
-                if not membership(multiply(x, y)):
-                    return CheckResult(
-                        name, False, detail,
-                        f"product escapes the set: ({render(x)}) ({render(y)})",
-                    )
-        for g in words:
-            for x in members:
-                conj = multiply(multiply(g, x), g.inverse())
-                if not membership(conj):
-                    return CheckResult(
-                        name, False, detail,
-                        f"conjugate escapes the set: g={render(g)} x={render(x)}",
-                    )
-        return CheckResult(name, True, detail)
-
-    group = valuation.group
-    identity = group.identity()
-
-    def value_of(word: FreeWord):
-        value = identity
-        for color, exponent in word.letters:
-            image = valuation.value_of(color)
-            if exponent < 0:
-                image = group.invert(image)
-            value = group.compose(value, image)
-        return value
-
-    # quotient by image value: membership factors through the homomorphism
-    representative: dict[object, FreeWord] = {}
-    for word in words:
-        value = value_of(word)
-        if value not in representative:
-            representative[value] = word
-    signs = {
-        value: group.compare(value, identity) for value in representative
-    }
-    nonneg = [v for v, s in signs.items() if s is not Ordering.LESS]
-
-    for value, word in representative.items():
-        inverse_value = group.invert(value)
-        if signs[value] is Ordering.LESS and group.compare(
-            inverse_value, identity
-        ) is Ordering.LESS:
-            return CheckResult(
-                name, False, detail,
-                f"neither {render(word)} nor its inverse lands in S",
-            )
-    for v1 in nonneg:
-        for v2 in nonneg:
-            if group.compare(group.compose(v1, v2), identity) is Ordering.LESS:
-                return CheckResult(
-                    name, False, detail,
-                    "product escapes S: "
-                    f"({render(representative[v1])}) ({render(representative[v2])})",
-                )
-    for gv in representative:
-        gv_inv = group.invert(gv)
-        for xv in nonneg:
-            conj = group.compose(group.compose(gv, xv), gv_inv)
-            if group.compare(conj, identity) is Ordering.LESS:
-                return CheckResult(
-                    name, False, detail,
-                    "conjugate escapes S: "
-                    f"g={render(representative[gv])} x={render(representative[xv])}",
+            if not in_s(mul(mul(g, x), g_inv)):
+                return fail(
+                    f"conjugate escapes S: g={format_word(word)} x={format_word(witness[x])}"
                 )
     return CheckResult(name, True, detail)
 
@@ -553,28 +523,19 @@ def order_axiom_battery(
 def magnus_soundness(generators: Sequence[str], max_len: int) -> CheckResult:
     """Every non-identity reduced word of length <= max_len must expose a
     non-zero non-constant coefficient when expanded at its own length."""
-    gens = tuple(generators)
-    letters = [(g, 1) for g in gens] + [(g, -1) for g in gens]
-    frontier: list[FreeWord] = [FreeWord()]
     checked = 0
-    for _ in range(max_len):
-        nxt = []
-        for word in frontier:
-            for letter in letters:
-                if word.letters and word.letters[-1] == (letter[0], -letter[1]):
-                    continue
-                grown = FreeWord(word.letters + (letter,))
-                nxt.append(grown)
-                series = magnus_expand(grown, len(grown.letters))
-                checked += 1
-                if not any(mono for mono in series.coefficients if mono):
-                    return CheckResult(
-                        "magnus-soundness",
-                        False,
-                        f"words up to length {max_len}",
-                        f"no usable coefficient for {grown!r}",
-                    )
-        frontier = nxt
+    for word in reduced_words(generators, max_len):
+        if word.is_identity:
+            continue
+        checked += 1
+        series = magnus_expand(word, len(word.letters))
+        if not any(mono for mono in series.coefficients if mono):
+            return CheckResult(
+                "magnus-soundness",
+                False,
+                f"words up to length {max_len}",
+                f"no usable coefficient for {word!r}",
+            )
     return CheckResult(
         "magnus-soundness", True, f"all {checked} reduced words up to length {max_len}"
     )
@@ -595,15 +556,16 @@ def full_check_battery(
 ) -> list[CheckResult]:
     """Run every law checker at the given budgets.
 
-    ``inject_fault`` swaps two monomials in the free-group comparison scan;
-    the battery is expected to fail (bi-invariance in particular), which
-    demonstrates that the checks can actually see a broken order.
+    ``inject_fault`` checks :class:`MisorderedFreeGroup` instead of the free
+    group's order; the battery is expected to fail (bi-invariance in
+    particular), which demonstrates that the checks can actually see a broken
+    order.
     """
     rng = random.Random(seed)
     results: list[CheckResult] = []
     suite = standard_valuations()
 
-    free_spec = FreeGroup(("a", "b"), misorder_fault=inject_fault)
+    free_spec = (MisorderedFreeGroup if inject_fault else FreeGroup)(("a", "b"))
     results.extend(order_axiom_battery(free_spec, rng, order_samples))
     for label, spec in (
         ("int", Integers()),

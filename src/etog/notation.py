@@ -17,19 +17,44 @@ from __future__ import annotations
 
 import re
 
-from .errors import NotationError
+from .errors import InputFileError, NotationError
 from .groups import (
     FreeGroup,
-    FreeWord,
     Integers,
     InverseOrder,
     LexProduct,
     LexVectors,
     OrderedGroup,
+    format_word,
     reduce_word,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+# Specs nest by recursion; deeper input is refused before it can exhaust the
+# interpreter stack.
+MAX_NESTING = 100
+
+
+def _check_nesting(text: str) -> None:
+    """Refuse specs whose parentheses nest deeper than :data:`MAX_NESTING`."""
+    depth = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise NotationError(f"spec nested deeper than {MAX_NESTING} levels")
+        elif ch == ")":
+            depth -= 1
+
+
+def read_ascii(path: str) -> str:
+    """The text of an ASCII input file; failures raise :class:`InputFileError`."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read {path!r}: {exc}") from None
 
 
 def _split_top(text: str, separator: str) -> list[str]:
@@ -63,6 +88,7 @@ def _inner(text: str, head: str) -> str:
 
 def parse_group(text: str) -> OrderedGroup:
     """Parse a group spec string into an ordered-group object."""
+    _check_nesting(text)
     text = text.strip()
     if text == "int":
         return Integers()
@@ -180,10 +206,7 @@ def format_element(spec: OrderedGroup, element) -> str:
     if isinstance(spec, LexVectors):
         return "(" + ",".join(str(a) for a in element) + ")"
     if isinstance(spec, FreeGroup):
-        word: FreeWord = element
-        if word.is_identity:
-            return "e"
-        return " ".join(s if e > 0 else f"{s}^-1" for s, e in word.letters)
+        return format_word(element)
     if isinstance(spec, InverseOrder):
         return format_element(spec.inner, element)
     if isinstance(spec, LexProduct):

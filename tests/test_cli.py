@@ -189,3 +189,34 @@ class TestCheck:
             l.split()[1:3] for l in text.splitlines() if l.startswith("CHECK")
         ]
         assert strip(first) == strip(second)
+
+
+def _bad_bytes_valuation(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"group int\nval x = \xff\n")
+    return ["membership", "--cond", f"etog({path})", "--period", "x"]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda tmp_path: ["solve", "--arena", str(tmp_path / "nonexistent"),
+                          "--cond", f"etog({VAL})"],
+        lambda tmp_path: ["membership", "--cond", "etog(missing.txt)", "--period", "a"],
+        _bad_bytes_valuation,
+        lambda tmp_path: ["compare", "inv(" * 2000 + "int" + ")" * 2000, "1", "2"],
+        lambda tmp_path: ["counterexample", "--bob-memory", "0"],
+        lambda tmp_path: ["counterexample", "--ramsey-depth", "-1"],
+    ],
+    ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
+         "deep-nesting", "zero-bob-memory", "negative-ramsey-depth"],
+)
+def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, make_argv):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(make_argv(tmp_path))
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "Traceback" not in err

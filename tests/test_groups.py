@@ -15,6 +15,7 @@ from etog.groups import (
     InverseOrder,
     LexProduct,
     LexVectors,
+    MisorderedFreeGroup,
     Ordering,
     magnus_expand,
     multiply,
@@ -156,10 +157,10 @@ class TestFreeCompare:
 class TestMisorderFault:
     def test_requires_two_generators(self):
         with pytest.raises(ValueError):
-            FreeGroup(("a",), misorder_fault=True)
+            MisorderedFreeGroup(("a",))
 
     def test_breaks_translation_invariance(self):
-        faulty = FreeGroup(("a", "b"), misorder_fault=True)
+        faulty = MisorderedFreeGroup(("a", "b"))
         low, high = word("b^-1"), E
         assert faulty.compare(low, high) is Ordering.LESS
         g = word("a^-1")

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from etog.conditions import EtogCondition, UnionCondition, UPWord, Valuation
-from etog.groups import FreeGroup, FreeWord, Integers, InverseOrder
+from etog.groups import (
+    FreeGroup,
+    FreeWord,
+    Integers,
+    InverseOrder,
+    MisorderedFreeGroup,
+    Ordering,
+)
 from etog.laws import (
     check_closure,
     check_fairly_mixing,
@@ -12,6 +19,7 @@ from etog.laws import (
     full_check_battery,
     negative_word_predicate,
     order_axiom_battery,
+    reduced_words,
     standard_valuations,
     words_up_to,
 )
@@ -157,6 +165,55 @@ class TestInvariantSubsemigroup:
         with pytest.raises(ValueError):
             check_invariant_subsemigroup(SUITE["free"], membership=lambda w: True)
 
+    # The word-level scan makes about 700k predicate calls for each free
+    # valuation at length 3, so those run at length 2 only.
+    @pytest.mark.parametrize(
+        "label, max_len",
+        [(label, 2) for label in [*sorted(SUITE), "misordered-free"]]
+        + [("int", 3), ("zlex2", 3)],
+    )
+    def test_value_and_word_sources_agree(self, label, max_len):
+        if label == "misordered-free":
+            free = SUITE["free"]
+            valuation = Valuation(
+                free.colors, MisorderedFreeGroup(("a", "b")), free.mapping
+            )
+        else:
+            valuation = SUITE[label]
+        group = valuation.group
+
+        def non_negative(word: FreeWord) -> bool:
+            value = group.identity()
+            for color, exponent in word.letters:
+                image = valuation.value_of(color)
+                if exponent < 0:
+                    image = group.invert(image)
+                value = group.compose(value, image)
+            return group.compare(value, group.identity()) is not Ordering.LESS
+
+        by_value = check_invariant_subsemigroup(valuation, max_len=max_len)
+        by_word = check_invariant_subsemigroup(
+            membership=non_negative, colors=valuation.colors, max_len=max_len
+        )
+        assert by_value.passed == by_word.passed == (label != "misordered-free")
+
+
+class TestReducedWords:
+    @pytest.mark.parametrize("generators", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_counts_order_and_reduction(self, generators):
+        k, max_len = len(generators), 4
+        words = list(reduced_words(generators, max_len))
+        lengths = [len(w) for w in words]
+        assert lengths == sorted(lengths)
+        assert lengths.count(0) == 1
+        for n in range(1, max_len + 1):
+            assert lengths.count(n) == 2 * k * (2 * k - 1) ** (n - 1)
+        assert len(set(words)) == len(words)
+        for w in words:
+            assert {s for s, _ in w.letters} <= set(generators)
+            for (s, e), (t, f) in zip(w.letters, w.letters[1:]):
+                assert not (s == t and e == -f)
+
 
 class TestOrderAxioms:
     @pytest.mark.parametrize("label", sorted(SUITE))
@@ -167,7 +224,7 @@ class TestOrderAxioms:
 
     def test_fault_breaks_bi_invariance(self):
         rng = random.Random(0)
-        faulty = FreeGroup(("a", "b"), misorder_fault=True)
+        faulty = MisorderedFreeGroup(("a", "b"))
         results = order_axiom_battery(faulty, rng, samples=2000)
         by_name = {r.name: r for r in results}
         assert not by_name["order-axioms.bi-invariance"].passed
