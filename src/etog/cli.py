@@ -143,14 +143,21 @@ def cmd_solve(args) -> int:
         return 2
     arena = games.load_arena(args.arena, alphabet=cond.colors)
     solution = games.solve_energy_game(arena, cond)
+    witnesses = (solution.alice_strategy, solution.bob_strategy)
+    if args.machine:
+        print("RESULT solve.method positional-pairs exact")
+        for node in arena.nodes:
+            print(f"RESULT solve.winner {node} {solution.winners[node]}")
+        for strategy in witnesses:
+            for node, edge in sorted(strategy.choice.items()):
+                print(f"RESULT solve.witness {strategy.owner} {node} {edge.index}")
+        return 0
     for node in arena.nodes:
         print(f"node {node}: {solution.winners[node]}")
-    print("witness (Alice):")
-    for node, edge in sorted(solution.alice_strategy.choice.items()):
-        print(f"  {node} -> {edge.index}")
-    print("witness (Bob):")
-    for node, edge in sorted(solution.bob_strategy.choice.items()):
-        print(f"  {node} -> {edge.index}")
+    for strategy in witnesses:
+        print(f"witness ({strategy.owner}):")
+        for node, edge in sorted(strategy.choice.items()):
+            print(f"  {node} -> {edge.index}")
     return 0
 
 
@@ -323,8 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the full law battery")
     p.add_argument("--seed", type=int, default=None, help="fallback: ETOG_SEED env var")
-    p.add_argument("--samples", type=int, default=10_000, help="order-axiom sample budget")
-    p.add_argument("--max-len", type=int, default=6, help="closure word length bound")
+    p.add_argument(
+        "--samples", type=_positive_int, default=10_000, help="order-axiom sample budget"
+    )
+    p.add_argument(
+        "--max-len", type=_positive_int, default=6, help="closure word length bound"
+    )
     p.add_argument(
         "--inject-fault",
         action="store_true",

@@ -9,6 +9,8 @@ lasso (stem + cycle) whose cycle decides membership.
 ``solve_energy_game`` enumerates positional strategies for both players, which
 is exact for single energy conditions: both the condition and its complement
 admit positional optimal strategies, so nothing is lost by the restriction.
+Each strategy pair is played once from every start node, with one walk of its
+successor graph.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
@@ -243,10 +245,11 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     """Exact solver for a single energy condition by positional enumeration.
 
     Alice wins from a node when some positional strategy of hers defeats every
-    positional reply; the returned witnesses are the first strategies in
-    enumeration order that win uniformly on their player's whole winning
-    region (such uniform witnesses exist because the condition and its
-    complement are both positionally determined).
+    positional reply.  Each strategy pair is played once from every start
+    node, with one walk of its successor graph.  The returned witnesses are
+    the first strategies in enumeration order that win uniformly on their
+    player's whole winning region (such uniform witnesses exist because the
+    condition and its complement are both positionally determined).
     """
     if isinstance(cond, UnionCondition):
         raise ValueError(
@@ -261,46 +264,75 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
 
     sigmas = positional_strategies(arena, Player.ALICE)
     taus = positional_strategies(arena, Player.BOB)
+    nodes = arena.nodes  # Alice's nodes first, so a pair's moves concatenate
+    size = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+
+    def moves(strategy, owned):
+        edges = [strategy.choice[node] for node in owned]
+        return [index[e.target] for e in edges], [e.color for e in edges]
+
+    sigma_moves = [moves(sigma, arena.alice_nodes) for sigma in sigmas]
+    tau_moves = [moves(tau, arena.bob_nodes) for tau in taus]
     member_cache: dict[tuple[str, ...], bool] = {}
+    everyone = (1 << size) - 1
+    wins_by_sigma = [everyone] * len(sigmas)
+    beaten_by_tau = [0] * len(taus)
 
-    def lasso_member(start: str, sigma, tau) -> bool:
-        cycle = play_lasso(arena, start, sigma, tau).cycle_colors
-        hit = member_cache.get(cycle)
-        if hit is None:
-            hit = cond.up_member(UPWord((), cycle))
-            member_cache[cycle] = hit
-        return hit
+    # Under a positional pair every node has one successor, so the play from
+    # any start runs into a cycle of the successor graph.  A start that enters
+    # a cycle at another node repeats a rotation of the same period; its value
+    # is a conjugate of the period's value, and a bi-invariant order keeps the
+    # sign under conjugation.  So one membership call per cycle decides every
+    # start that reaches it, and one walk per pair decides every start.
+    # mark[v] is -1 before v is reached, the start's index while v lies on
+    # the current walk, and LOST or WON once v's play is decided.
+    LOST, WON = size, size + 1
+    for i, (a_next, a_colors) in enumerate(sigma_moves):
+        for j, (b_next, b_colors) in enumerate(tau_moves):
+            succ = a_next + b_next
+            mark = [-1] * size
+            mask = 0
+            for start in range(size):
+                if mark[start] >= 0:
+                    continue
+                path = []
+                node = start
+                while mark[node] < 0:
+                    mark[node] = start
+                    path.append(node)
+                    node = succ[node]
+                outcome = mark[node]
+                if outcome == start:  # the walk closed a new cycle at node
+                    colors = a_colors + b_colors
+                    cycle = tuple(colors[v] for v in path[path.index(node) :])
+                    hit = member_cache.get(cycle)
+                    if hit is None:
+                        hit = cond.up_member(UPWord((), cycle))
+                        member_cache[cycle] = hit
+                    outcome = WON if hit else LOST
+                for v in path:
+                    mark[v] = outcome
+                if outcome == WON:
+                    for v in path:
+                        mask |= 1 << v
+            wins_by_sigma[i] &= mask
+            beaten_by_tau[j] |= mask
 
-    wins_by_sigma = []
-    for sigma in sigmas:
-        wins_by_sigma.append(
-            {
-                start
-                for start in arena.nodes
-                if all(lasso_member(start, sigma, tau) for tau in taus)
-            }
-        )
-    alice_region = set().union(*wins_by_sigma) if wins_by_sigma else set()
-    wins_by_tau = []
-    for tau in taus:
-        wins_by_tau.append(
-            {
-                start
-                for start in arena.nodes
-                if not any(lasso_member(start, sigma, tau) for sigma in sigmas)
-            }
-        )
-    bob_region = set(arena.nodes) - alice_region
-
+    alice_region = 0
+    for region in wins_by_sigma:
+        alice_region |= region
     winners = {
-        node: Player.ALICE if node in alice_region else Player.BOB
-        for node in arena.nodes
+        node: Player.ALICE if alice_region >> i & 1 else Player.BOB
+        for i, node in enumerate(nodes)
     }
+    # a tau wins exactly where no sigma beats it, so its region is Bob's
+    # whole region when the starts it loses are Alice's whole region
     alice_witness = next(
         (s for s, region in zip(sigmas, wins_by_sigma) if region == alice_region), None
     )
     bob_witness = next(
-        (t for t, region in zip(taus, wins_by_tau) if region == bob_region), None
+        (t for t, beaten in zip(taus, beaten_by_tau) if beaten == alice_region), None
     )
     if alice_witness is None or bob_witness is None:
         # cannot happen for an energy condition; means the condition is not

@@ -112,6 +112,40 @@ class TestSolve:
         assert "node w2: Bob" in out
         assert "node s: Bob" in out
 
+    def test_machine_output(self, capsys, tmp_path):
+        arena = tmp_path / "arena.txt"
+        arena.write_text(
+            "node w1 A\nnode w2 B\nnode s B\n"
+            "edge w1 1 w1\nedge w2 2 w2\nedge s 1 w1\nedge s 1 w2\n"
+        )
+        valfile = tmp_path / "val.txt"
+        valfile.write_text("group zlex(2)\nval 1 = (0,-1)\nval 2 = (1,0)\n")
+        argv = ["solve", "--arena", str(arena), "--cond", f"etog({valfile})"]
+        code, out, _ = run(capsys, *argv, "--machine")
+        assert code == 0
+        assert out.splitlines() == [
+            "RESULT solve.method positional-pairs exact",
+            "RESULT solve.winner w1 Alice",
+            "RESULT solve.winner w2 Bob",
+            "RESULT solve.winner s Bob",
+            "RESULT solve.witness Alice w1 0",
+            "RESULT solve.witness Bob s 3",
+            "RESULT solve.witness Bob w2 1",
+        ]
+        # the human report is unchanged
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == [
+            "node w1: Alice",
+            "node w2: Bob",
+            "node s: Bob",
+            "witness (Alice):",
+            "  w1 -> 0",
+            "witness (Bob):",
+            "  s -> 3",
+            "  w2 -> 1",
+        ]
+
     def test_union_condition_refused(self, capsys, tmp_path):
         arena = tmp_path / "arena.txt"
         arena.write_text("node n A\nedge n eps n\n")
@@ -207,9 +241,13 @@ def _bad_bytes_valuation(tmp_path):
         lambda tmp_path: ["compare", "inv(" * 2000 + "int" + ")" * 2000, "1", "2"],
         lambda tmp_path: ["counterexample", "--bob-memory", "0"],
         lambda tmp_path: ["counterexample", "--ramsey-depth", "-1"],
+        lambda tmp_path: ["check", "--samples", "0"],
+        lambda tmp_path: ["check", "--samples", "-5"],
+        lambda tmp_path: ["check", "--max-len", "0"],
     ],
     ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
-         "deep-nesting", "zero-bob-memory", "negative-ramsey-depth"],
+         "deep-nesting", "zero-bob-memory", "negative-ramsey-depth",
+         "zero-check-samples", "negative-check-samples", "zero-check-max-len"],
 )
 def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, make_argv):
     monkeypatch.chdir(tmp_path)

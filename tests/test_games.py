@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -318,6 +319,81 @@ class TestSolver:
                     else Player.BOB
                 )
                 assert solution.winners[start] == expected
+
+
+def lasso_replay_solution(arena, cond):
+    """Reference solver: one ``play_lasso`` per (sigma, tau, start), judged by
+    ``up_member`` on the whole lasso, with the witnesses picked as the first
+    strategies in enumeration order that win on their player's region."""
+    sigmas = positional_strategies(arena, Player.ALICE)
+    taus = positional_strategies(arena, Player.BOB)
+    alice_wins = {
+        (i, j, start): cond.up_member(play_lasso(arena, start, sigma, tau).up_word())
+        for i, sigma in enumerate(sigmas)
+        for j, tau in enumerate(taus)
+        for start in arena.nodes
+    }
+    wins_by_sigma = [
+        {s for s in arena.nodes if all(alice_wins[i, j, s] for j in range(len(taus)))}
+        for i in range(len(sigmas))
+    ]
+    wins_by_tau = [
+        {s for s in arena.nodes if not any(alice_wins[i, j, s] for i in range(len(sigmas)))}
+        for j in range(len(taus))
+    ]
+    alice_region = set().union(*wins_by_sigma)
+    bob_region = set(arena.nodes) - alice_region
+    winners = {
+        s: Player.ALICE if s in alice_region else Player.BOB for s in arena.nodes
+    }
+    alice = next(sg for sg, won in zip(sigmas, wins_by_sigma) if won == alice_region)
+    bob = next(t for t, won in zip(taus, wins_by_tau) if won == bob_region)
+    return winners, alice, bob
+
+
+def differential_arena(rng, colors, owners):
+    """At most 7 nodes of out-degree 1 to 3 and at most 256 positional pairs;
+    ``owners`` is "A", "B" or "AB" (random owner per node).  In about half
+    of the arenas the first edge of n0 is a self-loop."""
+    while True:
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, 7))]
+        if math.prod(degrees) <= 256:
+            break
+    names = [f"n{i}" for i in range(len(degrees))]
+    lines = [f"node {x} {rng.choice(owners)}" for x in names]
+    for name, degree in zip(names, degrees):
+        for _ in range(degree):
+            lines.append(f"edge {name} {rng.choice(colors)} {rng.choice(names)}")
+    if rng.random() < 0.5:
+        lines[len(names)] = f"edge n0 {rng.choice(colors)} n0"
+    return make_arena(lines)
+
+
+class TestSolverAgainstLassoReplay:
+    @pytest.mark.parametrize(
+        "cond",
+        [EtogCondition(SUITE["int"]), EtogCondition(FREE_VAL), parity_condition(3)],
+        ids=["int", "free", "parity"],
+    )
+    def test_winners_and_witnesses_match(self, cond):
+        rng = random.Random(2024)
+        shapes = set()
+        for owners in ["AB"] * 60 + ["A"] * 10 + ["B"] * 10:
+            arena = differential_arena(rng, cond.colors, owners)
+            winners, alice, bob = lasso_replay_solution(arena, cond)
+            solution = solve_energy_game(arena, cond)
+            assert solution.winners == winners
+            assert solution.alice_strategy.choice == alice.choice
+            assert solution.bob_strategy.choice == bob.choice
+            if not arena.alice_nodes:
+                shapes.add("no-alice")
+            elif not arena.bob_nodes:
+                shapes.add("no-bob")
+            else:
+                shapes.add("mixed")
+            if any(e.source == e.target for e in arena.edges):
+                shapes.add("self-loop")
+        assert shapes == {"no-alice", "no-bob", "mixed", "self-loop"}
 
 
 class TestUnionVerification:
