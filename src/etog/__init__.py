@@ -46,7 +46,6 @@ from .groups import (
     LexVectors,
     OrderedGroup,
     Ordering,
-    TruncatedSeries,
     magnus_expand,
     multiply,
     reduce_word,
@@ -72,7 +71,6 @@ __all__ = [
     "Ordering",
     "Player",
     "PositionalStrategy",
-    "TruncatedSeries",
     "UPWord",
     "UnionCondition",
     "Valuation",

@@ -87,7 +87,7 @@ class UPWord:
 
     def __post_init__(self) -> None:
         if not self.period:
-            raise ValueError("period must be non-empty")
+            raise NotationError("period must be non-empty")
 
     @classmethod
     def make(cls, prefix, period) -> "UPWord":
@@ -127,7 +127,7 @@ class UnionCondition:
         first = self.members[0].colors
         for member in self.members[1:]:
             if set(member.colors) != set(first):
-                raise ValueError("union members must share one color alphabet")
+                raise NotationError("union members must share one color alphabet")
 
     @property
     def colors(self) -> tuple[str, ...]:

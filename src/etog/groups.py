@@ -12,6 +12,11 @@ declared generator order.  This order is total and invariant under
 multiplication on both sides; the property suite checks these laws on random
 words instead of trusting them.
 
+Elements are validated where they enter the library: ``Valuation`` checks its
+images, ``parse_element`` builds only valid elements and ``format_element``
+checks before rendering.  ``compose``, ``invert`` and ``compare`` trust their
+operands.  ``magnus_expand`` returns its coefficients as a plain dict.
+
 All values are immutable and every operation is a pure function, so the whole
 module is safe for concurrent use.
 """
@@ -67,7 +72,9 @@ class FreeWord:
     Instances must stay reduced (no adjacent ``g g^-1`` pair).  Construct them
     through :func:`reduce_word`, :func:`multiply` or :meth:`inverse`, which
     preserve the invariant; the constructor itself trusts its input so the hot
-    composition path stays cheap.
+    composition path stays cheap.  Membership in a particular free group is
+    checked by :meth:`FreeGroup.validate` where a word enters the library, not
+    by the word itself.
     """
 
     letters: tuple[Letter, ...] = ()
@@ -89,14 +96,6 @@ class FreeWord:
         for symbol, exponent in self.letters:
             sums[symbol] = sums.get(symbol, 0) + exponent
         return {s: v for s, v in sums.items() if v}
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        cached = self.__dict__.get("_symbols")
-        if cached is None:
-            cached = frozenset(s for s, _ in self.letters)
-            object.__setattr__(self, "_symbols", cached)
-        return cached
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((s, -e) for s, e in reversed(self.letters)))
@@ -152,32 +151,19 @@ def multiply(x: FreeWord, y: FreeWord) -> FreeWord:
     return FreeWord(lx[:i] + ly[j:])
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Integer power series in non-commuting symbols, truncated by degree.
-
-    Monomials are tuples of generator symbols of length <= ``max_degree``;
-    zero coefficients are never stored.  Expansions of group elements always
-    carry constant term 1.
-    """
-
-    max_degree: int
-    coefficients: dict[tuple[str, ...], int]
-
-    def coefficient(self, monomial: tuple[str, ...]) -> int:
-        return self.coefficients.get(monomial, 0)
-
-
 def _accumulate(table: dict, monomial: tuple[str, ...], value: int) -> None:
     table[monomial] = table.get(monomial, 0) + value
 
 
-def magnus_expand(word: FreeWord, max_degree: int) -> TruncatedSeries:
+def magnus_expand(word: FreeWord, max_degree: int) -> dict[tuple[str, ...], int]:
     """Expand a reduced word under ``g -> 1 + g``.
 
-    Inverse letters expand as the alternating geometric series
-    ``1 - g + g^2 - ...`` cut at ``max_degree``; all products drop monomials
-    above the cap.  Coefficients are exact arbitrary-precision integers.
+    Returns the coefficients of the truncated non-commutative power series,
+    keyed by monomial: a tuple of generator symbols of length <=
+    ``max_degree``.  Zero coefficients are never stored, and the constant term
+    ``()`` is always 1.  Inverse letters expand as the alternating geometric
+    series ``1 - g + g^2 - ...`` cut at ``max_degree``; all products drop
+    monomials above the cap.  Coefficients are exact arbitrary-precision integers.
     Coefficients of monomials of degree <= ``max_degree`` do not depend on the
     cap, because monomial degrees only ever add up.
     """
@@ -198,7 +184,7 @@ def magnus_expand(word: FreeWord, max_degree: int) -> TruncatedSeries:
                     _accumulate(nxt, mono + (symbol,) * power, sign * c)
                     sign = -sign
         coeffs = {m: c for m, c in nxt.items() if c}
-    return TruncatedSeries(max_degree, coeffs)
+    return coeffs
 
 
 class OrderedGroup:
@@ -206,8 +192,11 @@ class OrderedGroup:
 
     Subclasses provide ``identity``, ``compose``, ``invert``, ``compare`` and
     ``validate``.  Elements are plain immutable Python values tagged only by
-    the spec they were created under; feeding an element to the wrong spec
-    raises :class:`SpecMismatchError`.
+    the spec they were created under.  ``validate`` raises
+    :class:`SpecMismatchError` for an element of another spec; it runs where
+    elements enter the library (``Valuation``, ``format_element``; the parsers
+    build only valid elements).  ``compose``, ``invert`` and ``compare`` trust
+    their operands and do not validate them again.
     """
 
     def identity(self):
@@ -241,17 +230,12 @@ class Integers(OrderedGroup):
         return 0
 
     def compose(self, x: int, y: int) -> int:
-        self.validate(x)
-        self.validate(y)
         return x + y
 
     def invert(self, x: int) -> int:
-        self.validate(x)
         return -x
 
     def compare(self, x: int, y: int) -> Ordering:
-        self.validate(x)
-        self.validate(y)
         return _sign_ordering(x - y)
 
     def validate(self, x) -> None:
@@ -276,17 +260,12 @@ class LexVectors(OrderedGroup):
         return (0,) * self.dim
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return tuple(a + b for a, b in zip(x, y))
 
     def invert(self, x):
-        self.validate(x)
         return tuple(-a for a in x)
 
     def compare(self, x, y) -> Ordering:
-        self.validate(x)
-        self.validate(y)
         if x == y:
             return Ordering.EQUAL
         return Ordering.GREATER if x > y else Ordering.LESS
@@ -320,7 +299,6 @@ class FreeGroup(OrderedGroup):
             raise ValueError("generator list must be non-empty")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator list must be duplicate-free")
-        object.__setattr__(self, "_genset", frozenset(self.generators))
         object.__setattr__(
             self, "_index", {g: i for i, g in enumerate(self.generators)}
         )
@@ -333,21 +311,17 @@ class FreeGroup(OrderedGroup):
         return reduce_word(letters, self.generators)
 
     def compose(self, x: FreeWord, y: FreeWord) -> FreeWord:
-        self.validate(x)
-        self.validate(y)
         return multiply(x, y)
 
     def invert(self, x: FreeWord) -> FreeWord:
-        self.validate(x)
         return x.inverse()
 
     def validate(self, x) -> None:
-        if not isinstance(x, FreeWord) or not x.symbols <= self._genset:  # type: ignore[attr-defined]
+        index = self._index  # type: ignore[attr-defined]
+        if not isinstance(x, FreeWord) or any(s not in index for s, _ in x.letters):
             raise SpecMismatchError(f"not a word over {self.generators}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
-        self.validate(x)
-        self.validate(y)
         # (p u)(p v)^-1 is the conjugate by p of u v^-1.  Conjugation only adds
         # terms of strictly higher degree than the lowest non-constant term, so
         # under the degree-graded scan both share the same leading coefficient;
@@ -374,9 +348,8 @@ class FreeGroup(OrderedGroup):
         """Sign of the first non-constant coefficient of a non-identity word,
         expanding from degree ``start`` up to the word's length."""
         for degree in range(start, len(w.letters) + 1):
-            series = magnus_expand(w, degree)
             best = None
-            for mono, c in series.coefficients.items():
+            for mono, c in magnus_expand(w, degree).items():
                 if not mono:
                     continue
                 key = self._monomial_key(mono)
@@ -403,8 +376,6 @@ class MisorderedFreeGroup(FreeGroup):
             raise ValueError("the misorder fault needs at least two generators")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
-        self.validate(x)
-        self.validate(y)
         w = multiply(x, y.inverse())
         if w.is_identity:
             return Ordering.EQUAL
@@ -454,17 +425,12 @@ class LexProduct(OrderedGroup):
         return (self.left.identity(), self.right.identity())
 
     def compose(self, x, y):
-        self.validate(x)
-        self.validate(y)
         return (self.left.compose(x[0], y[0]), self.right.compose(x[1], y[1]))
 
     def invert(self, x):
-        self.validate(x)
         return (self.left.invert(x[0]), self.right.invert(x[1]))
 
     def compare(self, x, y) -> Ordering:
-        self.validate(x)
-        self.validate(y)
         first = self.left.compare(x[0], y[0])
         if first is not Ordering.EQUAL:
             return first

@@ -528,8 +528,7 @@ def magnus_soundness(generators: Sequence[str], max_len: int) -> CheckResult:
         if word.is_identity:
             continue
         checked += 1
-        series = magnus_expand(word, len(word.letters))
-        if not any(mono for mono in series.coefficients if mono):
+        if not any(mono for mono in magnus_expand(word, len(word.letters)) if mono):
             return CheckResult(
                 "magnus-soundness",
                 False,

@@ -53,7 +53,7 @@ def read_ascii(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: non-ASCII bytes, NUL in path
         raise InputFileError(f"cannot read {path!r}: {exc}") from None
 
 

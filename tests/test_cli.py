@@ -231,6 +231,12 @@ def _bad_bytes_valuation(tmp_path):
     return ["membership", "--cond", f"etog({path})", "--period", "x"]
 
 
+def _mismatched_union(tmp_path):
+    (tmp_path / "i.txt").write_text("group int\nval x = 1\n")
+    (tmp_path / "j.txt").write_text("group int\nval y = 1\n")
+    return ["membership", "--cond", "union(etog(i.txt),etog(j.txt))", "--period", "x"]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -244,10 +250,13 @@ def _bad_bytes_valuation(tmp_path):
         lambda tmp_path: ["check", "--samples", "0"],
         lambda tmp_path: ["check", "--samples", "-5"],
         lambda tmp_path: ["check", "--max-len", "0"],
+        lambda tmp_path: ["membership", "--cond", f"etog({VAL})", "--period", ""],
+        _mismatched_union,
     ],
     ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
          "deep-nesting", "zero-bob-memory", "negative-ramsey-depth",
-         "zero-check-samples", "negative-check-samples", "zero-check-max-len"],
+         "zero-check-samples", "negative-check-samples", "zero-check-max-len",
+         "empty-period", "union-alphabet-mismatch"],
 )
 def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, make_argv):
     monkeypatch.chdir(tmp_path)

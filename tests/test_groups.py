@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etog.conditions import Valuation
 from etog.errors import (
     FirstCoefficientMissingError,
     NotationError,
@@ -71,31 +72,34 @@ class TestComposeInvert:
     def test_free_invert(self):
         assert AB.invert(word("a b a^-1")) == word("a b^-1 a^-1")
 
-    def test_spec_mismatch(self):
+    def test_boundaries_reject_foreign_elements(self):
+        # compose, invert and compare trust their operands; foreign elements
+        # are stopped where they enter: a valuation's images, and rendering
         with pytest.raises(SpecMismatchError):
-            Integers().compose(1, word("a"))
+            Valuation(("x",), Integers(), {"x": word("a")})
         with pytest.raises(SpecMismatchError):
-            AB.compare(word("a"), 3)
+            Valuation(("x",), FreeGroup(("c", "d")), {"x": word("a")})
         with pytest.raises(SpecMismatchError):
-            FreeGroup(("c", "d")).compare(word("a"), FreeWord())
+            Valuation(("x",), LexProduct(Integers(), Integers()), {"x": 3})
+        with pytest.raises(SpecMismatchError):
+            format_element(AB, 3)
 
 
 class TestMagnusExpand:
     def test_single_generator(self):
-        series = magnus_expand(word("a"), 2)
-        assert series.coefficients == {(): 1, ("a",): 1}
+        assert magnus_expand(word("a"), 2) == {(): 1, ("a",): 1}
 
     def test_inverse_generator_geometric(self):
-        series = magnus_expand(word("a^-1"), 2)
-        assert series.coefficients == {(): 1, ("a",): -1, ("a", "a"): 1}
+        assert magnus_expand(word("a^-1"), 2) == {(): 1, ("a",): -1, ("a", "a"): 1}
 
     def test_commutator_degree_two(self):
-        series = magnus_expand(word("a b a^-1 b^-1"), 2)
-        assert series.coefficients == {(): 1, ("a", "b"): 1, ("b", "a"): -1}
+        assert magnus_expand(word("a b a^-1 b^-1"), 2) == {
+            (): 1, ("a", "b"): 1, ("b", "a"): -1,
+        }
 
     def test_constant_term_always_one(self):
         for text in ("a", "b^-1 a", "a b a^-1 b^-1", "a a a"):
-            assert magnus_expand(word(text), 3).coefficient(()) == 1
+            assert magnus_expand(word(text), 3)[()] == 1
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -103,17 +107,17 @@ class TestMagnusExpand:
 
     def test_coefficients_do_not_depend_on_cap(self):
         w = word("a b^-1 a b")
-        low = magnus_expand(w, 2).coefficients
-        high = magnus_expand(w, 4).coefficients
+        low = magnus_expand(w, 2)
+        high = magnus_expand(w, 4)
         assert {m: c for m, c in high.items() if len(m) <= 2} == low
 
     def test_series_invariants(self):
         for text in ("a^-1 b a^-1", "b b b", "a b a^-1 b^-1"):
             for cap in (0, 1, 3):
-                series = magnus_expand(word(text), cap)
-                assert all(len(m) <= cap for m in series.coefficients)
-                assert all(c != 0 for c in series.coefficients.values())
-                assert series.coefficient(()) == 1
+                coefficients = magnus_expand(word(text), cap)
+                assert all(len(m) <= cap for m in coefficients)
+                assert all(c != 0 for c in coefficients.values())
+                assert coefficients[()] == 1
 
 
 class TestFreeCompare:
@@ -252,11 +256,11 @@ def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
     w = multiply(x, y.inverse())
     if w.is_identity:
         return Ordering.EQUAL
-    series = magnus_expand(w, len(w.letters))
+    coefficients = magnus_expand(w, len(w.letters))
     rank = {g: i for i, g in enumerate(spec.generators)}
     candidates = [
         ((len(m), tuple(rank[s] for s in m)), c)
-        for m, c in series.coefficients.items()
+        for m, c in coefficients.items()
         if m
     ]
     assert candidates, f"no usable coefficient for {w!r}"
