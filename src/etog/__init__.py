@@ -46,6 +46,7 @@ from .groups import (
     LexVectors,
     OrderedGroup,
     Ordering,
+    magnus_coefficient,
     magnus_expand,
     multiply,
     reduce_word,
@@ -79,6 +80,7 @@ __all__ = [
     "format_group",
     "load_arena",
     "load_valuation",
+    "magnus_coefficient",
     "magnus_expand",
     "multiply",
     "parity_condition",

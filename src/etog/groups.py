@@ -8,14 +8,15 @@ Free groups are ordered through their truncated non-commutative power-series
 expansion (g -> 1 + g, g^-1 -> 1 - g + g^2 - ...).  A non-identity element is
 positive exactly when the first non-constant coefficient of its expansion is
 positive, scanning monomials by total degree and then lexicographically in the
-declared generator order.  This order is total and invariant under
-multiplication on both sides; the property suite checks these laws on random
-words instead of trusting them.
+declared generator order.  ``magnus_coefficient`` reads one coefficient in
+one pass over the word, so the scan stops at the first non-zero one without
+expanding the series.  This order is total and invariant under multiplication
+on both sides; the property suite checks these laws on random words.
 
 Elements are validated where they enter the library: ``Valuation`` checks its
 images, ``parse_element`` builds only valid elements and ``format_element``
 checks before rendering.  ``compose``, ``invert`` and ``compare`` trust their
-operands.  ``magnus_expand`` returns its coefficients as a plain dict.
+operands.
 
 All values are immutable and every operation is a pure function, so the whole
 module is safe for concurrent use.
@@ -24,8 +25,9 @@ module is safe for concurrent use.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     FirstCoefficientMissingError,
@@ -151,39 +153,46 @@ def multiply(x: FreeWord, y: FreeWord) -> FreeWord:
     return FreeWord(lx[:i] + ly[j:])
 
 
-def _accumulate(table: dict, monomial: tuple[str, ...], value: int) -> None:
-    table[monomial] = table.get(monomial, 0) + value
+def magnus_coefficient(word: FreeWord, monomial: tuple[str, ...]) -> int:
+    """Coefficient of ``monomial`` in the expansion of ``word`` under ``g -> 1 + g``.
+
+    One left-to-right pass keeps ``c[j]``, the coefficient of the monomial's
+    first ``j`` symbols in the product so far.  A letter ``g`` multiplies by
+    ``1 + g``: ``c[j] += c[j-1]`` wherever ``monomial[j-1] == g``, for ``j``
+    downwards.  ``g^-1`` multiplies by ``1 - g + g^2 - ...``: the same slots
+    take ``c[j] -= c[j-1]`` for ``j`` upwards.  Exact integers.
+    """
+    slots: dict[str, list[int]] = {}
+    for j, symbol in enumerate(monomial, 1):
+        slots.setdefault(symbol, []).append(j)
+    c = [1] + [0] * len(monomial)
+    for symbol, exponent in word.letters:
+        if exponent > 0:
+            for j in reversed(slots.get(symbol, ())):
+                c[j] += c[j - 1]
+        else:
+            for j in slots.get(symbol, ()):
+                c[j] -= c[j - 1]
+    return c[-1]
 
 
 def magnus_expand(word: FreeWord, max_degree: int) -> dict[tuple[str, ...], int]:
-    """Expand a reduced word under ``g -> 1 + g``.
+    """Expand a reduced word under ``g -> 1 + g``, truncated at ``max_degree``.
 
-    Returns the coefficients of the truncated non-commutative power series,
-    keyed by monomial: a tuple of generator symbols of length <=
-    ``max_degree``.  Zero coefficients are never stored, and the constant term
-    ``()`` is always 1.  Inverse letters expand as the alternating geometric
-    series ``1 - g + g^2 - ...`` cut at ``max_degree``; all products drop
-    monomials above the cap.  Coefficients are exact arbitrary-precision integers.
-    Coefficients of monomials of degree <= ``max_degree`` do not depend on the
-    cap, because monomial degrees only ever add up.
+    Returns the non-zero coefficients keyed by monomial: a tuple of the
+    word's generator symbols of length <= ``max_degree``.  The constant term
+    ``()`` is always 1.  Each coefficient is read by
+    :func:`magnus_coefficient`, so none depends on the cap.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    coeffs: dict[tuple[str, ...], int] = {(): 1}
-    for symbol, exponent in word.letters:
-        nxt: dict[tuple[str, ...], int] = {}
-        for mono, c in coeffs.items():
-            room = max_degree - len(mono)
-            if exponent > 0:
-                _accumulate(nxt, mono, c)
-                if room >= 1:
-                    _accumulate(nxt, mono + (symbol,), c)
-            else:
-                sign = 1
-                for power in range(room + 1):
-                    _accumulate(nxt, mono + (symbol,) * power, sign * c)
-                    sign = -sign
-        coeffs = {m: c for m, c in nxt.items() if c}
+    symbols = tuple(dict.fromkeys(s for s, _ in word.letters))
+    coeffs: dict[tuple[str, ...], int] = {}
+    for degree in range(max_degree + 1):
+        for mono in itertools.product(symbols, repeat=degree):
+            c = magnus_coefficient(word, mono)
+            if c:
+                coeffs[mono] = c
     return coeffs
 
 
@@ -283,13 +292,12 @@ class LexVectors(OrderedGroup):
 class FreeGroup(OrderedGroup):
     """Free group on named generators, ordered via its power-series expansion.
 
-    ``compare(x, y)`` reduces ``x * y^-1`` and, if non-trivial, looks for the
-    first non-constant non-zero coefficient of its expansion in
-    degree-then-lexicographic monomial order (generators ranked in declaration
-    order).  The sign of that coefficient decides the comparison.  Expansion
-    depth starts small and deepens only while every coefficient so far
-    vanishes, which is equivalent to expanding at ``len(word)`` outright
-    because low-degree coefficients never depend on the cap.
+    ``compare(x, y)`` strips the common prefix, reduces ``x * y^-1`` and, if
+    non-trivial, takes the sign of its first non-zero non-constant
+    coefficient, scanning monomials by degree and then lexicographically with
+    generators ranked in declaration order.  Degree 1 is read off the
+    exponent sums; from degree 2 on, each coefficient is read on its own with
+    :func:`magnus_coefficient`, and the scan stops at the first non-zero one.
     """
 
     generators: tuple[str, ...]
@@ -299,16 +307,9 @@ class FreeGroup(OrderedGroup):
             raise ValueError("generator list must be non-empty")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator list must be duplicate-free")
-        object.__setattr__(
-            self, "_index", {g: i for i, g in enumerate(self.generators)}
-        )
 
     def identity(self) -> FreeWord:
         return IDENTITY_WORD
-
-    def word(self, letters: Iterable[Letter]) -> FreeWord:
-        """Reduce raw letters into an element of this group."""
-        return reduce_word(letters, self.generators)
 
     def compose(self, x: FreeWord, y: FreeWord) -> FreeWord:
         return multiply(x, y)
@@ -317,8 +318,8 @@ class FreeGroup(OrderedGroup):
         return x.inverse()
 
     def validate(self, x) -> None:
-        index = self._index  # type: ignore[attr-defined]
-        if not isinstance(x, FreeWord) or any(s not in index for s, _ in x.letters):
+        known = self.generators
+        if not isinstance(x, FreeWord) or any(s not in known for s, _ in x.letters):
             raise SpecMismatchError(f"not a word over {self.generators}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
@@ -338,25 +339,19 @@ class FreeGroup(OrderedGroup):
             total = sums.get(g, 0)
             if total:
                 return _sign_ordering(total)
-        return self._scan(w, 2)  # degree-1 part vanished entirely
+        return self._scan(w)  # degree-1 part vanished entirely
 
-    def _monomial_key(self, monomial: tuple[str, ...]):
-        index = self._index  # type: ignore[attr-defined]
-        return (len(monomial), tuple(index[s] for s in monomial))
+    def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
+        """Scan order from degree 2, where the exponent-sum shortcut ends."""
+        for degree in range(2, max_degree + 1):
+            yield from itertools.product(self.generators, repeat=degree)
 
-    def _scan(self, w: FreeWord, start: int) -> Ordering:
-        """Sign of the first non-constant coefficient of a non-identity word,
-        expanding from degree ``start`` up to the word's length."""
-        for degree in range(start, len(w.letters) + 1):
-            best = None
-            for mono, c in magnus_expand(w, degree).items():
-                if not mono:
-                    continue
-                key = self._monomial_key(mono)
-                if best is None or key < best[0]:
-                    best = (key, c)
-            if best is not None:
-                return _sign_ordering(best[1])
+    def _scan(self, w: FreeWord) -> Ordering:
+        """Sign of the first non-zero coefficient in :meth:`_monomials` order."""
+        for mono in self._monomials(len(w.letters)):
+            c = magnus_coefficient(w, mono)
+            if c:
+                return _sign_ordering(c)
         raise FirstCoefficientMissingError(
             f"no non-constant coefficient up to degree {len(w.letters)} for {w!r}"
         )
@@ -379,17 +374,15 @@ class MisorderedFreeGroup(FreeGroup):
         w = multiply(x, y.inverse())
         if w.is_identity:
             return Ordering.EQUAL
-        # the faulted scan mixes a degree-2 monomial into the degree-1
-        # positions, so the first expansion must already cover degree 2
-        return self._scan(w, min(2, len(w.letters)))
+        return self._scan(w)
 
-    def _monomial_key(self, monomial: tuple[str, ...]):
+    def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
+        # degree 1 too, and at least through degree 2, where (g0, g1) lives
         g0, g1 = self.generators[0], self.generators[1]
-        if monomial == (g1,):
-            return (2, (0, 1))
-        if monomial == (g0, g1):
-            return (1, (1,))
-        return super()._monomial_key(monomial)
+        swap = {(g1,): (g0, g1), (g0, g1): (g1,)}
+        for degree in range(1, max(max_degree, 2) + 1):
+            for mono in itertools.product(self.generators, repeat=degree):
+                yield swap.get(mono, mono)
 
 
 @dataclass(frozen=True)

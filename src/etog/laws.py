@@ -277,13 +277,11 @@ def check_fairly_mixing(
 
     results = []
 
-    hits = 0
     failure = None
     for _ in range(samples):
         x = random_word(rng, alphabet, max_len)
         alpha = up()
         glued = UPWord(x + alpha.prefix, alpha.period)
-        hits += 1
         if member(glued) != member(alpha):
             failure = (
                 f"prefix {' '.join(x) or '(empty)'} changes membership of "

@@ -35,6 +35,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 # interpreter stack.
 MAX_NESTING = 100
 
+# A zlex(<d>) element is a d-tuple; refuse dimensions no spec needs.
+MAX_ZLEX_DIM = 1000
+
 
 def _check_nesting(text: str) -> None:
     """Refuse specs whose parentheses nest deeper than :data:`MAX_NESTING`."""
@@ -100,6 +103,8 @@ def parse_group(text: str) -> OrderedGroup:
             raise NotationError(f"zlex dimension is not an integer: {body!r}") from None
         if dim < 1:
             raise NotationError("zlex dimension must be >= 1")
+        if dim > MAX_ZLEX_DIM:
+            raise NotationError(f"zlex dimension must be <= {MAX_ZLEX_DIM}")
         return LexVectors(dim)
     if text.startswith("free(") and text.endswith(")"):
         names = [n.strip() for n in _inner(text, "free(").split(",")]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from etog.cli import main, shipped_valuation_path
@@ -245,6 +247,7 @@ def _mismatched_union(tmp_path):
         lambda tmp_path: ["membership", "--cond", "etog(missing.txt)", "--period", "a"],
         _bad_bytes_valuation,
         lambda tmp_path: ["compare", "inv(" * 2000 + "int" + ")" * 2000, "1", "2"],
+        lambda tmp_path: ["compare", "zlex(1001)", "e", "e"],
         lambda tmp_path: ["counterexample", "--bob-memory", "0"],
         lambda tmp_path: ["counterexample", "--ramsey-depth", "-1"],
         lambda tmp_path: ["check", "--samples", "0"],
@@ -254,9 +257,9 @@ def _mismatched_union(tmp_path):
         _mismatched_union,
     ],
     ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
-         "deep-nesting", "zero-bob-memory", "negative-ramsey-depth",
-         "zero-check-samples", "negative-check-samples", "zero-check-max-len",
-         "empty-period", "union-alphabet-mismatch"],
+         "deep-nesting", "huge-zlex-dimension", "zero-bob-memory",
+         "negative-ramsey-depth", "zero-check-samples", "negative-check-samples",
+         "zero-check-max-len", "empty-period", "union-alphabet-mismatch"],
 )
 def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, make_argv):
     monkeypatch.chdir(tmp_path)
@@ -267,3 +270,25 @@ def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, code, argv",
+    [
+        ("check-seed0.txt", 0,
+         ["check", "--seed", "0", "--samples", "2000", "--max-len", "4", "--machine"]),
+        ("check-inject-fault-seed0.txt", 1,
+         ["check", "--inject-fault", "--seed", "0", "--samples", "2000",
+          "--max-len", "4", "--machine"]),
+        ("counterexample-bob-memory2.txt", 0,
+         ["counterexample", "--bob-memory", "2", "--machine"]),
+    ],
+)
+def test_machine_output_matches_golden_transcript(capsys, name, code, argv):
+    # pins every CHECK detail and counterexample text, not only the verdicts
+    actual_code, out, _ = run(capsys, *argv)
+    assert actual_code == code
+    assert out == (GOLDEN / name).read_text()

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,11 +20,18 @@ from etog.groups import (
     LexVectors,
     MisorderedFreeGroup,
     Ordering,
+    magnus_coefficient,
     magnus_expand,
     multiply,
     reduce_word,
 )
-from etog.notation import format_element, format_group, parse_element, parse_group
+from etog.notation import (
+    MAX_ZLEX_DIM,
+    format_element,
+    format_group,
+    parse_element,
+    parse_group,
+)
 
 AB = FreeGroup(("a", "b"))
 E = AB.identity()
@@ -210,6 +219,12 @@ class TestNotation:
         with pytest.raises(NotationError):
             parse_group("prod(int)")
 
+    def test_zlex_dimension_capped(self):
+        assert parse_group(f"zlex({MAX_ZLEX_DIM})") == LexVectors(MAX_ZLEX_DIM)
+        for dim in (MAX_ZLEX_DIM + 1, 10**9):
+            with pytest.raises(NotationError):
+                parse_group(f"zlex({dim})")
+
     def test_format_element_round_trip(self):
         spec = parse_group("prod(zlex(2),free(a,b))")
         element = parse_element(spec, "[(1,-2);a b^-1]")
@@ -250,22 +265,52 @@ def test_exponent_sum_cache_matches_rescan(x, y):
     assert cached == {s: v for s, v in fresh.items() if v}
 
 
+def _brute_coefficient(w: FreeWord, monomial: tuple[str, ...]) -> int:
+    """Coefficient of ``monomial`` in the expansion of ``w``, spelled out: sum
+    over non-decreasing letter positions that spell the monomial.  A letter g
+    (1 + g) may be used at most once; each use of g^-1 (1 - g + g^2 - ...)
+    contributes -1."""
+    letters = w.letters
+    total = 0
+    for positions in combinations_with_replacement(range(len(letters)), len(monomial)):
+        sign = 1
+        for i, (p, symbol) in enumerate(zip(positions, monomial)):
+            s, e = letters[p]
+            if s != symbol or (e > 0 and i and positions[i - 1] == p):
+                break
+            if e < 0:
+                sign = -sign
+        else:
+            total += sign
+    return total
+
+
+def test_magnus_coefficient_matches_brute_force():
+    import random
+
+    from etog.laws import random_reduced_word
+
+    rng = random.Random(5)
+    generators = ("a", "b", "c")
+    monomials = [m for d in range(1, 5) for m in product(generators, repeat=d)]
+    for _ in range(100):
+        w = random_reduced_word(rng, generators, 8)
+        for m in monomials:
+            assert magnus_coefficient(w, m) == _brute_coefficient(w, m), (w, m)
+
+
 def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
-    """The comparison spelled out with no shortcuts: reduce x*y^-1, expand at
-    the word's full length, scan monomials in degree-then-lex order."""
+    """The comparison spelled out with no shortcuts: reduce x*y^-1 and take
+    the first non-zero brute-force coefficient in degree-then-lex order."""
     w = multiply(x, y.inverse())
     if w.is_identity:
         return Ordering.EQUAL
-    coefficients = magnus_expand(w, len(w.letters))
-    rank = {g: i for i, g in enumerate(spec.generators)}
-    candidates = [
-        ((len(m), tuple(rank[s] for s in m)), c)
-        for m, c in coefficients.items()
-        if m
-    ]
-    assert candidates, f"no usable coefficient for {w!r}"
-    _, coefficient = min(candidates)
-    return Ordering.GREATER if coefficient > 0 else Ordering.LESS
+    for degree in range(1, len(w.letters) + 1):
+        for m in product(spec.generators, repeat=degree):
+            coefficient = _brute_coefficient(w, m)
+            if coefficient:
+                return Ordering.GREATER if coefficient > 0 else Ordering.LESS
+    raise AssertionError(f"no usable coefficient for {w!r}")
 
 
 def test_optimised_compare_matches_literal_expansion():
