@@ -113,7 +113,7 @@ def cmd_membership(args) -> int:
     for i, part in enumerate(members):
         valuation = part.valuation
         value = valuation.val_word(word.period)
-        sign = valuation.group.compare(value, valuation.group.identity())
+        sign = valuation.group.sign(value)
         rendered = format_element(valuation.group, value)
         lines.append(
             f"  member {i}: period value = {rendered}, sign = {sign}, "
@@ -185,7 +185,6 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
     started = time.perf_counter()
     arena, union, valuation = build_refutation_setup()
     start = arena.alice_nodes[0]
-    identity = valuation.group.identity()
     report = RunReport(
         "counterexample",
         {
@@ -212,7 +211,7 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
             continue
         cycle = verdict.beating_lasso.cycle_colors
         value = valuation.val_word(cycle)
-        value_is_identity = valuation.group.compare(value, identity) is Ordering.EQUAL
+        value_is_identity = valuation.group.sign(value) is Ordering.EQUAL
         report.verdicts.append(
             CheckResult(
                 f"counterexample.{label}-beaten",

@@ -169,7 +169,7 @@ def up_member_oracle(cond: EtogCondition, word: UPWord, horizon: int) -> bool:
         acc = identity
         for _gap in range(1, max_gap + 1):
             acc = group.compose(acc, chunk)
-            if group.compare(acc, identity) is Ordering.LESS:
+            if group.sign(acc) is Ordering.LESS:
                 return True
     return False
 

@@ -59,6 +59,8 @@ class Arena:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if not self.alice_nodes and not self.bob_nodes:
+            raise ArenaError("arena declares no nodes")
         seen: set[str] = set()
         for node in self.alice_nodes + self.bob_nodes:
             if node in seen:

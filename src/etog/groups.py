@@ -15,8 +15,14 @@ on both sides; the property suite checks these laws on random words.
 
 Elements are validated where they enter the library: ``Valuation`` checks its
 images, ``parse_element`` builds only valid elements and ``format_element``
-checks before rendering.  ``compose``, ``invert`` and ``compare`` trust their
-operands.
+checks before rendering.  ``compose``, ``invert``, ``sign`` and ``compare``
+trust their operands.
+
+Each group implements ``sign(x)``, the order of ``x`` against the identity;
+``compare(x, y)`` is derived from it as ``sign(x * y^-1)``.  Nearly every order
+query (membership, the oracle, the law checkers) is a sign test, so it never
+builds the quotient.  The free group alone overrides ``compare``, to strip the
+common prefix before taking the sign.
 
 All values are immutable and every operation is a pure function, so the whole
 module is safe for concurrent use.
@@ -90,14 +96,6 @@ class FreeWord:
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return multiply(self, other)
-
-    @property
-    def exponent_sums(self) -> dict[str, int]:
-        """Per-generator non-zero exponent totals; the degree-1 expansion."""
-        sums: dict[str, int] = {}
-        for symbol, exponent in self.letters:
-            sums[symbol] = sums.get(symbol, 0) + exponent
-        return {s: v for s, v in sums.items() if v}
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((s, -e) for s, e in reversed(self.letters)))
@@ -199,13 +197,14 @@ def magnus_expand(word: FreeWord, max_degree: int) -> dict[tuple[str, ...], int]
 class OrderedGroup:
     """Base class for computable totally ordered groups.
 
-    Subclasses provide ``identity``, ``compose``, ``invert``, ``compare`` and
-    ``validate``.  Elements are plain immutable Python values tagged only by
-    the spec they were created under.  ``validate`` raises
-    :class:`SpecMismatchError` for an element of another spec; it runs where
-    elements enter the library (``Valuation``, ``format_element``; the parsers
-    build only valid elements).  ``compose``, ``invert`` and ``compare`` trust
-    their operands and do not validate them again.
+    Subclasses provide ``identity``, ``compose``, ``invert``, ``sign`` and
+    ``validate``; ``compare(x, y)`` is derived as ``sign(x * y^-1)``.
+    Elements are plain immutable Python values tagged only by the spec they
+    were created under.  ``validate`` raises :class:`SpecMismatchError` for an
+    element of another spec; it runs where elements enter the library
+    (``Valuation``, ``format_element``; the parsers build only valid
+    elements).  The other operations trust their operands and do not validate
+    them again.
     """
 
     def identity(self):
@@ -217,18 +216,22 @@ class OrderedGroup:
     def invert(self, x):
         raise NotImplementedError
 
-    def compare(self, x, y) -> Ordering:
+    def sign(self, x) -> Ordering:
+        """The order of ``x`` against the identity."""
         raise NotImplementedError
 
     def validate(self, x) -> None:
         raise NotImplementedError
 
+    def compare(self, x, y) -> Ordering:
+        return self.sign(self.compose(x, self.invert(y)))
+
     # convenience predicates used all over the condition layer
     def is_negative(self, x) -> bool:
-        return self.compare(x, self.identity()) is Ordering.LESS
+        return self.sign(x) is Ordering.LESS
 
     def is_positive(self, x) -> bool:
-        return self.compare(x, self.identity()) is Ordering.GREATER
+        return self.sign(x) is Ordering.GREATER
 
 
 @dataclass(frozen=True)
@@ -244,8 +247,8 @@ class Integers(OrderedGroup):
     def invert(self, x: int) -> int:
         return -x
 
-    def compare(self, x: int, y: int) -> Ordering:
-        return _sign_ordering(x - y)
+    def sign(self, x: int) -> Ordering:
+        return _sign_ordering(x)
 
     def validate(self, x) -> None:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -274,10 +277,11 @@ class LexVectors(OrderedGroup):
     def invert(self, x):
         return tuple(-a for a in x)
 
-    def compare(self, x, y) -> Ordering:
-        if x == y:
-            return Ordering.EQUAL
-        return Ordering.GREATER if x > y else Ordering.LESS
+    def sign(self, x) -> Ordering:
+        for a in x:
+            if a:
+                return _sign_ordering(a)
+        return Ordering.EQUAL
 
     def validate(self, x) -> None:
         if (
@@ -292,12 +296,13 @@ class LexVectors(OrderedGroup):
 class FreeGroup(OrderedGroup):
     """Free group on named generators, ordered via its power-series expansion.
 
-    ``compare(x, y)`` strips the common prefix, reduces ``x * y^-1`` and, if
-    non-trivial, takes the sign of its first non-zero non-constant
-    coefficient, scanning monomials by degree and then lexicographically with
-    generators ranked in declaration order.  Degree 1 is read off the
-    exponent sums; from degree 2 on, each coefficient is read on its own with
-    :func:`magnus_coefficient`, and the scan stops at the first non-zero one.
+    ``sign(w)`` is the sign of the first non-zero non-constant coefficient
+    of ``w``, scanning monomials by degree and then lexicographically with
+    generators ranked in declaration order.  Degree 1 is each generator's
+    exponent sum, counted letter by letter with ``tuple.count``; from degree
+    2 on, each coefficient is read on its own with :func:`magnus_coefficient`,
+    and the scan stops at the first non-zero one.  ``compare(x, y)`` strips
+    the common prefix and then takes the sign of the reduced ``x * y^-1``.
     """
 
     generators: tuple[str, ...]
@@ -331,18 +336,22 @@ class FreeGroup(OrderedGroup):
         limit = min(len(x.letters), len(y.letters))
         while k < limit and x.letters[k] == y.letters[k]:
             k += 1
-        w = multiply(FreeWord(x.letters[k:]), FreeWord(y.letters[k:]).inverse())
-        if w.is_identity:
+        return self.sign(
+            multiply(FreeWord(x.letters[k:]), FreeWord(y.letters[k:]).inverse())
+        )
+
+    def sign(self, w: FreeWord) -> Ordering:
+        letters = w.letters
+        if not letters:
             return Ordering.EQUAL
-        sums = w.exponent_sums
         for g in self.generators:
-            total = sums.get(g, 0)
+            total = letters.count((g, 1)) - letters.count((g, -1))
             if total:
                 return _sign_ordering(total)
         return self._scan(w)  # degree-1 part vanished entirely
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
-        """Scan order from degree 2, where the exponent-sum shortcut ends."""
+        """Scan order from degree 2, where the degree-1 counts end."""
         for degree in range(2, max_degree + 1):
             yield from itertools.product(self.generators, repeat=degree)
 
@@ -361,8 +370,9 @@ class MisorderedFreeGroup(FreeGroup):
     """A deliberately broken free-group order; test instrumentation only.
 
     It swaps the scan positions of the two monomials ``(g0, g1)`` and
-    ``(g1,)`` and compares without the prefix strip, so that the law checkers
-    can demonstrate their sensitivity (``etog check --inject-fault``).
+    ``(g1,)`` in ``sign`` and compares without the prefix strip, so that the
+    law checkers can demonstrate their sensitivity (``etog check
+    --inject-fault``).
     """
 
     def __post_init__(self) -> None:
@@ -370,11 +380,10 @@ class MisorderedFreeGroup(FreeGroup):
         if len(self.generators) < 2:
             raise ValueError("the misorder fault needs at least two generators")
 
-    def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
-        w = multiply(x, y.inverse())
-        if w.is_identity:
-            return Ordering.EQUAL
-        return self._scan(w)
+    compare = OrderedGroup.compare
+
+    def sign(self, w: FreeWord) -> Ordering:
+        return Ordering.EQUAL if w.is_identity else self._scan(w)
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
         # degree 1 too, and at least through degree 2, where (g0, g1) lives
@@ -400,8 +409,8 @@ class InverseOrder(OrderedGroup):
     def invert(self, x):
         return self.inner.invert(x)
 
-    def compare(self, x, y) -> Ordering:
-        return self.inner.compare(x, y).flipped()
+    def sign(self, x) -> Ordering:
+        return self.inner.sign(x).flipped()
 
     def validate(self, x) -> None:
         self.inner.validate(x)
@@ -423,11 +432,11 @@ class LexProduct(OrderedGroup):
     def invert(self, x):
         return (self.left.invert(x[0]), self.right.invert(x[1]))
 
-    def compare(self, x, y) -> Ordering:
-        first = self.left.compare(x[0], y[0])
+    def sign(self, x) -> Ordering:
+        first = self.left.sign(x[0])
         if first is not Ordering.EQUAL:
             return first
-        return self.right.compare(x[1], y[1])
+        return self.right.sign(x[1])
 
     def validate(self, x) -> None:
         if not isinstance(x, tuple) or len(x) != 2:

@@ -211,35 +211,6 @@ def check_closure(
     return CheckResult(name, True, detail)
 
 
-def factor_into_blocks(
-    predicate: Callable[[Word], bool], word: Sequence[str]
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Can the word be cut into one or more predicate-satisfying blocks?
-
-    Dynamic programming over cut positions; returns (True, cuts) with the
-    witness cut positions 0 = c0 < c1 < ... < ck = len(word), or (False, None).
-    """
-    word = tuple(word)
-    n = len(word)
-    if n == 0:
-        return False, None
-    back: list[int | None] = [None] * (n + 1)
-    reachable = [False] * (n + 1)
-    reachable[0] = True
-    for end in range(1, n + 1):
-        for start in range(0, end):
-            if reachable[start] and predicate(word[start:end]):
-                reachable[end] = True
-                back[end] = start
-                break
-    if not reachable[n]:
-        return False, None
-    cuts = [n]
-    while cuts[-1] != 0:
-        cuts.append(back[cuts[-1]])  # type: ignore[arg-type]
-    return True, tuple(reversed(cuts))
-
-
 # ---------------------------------------------------------------------------
 # the three mixing laws, restricted to ultimately periodic instances
 
@@ -396,7 +367,7 @@ def check_invariant_subsemigroup(
         mul, inv = group.compose, group.invert
 
         def in_s(value) -> bool:
-            return group.compare(value, identity) is not Ordering.LESS
+            return group.sign(value) is not Ordering.LESS
 
         def element(word: FreeWord):
             value = identity

@@ -233,6 +233,12 @@ def _bad_bytes_valuation(tmp_path):
     return ["membership", "--cond", f"etog({path})", "--period", "x"]
 
 
+def _empty_arena(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no nodes\n")
+    return ["solve", "--arena", str(path), "--cond", f"etog({VAL})"]
+
+
 def _mismatched_union(tmp_path):
     (tmp_path / "i.txt").write_text("group int\nval x = 1\n")
     (tmp_path / "j.txt").write_text("group int\nval y = 1\n")
@@ -255,11 +261,13 @@ def _mismatched_union(tmp_path):
         lambda tmp_path: ["check", "--max-len", "0"],
         lambda tmp_path: ["membership", "--cond", f"etog({VAL})", "--period", ""],
         _mismatched_union,
+        _empty_arena,
     ],
     ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
          "deep-nesting", "huge-zlex-dimension", "zero-bob-memory",
          "negative-ramsey-depth", "zero-check-samples", "negative-check-samples",
-         "zero-check-max-len", "empty-period", "union-alphabet-mismatch"],
+         "zero-check-max-len", "empty-period", "union-alphabet-mismatch",
+         "empty-arena"],
 )
 def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, make_argv):
     monkeypatch.chdir(tmp_path)

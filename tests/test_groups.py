@@ -254,17 +254,6 @@ def test_reduced_words_have_no_adjacent_cancellation(x):
         assert not (left[0] == right[0] and left[1] == -right[1])
 
 
-@given(raw_words, raw_words)
-@settings(deadline=None)
-def test_exponent_sum_cache_matches_rescan(x, y):
-    product = multiply(reduce_word(x), reduce_word(y))
-    cached = product.exponent_sums
-    fresh = {}
-    for symbol, exponent in product.letters:
-        fresh[symbol] = fresh.get(symbol, 0) + exponent
-    assert cached == {s: v for s, v in fresh.items() if v}
-
-
 def _brute_coefficient(w: FreeWord, monomial: tuple[str, ...]) -> int:
     """Coefficient of ``monomial`` in the expansion of ``w``, spelled out: sum
     over non-decreasing letter positions that spell the monomial.  A letter g
@@ -314,8 +303,8 @@ def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
 
 
 def test_optimised_compare_matches_literal_expansion():
-    # the production compare strips common prefixes, short-circuits on
-    # exponent sums and deepens lazily; all of that must be invisible
+    # the production compare strips common prefixes, short-circuits on the
+    # degree-1 counts and deepens lazily; all of that must be invisible
     import random
 
     rng = random.Random(2024)
@@ -331,6 +320,64 @@ def test_optimised_compare_matches_literal_expansion():
         x = multiply(prefix, random_reduced_word(rng, ("a", "b"), 3))
         y = multiply(prefix, random_reduced_word(rng, ("a", "b"), 3))
         assert AB.compare(x, y) is _literal_compare(AB, x, y), (x, y)
+
+
+ABC = FreeGroup(("a", "b", "c"))
+
+
+def _free_words(generators: tuple[str, ...], max_size: int = 8):
+    return st.lists(
+        st.tuples(st.sampled_from(generators), st.sampled_from([1, -1])),
+        max_size=max_size,
+    ).map(reduce_word)
+
+
+def _native(greater: bool, less: bool) -> Ordering:
+    return Ordering.GREATER if greater else Ordering.LESS if less else Ordering.EQUAL
+
+
+def _pair_reference(x) -> Ordering:
+    # left coordinate dominates; the right one decides only on a tie
+    if x[0]:
+        return _native(x[0] > 0, x[0] < 0)
+    return _literal_compare(AB, x[1], E)
+
+
+# group spec, element strategy, reference sign computed without the group's sign
+SIGN_CASES = {
+    "int": (Integers(), st.integers(-50, 50), lambda x: _native(x > 0, x < 0)),
+    "zlex(3)": (
+        LexVectors(3),
+        st.tuples(*[st.integers(-2, 2)] * 3),
+        lambda x: _native(x > (0, 0, 0), x < (0, 0, 0)),
+    ),
+    "free(a,b,c)": (ABC, _free_words(ABC.generators), lambda x: _literal_compare(ABC, x, E)),
+    # e against x is the sign of x^-1, i.e. the reversed order's sign of x
+    "inv(free(a,b))": (
+        InverseOrder(AB), _free_words(AB.generators), lambda x: _literal_compare(AB, E, x)
+    ),
+    "prod(int,free(a,b))": (
+        LexProduct(Integers(), AB),
+        st.tuples(st.integers(-2, 2), _free_words(AB.generators)),
+        _pair_reference,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_CASES))
+@given(data=st.data())
+@settings(deadline=None)
+def test_sign_matches_independent_reference(name, data):
+    spec, elements, reference = SIGN_CASES[name]
+    x = data.draw(elements)
+    assert spec.sign(x) is reference(x), x
+
+
+@given(_free_words(ABC.generators, 4), _free_words(ABC.generators), _free_words(ABC.generators))
+@settings(deadline=None)
+def test_free_compare_strips_prefix_to_the_same_sign(prefix, u, v):
+    x, y = multiply(prefix, u), multiply(prefix, v)
+    assert ABC.compare(x, y) is ABC.sign(multiply(x, y.inverse())), (x, y)
 
 
 def test_magnus_soundness_guards_missing_coefficient():

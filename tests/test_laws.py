@@ -15,7 +15,6 @@ from etog.laws import (
     check_closure,
     check_fairly_mixing,
     check_invariant_subsemigroup,
-    factor_into_blocks,
     full_check_battery,
     negative_word_predicate,
     order_axiom_battery,
@@ -48,40 +47,6 @@ class TestClosure:
         result = check_closure(lambda w: len(w) == 1, ("x", "y"), 3)
         assert not result.passed
         assert "concatenation" in result.counterexample
-
-
-class TestFactorIntoBlocks:
-    def test_single_block_witness(self):
-        pred = negative_word_predicate(INT_XY)
-        ok, cuts = factor_into_blocks(pred, ("x", "y", "x"))
-        assert ok and cuts == (0, 3)
-
-    def test_positive_word_has_no_factorisation(self):
-        pred = negative_word_predicate(INT_XY)
-        ok, cuts = factor_into_blocks(pred, ("y",))
-        assert not ok and cuts is None
-
-    def test_any_member_word_is_one_block(self):
-        pred = lambda w: True
-        ok, cuts = factor_into_blocks(pred, ("y", "y"))
-        assert ok and cuts[0] == 0 and cuts[-1] == 2
-
-    def test_multi_block_witness(self):
-        pred = negative_word_predicate(INT_XY)
-        ok, cuts = factor_into_blocks(pred, ("x", "x", "y"))
-        assert ok
-        # every block between consecutive cuts must satisfy the predicate
-        word = ("x", "x", "y")
-        for start, end in zip(cuts, cuts[1:]):
-            assert pred(word[start:end])
-
-    def test_powers_of_member_words_factor(self):
-        pred = negative_word_predicate(INT_XY)
-        block = ("x", "y", "x")
-        assert pred(block)
-        for n in (1, 2, 3, 4):
-            ok, _ = factor_into_blocks(pred, block * n)
-            assert ok
 
 
 class TestFairlyMixing:
