@@ -47,7 +47,6 @@ from .groups import (
     OrderedGroup,
     Ordering,
     magnus_coefficient,
-    magnus_expand,
     multiply,
     reduce_word,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "load_arena",
     "load_valuation",
     "magnus_coefficient",
-    "magnus_expand",
     "multiply",
     "parity_condition",
     "parse_arena",

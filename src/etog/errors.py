@@ -37,6 +37,16 @@ class ArenaError(EtogError, ValueError):
     """Malformed arena description."""
 
 
+class MissingMachineEntryError(ArenaError):
+    """A finite-memory strategy has no entry under ``key`` in ``table``, the
+    mapping of its moves or of its updates."""
+
+    def __init__(self, message: str, table, key) -> None:
+        super().__init__(message)
+        self.table = table
+        self.key = key
+
+
 class MissingOutgoingEdgeError(ArenaError):
     """A declared node has no outgoing edge."""
 

@@ -14,7 +14,9 @@ successor graph.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
-memory size.
+memory size.  It builds the opponent machine lazily and plays every candidate
+through ``play_lasso``: a missing machine entry stops the play with
+``MissingMachineEntryError``, and the verifier branches on that entry.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .conditions import EtogCondition, UnionCondition, UPWord
 from .errors import (
     ArenaError,
     DuplicateNodeError,
+    MissingMachineEntryError,
     MissingOutgoingEdgeError,
     UnknownColorError,
     UnknownEndpointError,
@@ -44,8 +47,11 @@ class Player(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Edge:
+    """One declared edge.  Only :func:`parse_arena` builds edges, and each one
+    stands for its index in one arena, so equality is identity."""
+
     source: str
     color: str
     target: str
@@ -62,21 +68,19 @@ class Arena:
         if not self.alice_nodes and not self.bob_nodes:
             raise ArenaError("arena declares no nodes")
         seen: set[str] = set()
-        for node in self.alice_nodes + self.bob_nodes:
+        for node in self.nodes:
             if node in seen:
                 raise DuplicateNodeError(f"node {node!r} declared twice")
             seen.add(node)
-        outgoing: dict[str, list[Edge]] = {node: [] for node in seen}
         for edge in self.edges:
             if edge.source not in seen:
                 raise UnknownEndpointError(f"edge source {edge.source!r} not declared")
             if edge.target not in seen:
                 raise UnknownEndpointError(f"edge target {edge.target!r} not declared")
-            outgoing[edge.source].append(edge)
-        for node, edges in outgoing.items():
-            if not edges:
+        sources = {edge.source for edge in self.edges}
+        for node in self.nodes:
+            if node not in sources:
                 raise MissingOutgoingEdgeError(f"node {node!r} has no outgoing edge")
-        object.__setattr__(self, "_outgoing", {n: tuple(es) for n, es in outgoing.items()})
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -90,7 +94,7 @@ class Arena:
         return Player.ALICE if node in self.alice_nodes else Player.BOB
 
     def out_edges(self, node: str) -> tuple[Edge, ...]:
-        return self._outgoing[node]  # type: ignore[attr-defined]
+        return tuple(edge for edge in self.edges if edge.source == node)
 
 
 def parse_arena(text: str, alphabet: Iterable[str] | None = None) -> Arena:
@@ -167,7 +171,9 @@ class MealyStrategy:
         try:
             edge = self.moves[(state, node)]
         except KeyError:
-            raise ArenaError(f"no move for state {state!r} at node {node!r}") from None
+            raise MissingMachineEntryError(
+                f"no move for state {state!r} at node {node!r}", self.moves, (state, node)
+            ) from None
         if edge.source != node:
             raise ArenaError(f"strategy picks an edge not leaving {node!r}")
         return edge
@@ -176,7 +182,9 @@ class MealyStrategy:
         try:
             return self.updates[(state, edge)]
         except KeyError:
-            raise ArenaError(f"no update for state {state!r} on edge {edge.index}") from None
+            raise MissingMachineEntryError(
+                f"no update for state {state!r} on edge {edge.index}", self.updates, (state, edge)
+            ) from None
 
 
 Strategy = PositionalStrategy | MealyStrategy
@@ -364,11 +372,16 @@ def verify_union_strategy(
     """Test an Alice strategy against every Bob machine with few states.
 
     Enumerates Bob Mealy strategies with at most ``bob_memory_bound`` states
-    up to extensionality on reachable joint states: decisions are branched
-    lazily the first time a (state, node) move or (state, edge) update is
-    actually needed, and fresh states are introduced in canonical order, so
-    no two enumerated machines behave identically on the induced play.
-    Returns the first beating machine in that order, if any.
+    up to extensionality on reachable joint states.  Each candidate is played
+    with :func:`play_lasso` against a machine whose tables hold only the
+    decisions made so far; when the play needs a (state, node) move or a
+    (state, edge) update that is not decided yet, it stops with
+    :class:`MissingMachineEntryError`, and each option for that entry is tried
+    in turn before the play starts again.  Fresh states are introduced in
+    canonical order, so no two enumerated machines behave identically on the
+    induced play.  ``machines_checked`` counts completed plays.  Returns the
+    first beating machine in that order, completed with its unreached
+    entries, if any.
     """
     if bob_memory_bound < 1:
         raise ValueError("bob_memory_bound must be >= 1")
@@ -380,77 +393,48 @@ def verify_union_strategy(
 
     moves: dict[tuple[int, str], Edge] = {}
     updates: dict[tuple[int, Edge], int] = {}
-    stats = {"machines": 0}
+    bob = MealyStrategy(Player.BOB, tuple(range(bob_memory_bound)), 0, moves, updates)
+    machines = 0
 
-    def complete_machine(used: int) -> MealyStrategy:
-        # unreached entries are irrelevant; fill them deterministically
-        full_moves = dict(moves)
-        full_updates = dict(updates)
-        for state in range(used):
-            for node in arena.bob_nodes:
-                full_moves.setdefault((state, node), arena.out_edges(node)[0])
-            for edge in arena.edges:
-                full_updates.setdefault((state, edge), state)
-        return MealyStrategy(
-            Player.BOB, tuple(range(used)), 0, full_moves, full_updates
-        )
-
-    def explore(used: int) -> UnionVerdict | None:
-        node = start
-        a_state = alice.initial_state()
-        b_state = 0
-        seen: dict[tuple, int] = {}
-        path: list[Edge] = []
-        while True:
-            joint = (node, a_state, b_state)
-            if joint in seen:
-                stats["machines"] += 1
-                cut = seen[joint]
-                lasso = Lasso(tuple(path[:cut]), tuple(path[cut:]))
-                if not cond.up_member(lasso.up_word()):
-                    return UnionVerdict(
-                        False,
-                        bob_memory_bound,
-                        stats["machines"],
-                        complete_machine(used),
-                        lasso,
-                    )
-                return None
-            seen[joint] = len(path)
-            if arena.owner(node) is Player.ALICE:
-                edge = alice.move(a_state, node)
+    def explore() -> Lasso | None:
+        # Play the partial machine; on a missing entry try each option in turn
+        # and play again.  A beating lasso is returned with the entries that
+        # produce it still in place; otherwise every entry added is removed.
+        nonlocal machines
+        try:
+            lasso = play_lasso(arena, start, alice, bob)
+        except MissingMachineEntryError as missing:
+            if missing.table is moves:
+                options = arena.out_edges(missing.key[1])
+            elif missing.table is updates:
+                # states are introduced in canonical order, so the next fresh
+                # state is one past the largest assigned
+                used = 1 + max(updates.values(), default=0)
+                options = range(min(used + 1, bob_memory_bound))
             else:
-                key = (b_state, node)
-                if key not in moves:
-                    for option in arena.out_edges(node):
-                        moves[key] = option
-                        verdict = explore(used)
-                        del moves[key]
-                        if verdict is not None:
-                            return verdict
-                    return None
-                edge = moves[key]
-            update_key = (b_state, edge)
-            if update_key not in updates:
-                candidates = list(range(used))
-                if used < bob_memory_bound:
-                    candidates.append(used)  # canonical fresh state
-                for target in candidates:
-                    updates[update_key] = target
-                    verdict = explore(max(used, target + 1))
-                    del updates[update_key]
-                    if verdict is not None:
-                        return verdict
-                return None
-            b_state = updates[update_key]
-            a_state = alice.advance(a_state, edge)
-            path.append(edge)
-            node = edge.target
+                raise  # an incomplete Alice machine
+            for option in options:
+                missing.table[missing.key] = option
+                lasso = explore()
+                if lasso is not None:
+                    return lasso
+                del missing.table[missing.key]
+            return None
+        machines += 1
+        return None if cond.up_member(lasso.up_word()) else lasso
 
-    verdict = explore(1)
-    if verdict is not None:
-        return verdict
-    return UnionVerdict(True, bob_memory_bound, stats["machines"])
+    lasso = explore()
+    if lasso is None:
+        return UnionVerdict(True, bob_memory_bound, machines)
+    # unreached entries are irrelevant; fill them deterministically
+    states = tuple(range(1 + max(updates.values(), default=0)))
+    for state in states:
+        for node in arena.bob_nodes:
+            moves.setdefault((state, node), arena.out_edges(node)[0])
+        for edge in arena.edges:
+            updates.setdefault((state, edge), state)
+    machine = MealyStrategy(Player.BOB, states, 0, moves, updates)
+    return UnionVerdict(False, bob_memory_bound, machines, machine, lasso)
 
 
 def alternating_strategy(arena: Arena, node: str) -> MealyStrategy:

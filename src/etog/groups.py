@@ -174,26 +174,6 @@ def magnus_coefficient(word: FreeWord, monomial: tuple[str, ...]) -> int:
     return c[-1]
 
 
-def magnus_expand(word: FreeWord, max_degree: int) -> dict[tuple[str, ...], int]:
-    """Expand a reduced word under ``g -> 1 + g``, truncated at ``max_degree``.
-
-    Returns the non-zero coefficients keyed by monomial: a tuple of the
-    word's generator symbols of length <= ``max_degree``.  The constant term
-    ``()`` is always 1.  Each coefficient is read by
-    :func:`magnus_coefficient`, so none depends on the cap.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    symbols = tuple(dict.fromkeys(s for s, _ in word.letters))
-    coeffs: dict[tuple[str, ...], int] = {}
-    for degree in range(max_degree + 1):
-        for mono in itertools.product(symbols, repeat=degree):
-            c = magnus_coefficient(word, mono)
-            if c:
-                coeffs[mono] = c
-    return coeffs
-
-
 class OrderedGroup:
     """Base class for computable totally ordered groups.
 

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import etog
 from etog.cli import main, shipped_valuation_path
 
 VAL = shipped_valuation_path()
@@ -278,6 +282,23 @@ def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+def test_arena_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # four nodes, three of them sinks: the error names the first sink in
+    # declaration order (Alice's nodes, then Bob's), under every hash seed
+    (tmp_path / "arena.txt").write_text("node a A\nnode b B\nnode c A\nnode d B\nedge a x a\n")
+    (tmp_path / "int.txt").write_text("group int\nval x = 1\n")
+    argv = [sys.executable, "-m", "etog.cli", "solve", "--arena", "arena.txt",
+            "--cond", "etog(int.txt)"]
+    errors = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=str(Path(etog.__file__).parent.parent))
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        errors.add(proc.stderr)
+    assert errors == {"error: node 'c' has no outgoing edge\n"}
 
 
 GOLDEN = Path(__file__).parent / "golden"

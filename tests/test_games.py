@@ -460,6 +460,104 @@ class TestUnionVerification:
         assert not verdict.wins_within_bound
 
 
+# (wins_within_bound, machines_checked, beating cycle colors) per (Alice
+# strategy, memory bound) on the refutation arena
+REFUTATION_VERDICTS = {
+    ("positional-0", 1): (True, 2, None),
+    ("positional-1", 1): (True, 2, None),
+    ("alternating", 1): (True, 4, None),
+    ("positional-0", 2): (False, 5, ("eps", "a", "eps", "a^-1")),
+    ("positional-1", 2): (False, 5, ("eps", "b", "eps", "b^-1")),
+    ("alternating", 2): (True, 448, None),
+}
+
+# the same triple for 30 draws of (random arena of at most 4 nodes, positional
+# Alice strategy, start node, memory bound 1..3) from random.Random(7)
+RANDOM_VERDICTS = [
+    (True, 1, None),
+    (True, 6, None),
+    (True, 304, None),
+    (True, 1, None),
+    (True, 2, None),
+    (True, 2, None),
+    (False, 1, ("eps",)),
+    (True, 1, None),
+    (True, 1, None),
+    (False, 1, ("eps", "eps")),
+    (True, 3, None),
+    (True, 140, None),
+    (False, 2, ("a", "a^-1")),
+    (True, 6, None),
+    (True, 3, None),
+    (True, 3, None),
+    (True, 1, None),
+    (True, 47, None),
+    (True, 1, None),
+    (True, 226, None),
+    (True, 1, None),
+    (False, 6, ("a", "a^-1")),
+    (True, 3, None),
+    (True, 6, None),
+    (False, 1, ("eps",)),
+    (True, 3, None),
+    (True, 47, None),
+    (True, 47, None),
+    (True, 28, None),
+    (False, 1, ("eps",)),
+]
+
+
+def verdict_summary(verdict):
+    cycle = None if verdict.beating_lasso is None else verdict.beating_lasso.cycle_colors
+    return verdict.wins_within_bound, verdict.machines_checked, cycle
+
+
+class TestUnionVerifierCharacterisation:
+    """Pins the enumeration order: machine counts and the first beating
+    machine must not move under a refactor of the verifier."""
+
+    @pytest.mark.parametrize("case", sorted(REFUTATION_VERDICTS))
+    def test_refutation_arena(self, refutation_arena, case):
+        label, memory = case
+        if label == "alternating":
+            alice = alternating_strategy(refutation_arena, "sq")
+        else:
+            alice = positional_strategies(refutation_arena, Player.ALICE)[int(label[-1])]
+        verdict = verify_union_strategy(refutation_arena, UNION, "sq", alice, memory)
+        assert verdict_summary(verdict) == REFUTATION_VERDICTS[case]
+
+    def test_random_arenas(self):
+        rng = random.Random(7)
+        observed = []
+        for _ in RANDOM_VERDICTS:
+            arena = random_arena(rng, max_nodes=4, max_out=2, colors=FREE_VAL.colors)
+            sigma = rng.choice(positional_strategies(arena, Player.ALICE))
+            start = rng.choice(arena.nodes)
+            verdict = verify_union_strategy(arena, UNION, start, sigma, rng.randint(1, 3))
+            observed.append(verdict_summary(verdict))
+            if not verdict.wins_within_bound:
+                # the returned machine is complete and replays the beating play
+                replay = play_lasso(arena, start, sigma, verdict.beating_strategy)
+                assert replay == verdict.beating_lasso
+        assert observed == RANDOM_VERDICTS
+
+    def test_missing_machine_entry_is_an_arena_error(self, refutation_arena):
+        lc_a = refutation_arena.out_edges("lc")[0]
+        bob = MealyStrategy(Player.BOB, (0,), 0, {(0, "lc"): lc_a}, {})
+        with pytest.raises(ArenaError, match=r"^no move for state 0 at node 'rc'$"):
+            bob.move(0, "rc")
+        with pytest.raises(ArenaError, match=r"^no update for state 0 on edge 2$"):
+            bob.advance(0, lc_a)
+
+    def test_incomplete_alice_machine_is_reported_not_enumerated(self, refutation_arena):
+        alternating = alternating_strategy(refutation_arena, "sq")
+        alice = MealyStrategy(
+            Player.ALICE, alternating.states, "first", alternating.moves, {}
+        )
+        with pytest.raises(ArenaError, match=r"^no update for state 'first' on edge 0$"):
+            verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
+
+
 class TestRamseyDistinctness:
     def test_depth_one(self):
         report = ramsey_distinct_check(1)
