@@ -9,14 +9,13 @@ lasso (stem + cycle) whose cycle decides membership.
 ``solve_energy_game`` enumerates positional strategies for both players, which
 is exact for single energy conditions: both the condition and its complement
 admit positional optimal strategies, so nothing is lost by the restriction.
-Each strategy pair is played once from every start node, with one walk of its
-successor graph.
+One walk of each strategy pair's successor graph plays it from every start.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
-memory size.  It builds the opponent machine lazily and plays every candidate
-through ``play_lasso``: a missing machine entry stops the play with
-``MissingMachineEntryError``, and the verifier branches on that entry.
+memory size.  It builds the opponent machine lazily, branching on each entry
+whose absence stops a ``play_lasso`` run with ``MissingMachineEntryError``,
+and decides each distinct cycle it meets once per call.
 """
 
 from __future__ import annotations
@@ -89,9 +88,6 @@ class Arena:
     @property
     def colors(self) -> frozenset[str]:
         return frozenset(edge.color for edge in self.edges)
-
-    def owner(self, node: str) -> Player:
-        return Player.ALICE if node in self.alice_nodes else Player.BOB
 
     def out_edges(self, node: str) -> tuple[Edge, ...]:
         return tuple(edge for edge in self.edges if edge.source == node)
@@ -212,7 +208,8 @@ class Lasso:
 def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lasso:
     """Simulate the unique play of a strategy pair until the joint state
     (node, Alice state, Bob state) repeats; deterministic."""
-    if start not in arena.nodes:
+    alice_nodes = arena.alice_nodes
+    if start not in alice_nodes and start not in arena.bob_nodes:
         raise ArenaError(f"unknown start node {start!r}")
     node = start
     a_state = alice.initial_state()
@@ -225,8 +222,7 @@ def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lass
             cut = seen[joint]
             return Lasso(tuple(path[:cut]), tuple(path[cut:]))
         seen[joint] = len(path)
-        mover = alice if arena.owner(node) is Player.ALICE else bob
-        edge = mover.move(a_state if mover is alice else b_state, node)
+        edge = alice.move(a_state, node) if node in alice_nodes else bob.move(b_state, node)
         a_state = alice.advance(a_state, edge)
         b_state = bob.advance(b_state, edge)
         path.append(edge)
@@ -379,14 +375,13 @@ def verify_union_strategy(
     :class:`MissingMachineEntryError`, and each option for that entry is tried
     in turn before the play starts again.  Fresh states are introduced in
     canonical order, so no two enumerated machines behave identically on the
-    induced play.  ``machines_checked`` counts completed plays.  Returns the
-    first beating machine in that order, completed with its unreached
-    entries, if any.
+    induced play.  ``machines_checked`` counts completed plays.  Conditions
+    are prefix-independent, so each distinct cycle is decided once per call.
+    Returns the first beating machine in that order, completed with its
+    unreached entries, if any.
     """
     if bob_memory_bound < 1:
         raise ValueError("bob_memory_bound must be >= 1")
-    if start not in arena.nodes:
-        raise ArenaError(f"unknown start node {start!r}")
     missing = arena.colors - set(cond.colors)
     if missing:
         raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
@@ -395,6 +390,7 @@ def verify_union_strategy(
     updates: dict[tuple[int, Edge], int] = {}
     bob = MealyStrategy(Player.BOB, tuple(range(bob_memory_bound)), 0, moves, updates)
     machines = 0
+    member_cache: dict[tuple[str, ...], bool] = {}
 
     def explore() -> Lasso | None:
         # Play the partial machine; on a missing entry try each option in turn
@@ -421,7 +417,11 @@ def verify_union_strategy(
                 del missing.table[missing.key]
             return None
         machines += 1
-        return None if cond.up_member(lasso.up_word()) else lasso
+        cycle = lasso.cycle_colors
+        hit = member_cache.get(cycle)
+        if hit is None:
+            hit = member_cache[cycle] = cond.up_member(UPWord((), cycle))
+        return None if hit else lasso
 
     lasso = explore()
     if lasso is None:

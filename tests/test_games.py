@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from etog import games
 from etog.conditions import (
     EtogCondition,
     UnionCondition,
@@ -85,8 +86,8 @@ class TestArenaParsing:
     def test_refutation_arena_shape(self, refutation_arena):
         assert len(refutation_arena.nodes) == 3
         assert len(refutation_arena.edges) == 6
-        assert refutation_arena.owner("sq") is Player.ALICE
-        assert refutation_arena.owner("lc") is Player.BOB
+        assert refutation_arena.alice_nodes == ("sq",)
+        assert refutation_arena.bob_nodes == ("lc", "rc")
 
     def test_sink_node_rejected(self):
         with pytest.raises(MissingOutgoingEdgeError):
@@ -512,6 +513,31 @@ def verdict_summary(verdict):
     return verdict.wins_within_bound, verdict.machines_checked, cycle
 
 
+class RecordingCondition:
+    """Passes membership through to a condition and records each call."""
+
+    def __init__(self, cond):
+        self.cond = cond
+        self.colors = cond.colors
+        self.calls = []
+
+    def up_member(self, word):
+        answer = self.cond.up_member(word)
+        self.calls.append((word, answer))
+        return answer
+
+
+def random_union_draws():
+    """(arena, positional Alice strategy, start, memory bound) for each draw
+    behind RANDOM_VERDICTS, in order."""
+    rng = random.Random(7)
+    for _ in RANDOM_VERDICTS:
+        arena = random_arena(rng, max_nodes=4, max_out=2, colors=FREE_VAL.colors)
+        sigma = rng.choice(positional_strategies(arena, Player.ALICE))
+        start = rng.choice(arena.nodes)
+        yield arena, sigma, start, rng.randint(1, 3)
+
+
 class TestUnionVerifierCharacterisation:
     """Pins the enumeration order: machine counts and the first beating
     machine must not move under a refactor of the verifier."""
@@ -527,19 +553,47 @@ class TestUnionVerifierCharacterisation:
         assert verdict_summary(verdict) == REFUTATION_VERDICTS[case]
 
     def test_random_arenas(self):
-        rng = random.Random(7)
         observed = []
-        for _ in RANDOM_VERDICTS:
-            arena = random_arena(rng, max_nodes=4, max_out=2, colors=FREE_VAL.colors)
-            sigma = rng.choice(positional_strategies(arena, Player.ALICE))
-            start = rng.choice(arena.nodes)
-            verdict = verify_union_strategy(arena, UNION, start, sigma, rng.randint(1, 3))
+        for arena, sigma, start, memory in random_union_draws():
+            verdict = verify_union_strategy(arena, UNION, start, sigma, memory)
             observed.append(verdict_summary(verdict))
             if not verdict.wins_within_bound:
                 # the returned machine is complete and replays the beating play
                 replay = play_lasso(arena, start, sigma, verdict.beating_strategy)
                 assert replay == verdict.beating_lasso
         assert observed == RANDOM_VERDICTS
+
+    def test_each_cycle_decided_once_and_as_the_whole_lasso(
+        self, refutation_arena, monkeypatch
+    ):
+        # every completed play is judged through the verifier's membership
+        # cache; its answer must equal an uncached call on the whole lasso
+        completed = []
+
+        def recording_play_lasso(*args):
+            lasso = play_lasso(*args)
+            completed.append(lasso)
+            return lasso
+
+        monkeypatch.setattr(games, "play_lasso", recording_play_lasso)
+        alternating = alternating_strategy(refutation_arena, "sq")
+        cases = [(refutation_arena, alternating, "sq", 2), *random_union_draws()]
+        pinned = [REFUTATION_VERDICTS[("alternating", 2)], *RANDOM_VERDICTS]
+        for (arena, alice, start, memory), expected in zip(cases, pinned, strict=True):
+            completed.clear()
+            recorder = RecordingCondition(UNION)
+            verdict = verify_union_strategy(arena, recorder, start, alice, memory)
+            assert verdict_summary(verdict) == expected
+            assert len(completed) == verdict.machines_checked
+            cycles = [word.period for word, _ in recorder.calls]
+            assert len(cycles) == len(set(cycles))
+            assert set(cycles) == {lasso.cycle_colors for lasso in completed}
+            decided = {word.period: answer for word, answer in recorder.calls}
+            for lasso in completed:
+                assert decided[lasso.cycle_colors] == UNION.up_member(lasso.up_word())
+            if not verdict.wins_within_bound:
+                assert completed[-1] == verdict.beating_lasso
+                assert not decided[verdict.beating_lasso.cycle_colors]
 
     def test_missing_machine_entry_is_an_arena_error(self, refutation_arena):
         lc_a = refutation_arena.out_edges("lc")[0]
