@@ -14,8 +14,9 @@ For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
 memory size.  It builds the opponent machine lazily, branching on each entry
-whose absence stops a ``play_lasso`` run with ``MissingMachineEntryError``,
-and decides each distinct cycle it meets once per call.
+whose absence stops the play with ``MissingMachineEntryError`` and resuming
+the play from that step for each option, and decides each distinct cycle it
+meets once per call.
 """
 
 from __future__ import annotations
@@ -205,28 +206,47 @@ class Lasso:
         return UPWord(self.stem_colors, self.cycle_colors)
 
 
+class _Play:
+    """A play in progress: its joint state (node, Alice state, Bob state),
+    the edges played so far, and ``seen``, the path index at which each
+    earlier joint state was left, in path order."""
+
+    def __init__(self, arena: Arena, start: str, alice: Strategy, bob: Strategy) -> None:
+        if start not in arena.alice_nodes and start not in arena.bob_nodes:
+            raise ArenaError(f"unknown start node {start!r}")
+        self.alice_nodes, self.alice, self.bob = arena.alice_nodes, alice, bob
+        self.joint = (start, alice.initial_state(), bob.initial_state())
+        self.seen: dict[tuple, int] = {}
+        self.path: list[Edge] = []
+
+    def resume(self) -> Lasso:
+        """Play until the joint state repeats.  A step that raises (such as
+        on a missing machine entry) is not taken and its joint state is not
+        in ``seen``, so the play can resume there once the entry exists."""
+        alice, bob, alice_nodes = self.alice, self.bob, self.alice_nodes
+        seen, path, joint = self.seen, self.path, self.joint
+        while joint not in seen:
+            node, a_state, b_state = joint
+            edge = alice.move(a_state, node) if node in alice_nodes else bob.move(b_state, node)
+            after = (edge.target, alice.advance(a_state, edge), bob.advance(b_state, edge))
+            seen[joint] = len(path)
+            path.append(edge)
+            self.joint = joint = after
+        cut = seen[joint]
+        return Lasso(tuple(path[:cut]), tuple(path[cut:]))
+
+    def rewind(self, length: int, joint: tuple) -> None:
+        """Cut the play back to its first ``length`` edges, ending at ``joint``."""
+        del self.path[length:]
+        while len(self.seen) > length:
+            self.seen.popitem()  # the newest entry first
+        self.joint = joint
+
+
 def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lasso:
     """Simulate the unique play of a strategy pair until the joint state
     (node, Alice state, Bob state) repeats; deterministic."""
-    alice_nodes = arena.alice_nodes
-    if start not in alice_nodes and start not in arena.bob_nodes:
-        raise ArenaError(f"unknown start node {start!r}")
-    node = start
-    a_state = alice.initial_state()
-    b_state = bob.initial_state()
-    seen: dict[tuple, int] = {}
-    path: list[Edge] = []
-    while True:
-        joint = (node, a_state, b_state)
-        if joint in seen:
-            cut = seen[joint]
-            return Lasso(tuple(path[:cut]), tuple(path[cut:]))
-        seen[joint] = len(path)
-        edge = alice.move(a_state, node) if node in alice_nodes else bob.move(b_state, node)
-        a_state = alice.advance(a_state, edge)
-        b_state = bob.advance(b_state, edge)
-        path.append(edge)
-        node = edge.target
+    return _Play(arena, start, alice, bob).resume()
 
 
 def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrategy]:
@@ -368,15 +388,16 @@ def verify_union_strategy(
     """Test an Alice strategy against every Bob machine with few states.
 
     Enumerates Bob Mealy strategies with at most ``bob_memory_bound`` states
-    up to extensionality on reachable joint states.  Each candidate is played
-    with :func:`play_lasso` against a machine whose tables hold only the
-    decisions made so far; when the play needs a (state, node) move or a
-    (state, edge) update that is not decided yet, it stops with
+    up to extensionality on reachable joint states.  One play, in the loop
+    behind :func:`play_lasso`, runs against a machine whose tables hold only
+    the decisions made so far; when it needs a (state, node) move or a
+    (state, edge) update that is not decided yet, it stops at that step with
     :class:`MissingMachineEntryError`, and each option for that entry is tried
-    in turn before the play starts again.  Fresh states are introduced in
-    canonical order, so no two enumerated machines behave identically on the
-    induced play.  ``machines_checked`` counts completed plays.  Conditions
-    are prefix-independent, so each distinct cycle is decided once per call.
+    in turn by resuming the play there, rewound to that step before the next
+    option.  Fresh states are introduced in canonical order, so no two
+    enumerated machines behave identically on the induced play.
+    ``machines_checked`` counts completed plays.  Conditions are
+    prefix-independent, so each distinct cycle is decided once per call.
     Returns the first beating machine in that order, completed with its
     unreached entries, if any.
     """
@@ -389,16 +410,18 @@ def verify_union_strategy(
     moves: dict[tuple[int, str], Edge] = {}
     updates: dict[tuple[int, Edge], int] = {}
     bob = MealyStrategy(Player.BOB, tuple(range(bob_memory_bound)), 0, moves, updates)
+    play = _Play(arena, start, alice, bob)
     machines = 0
     member_cache: dict[tuple[str, ...], bool] = {}
 
     def explore() -> Lasso | None:
-        # Play the partial machine; on a missing entry try each option in turn
-        # and play again.  A beating lasso is returned with the entries that
+        # Resume the play of the partial machine; on a missing entry try each
+        # option in turn from the step that stopped, rewinding the play to it
+        # before the next.  A beating lasso is returned with the entries that
         # produce it still in place; otherwise every entry added is removed.
         nonlocal machines
         try:
-            lasso = play_lasso(arena, start, alice, bob)
+            lasso = play.resume()
         except MissingMachineEntryError as missing:
             if missing.table is moves:
                 options = arena.out_edges(missing.key[1])
@@ -409,12 +432,14 @@ def verify_union_strategy(
                 options = range(min(used + 1, bob_memory_bound))
             else:
                 raise  # an incomplete Alice machine
+            stop = len(play.path), play.joint
             for option in options:
                 missing.table[missing.key] = option
                 lasso = explore()
                 if lasso is not None:
                     return lasso
                 del missing.table[missing.key]
+                play.rewind(*stop)
             return None
         machines += 1
         cycle = lasso.cycle_colors

@@ -16,6 +16,7 @@ from etog.conditions import (
 from etog.errors import (
     ArenaError,
     DuplicateNodeError,
+    MissingMachineEntryError,
     MissingOutgoingEdgeError,
     UnknownColorError,
     UnknownEndpointError,
@@ -156,6 +157,42 @@ class TestPlayLasso:
         lasso = play_lasso(refutation_arena, "sq", sigma, tau)
         joint_states = len(refutation_arena.nodes) * 2 * 2
         assert len(lasso.stem) + len(lasso.cycle) <= joint_states + 1
+
+    @pytest.mark.parametrize("table", ["moves", "updates"])
+    def test_resume_after_missing_entry(self, refutation_arena, table):
+        # take out each entry of one table in turn; a play that needs it
+        # stops at that step, and once the entry is back it resumes to the
+        # lasso of a fresh play with the whole machine
+        sigma = alternating_strategy(refutation_arena, "sq")
+        full = bob_alternator(refutation_arena, "lc", "a", "a^-1")
+        expected = play_lasso(refutation_arena, "sq", sigma, full)
+        edges = expected.stem + expected.cycle
+        stops = 0
+        for key, value in getattr(full, table).items():
+            partial = {"moves": dict(full.moves), "updates": dict(full.updates)}
+            del partial[table][key]
+            bob = MealyStrategy(Player.BOB, full.states, 0, partial["moves"], partial["updates"])
+            play = games._Play(refutation_arena, "sq", sigma, bob)
+            try:
+                lasso = play.resume()
+            except MissingMachineEntryError as missing:
+                assert missing.table is partial[table] and missing.key == key
+            else:
+                assert lasso == expected  # the play never needs this entry
+                continue
+            stops += 1
+            assert play.joint not in play.seen
+            assert len(play.seen) == len(play.path)
+            assert tuple(play.path) == edges[: len(play.path)]
+            # no state has advanced past the step that stopped
+            node, a_state, b_state = "sq", sigma.initial_state(), full.initial_state()
+            for edge in play.path:
+                node = edge.target
+                a_state, b_state = sigma.advance(a_state, edge), full.advance(b_state, edge)
+            assert play.joint == (node, a_state, b_state)
+            partial[table][key] = value
+            assert play.resume() == expected
+        assert stops > 0
 
 
 def make_arena(lines):
@@ -569,13 +606,14 @@ class TestUnionVerifierCharacterisation:
         # every completed play is judged through the verifier's membership
         # cache; its answer must equal an uncached call on the whole lasso
         completed = []
+        resume = games._Play.resume
 
-        def recording_play_lasso(*args):
-            lasso = play_lasso(*args)
+        def recording_resume(play):
+            lasso = resume(play)
             completed.append(lasso)
             return lasso
 
-        monkeypatch.setattr(games, "play_lasso", recording_play_lasso)
+        monkeypatch.setattr(games._Play, "resume", recording_resume)
         alternating = alternating_strategy(refutation_arena, "sq")
         cases = [(refutation_arena, alternating, "sq", 2), *random_union_draws()]
         pinned = [REFUTATION_VERDICTS[("alternating", 2)], *RANDOM_VERDICTS]
@@ -610,6 +648,99 @@ class TestUnionVerifierCharacterisation:
         )
         with pytest.raises(ArenaError, match=r"^no update for state 'first' on edge 0$"):
             verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
+
+
+def replay_union_verdict(arena, cond, start, alice, bound):
+    """Reference verifier: the enumeration of ``verify_union_strategy`` with
+    every play run again from the start node by ``play_lasso`` after each
+    missing entry, and every completed play judged without a cache.  Returns
+    (wins, machines, beating tables, beating lasso)."""
+    moves, updates = {}, {}
+    bob = MealyStrategy(Player.BOB, tuple(range(bound)), 0, moves, updates)
+    machines = 0
+
+    def explore():
+        nonlocal machines
+        try:
+            lasso = play_lasso(arena, start, alice, bob)
+        except MissingMachineEntryError as missing:
+            if missing.table is moves:
+                options = arena.out_edges(missing.key[1])
+            elif missing.table is updates:
+                used = 1 + max(updates.values(), default=0)
+                options = range(min(used + 1, bound))
+            else:
+                raise
+            for option in options:
+                missing.table[missing.key] = option
+                lasso = explore()
+                if lasso is not None:
+                    return lasso
+                del missing.table[missing.key]
+            return None
+        machines += 1
+        return None if cond.up_member(lasso.up_word()) else lasso
+
+    lasso = explore()
+    if lasso is None:
+        return True, machines, None, None
+    states = tuple(range(1 + max(updates.values(), default=0)))
+    for state in states:
+        for node in arena.bob_nodes:
+            moves.setdefault((state, node), arena.out_edges(node)[0])
+        for edge in arena.edges:
+            updates.setdefault((state, edge), state)
+    return False, machines, (states, moves, updates), lasso
+
+
+def union_verdict_tables(verdict):
+    machine = verdict.beating_strategy
+    tables = None if machine is None else (machine.states, machine.moves, machine.updates)
+    return verdict.wins_within_bound, verdict.machines_checked, tables, verdict.beating_lasso
+
+
+def random_alice_machine(rng, arena):
+    """A random Alice Mealy machine with two or three states."""
+    states = tuple(range(rng.randint(2, 3)))
+    moves = {(s, n): rng.choice(arena.out_edges(n)) for s in states for n in arena.alice_nodes}
+    updates = {(s, e): rng.choice(states) for s in states for e in arena.edges}
+    return MealyStrategy(Player.ALICE, states, 0, moves, updates)
+
+
+class TestUnionVerifierAgainstReplay:
+    """The verifier resumes a stopped play where it stopped; the reference
+    plays again from the start node.  Both must enumerate the same machines
+    in the same order."""
+
+    def check(self, arena, alice, start, memory):
+        verdict = verify_union_strategy(arena, UNION, start, alice, memory)
+        reference = replay_union_verdict(arena, UNION, start, alice, memory)
+        assert union_verdict_tables(verdict) == reference
+        return verdict
+
+    @pytest.mark.parametrize("memory", [1, 2])
+    def test_refutation_arena(self, refutation_arena, memory):
+        alices = [
+            *positional_strategies(refutation_arena, Player.ALICE),
+            alternating_strategy(refutation_arena, "sq"),
+        ]
+        for alice in alices:
+            self.check(refutation_arena, alice, "sq", memory)
+
+    def test_random_union_draws(self):
+        for arena, sigma, start, memory in random_union_draws():
+            self.check(arena, sigma, start, memory)
+
+    def test_random_alice_machines(self):
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(200):
+            arena = random_arena(rng, max_nodes=4, max_out=2, colors=FREE_VAL.colors)
+            alice = random_alice_machine(rng, arena)
+            start = rng.choice(arena.nodes)
+            verdict = self.check(arena, alice, start, rng.randint(1, 3))
+            outcomes.add(verdict.wins_within_bound)
+        assert outcomes == {True, False}
 
 
 class TestRamseyDistinctness:
