@@ -9,7 +9,9 @@ lasso (stem + cycle) whose cycle decides membership.
 ``solve_energy_game`` enumerates positional strategies for both players, which
 is exact for single energy conditions: both the condition and its complement
 admit positional optimal strategies, so nothing is lost by the restriction.
-One walk of each strategy pair's successor graph plays it from every start.
+One walk of a strategy pair's successor graph plays it from every start; a
+pair is walked only while it can change Alice's winning region or either
+witness, with the opponent that refuted the previous strategy tried first.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
@@ -271,11 +273,14 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     """Exact solver for a single energy condition by positional enumeration.
 
     Alice wins from a node when some positional strategy of hers defeats every
-    positional reply.  Each strategy pair is played once from every start
-    node, with one walk of its successor graph.  The returned witnesses are
-    the first strategies in enumeration order that win uniformly on their
-    player's whole winning region (such uniform witnesses exist because the
-    condition and its complement are both positionally determined).
+    positional reply.  One walk of a strategy pair's successor graph plays it
+    from every start node.  The returned witnesses are the first strategies in
+    enumeration order that win uniformly on their player's whole winning
+    region (such uniform witnesses exist because the condition and its
+    complement are both positionally determined).  A strategy's scan of its
+    opponents stops once they cannot change Alice's region or either witness,
+    and the opponent that stopped the previous scan goes first, so fewer pairs
+    are walked, none twice, and the answer is that of walking them all.
     """
     if isinstance(cond, UnionCondition):
         raise ValueError(
@@ -301,9 +306,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     sigma_moves = [moves(sigma, arena.alice_nodes) for sigma in sigmas]
     tau_moves = [moves(tau, arena.bob_nodes) for tau in taus]
     member_cache: dict[tuple[str, ...], bool] = {}
-    everyone = (1 << size) - 1
-    wins_by_sigma = [everyone] * len(sigmas)
-    beaten_by_tau = [0] * len(taus)
+    masks: dict[tuple[int, int], int] = {}
 
     # Under a positional pair every node has one successor, so the play from
     # any start runs into a cycle of the successor graph.  A start that enters
@@ -314,52 +317,78 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     # mark[v] is -1 before v is reached, the start's index while v lies on
     # the current walk, and LOST or WON once v's play is decided.
     LOST, WON = size, size + 1
-    for i, (a_next, a_colors) in enumerate(sigma_moves):
-        for j, (b_next, b_colors) in enumerate(tau_moves):
-            succ = a_next + b_next
-            mark = [-1] * size
-            mask = 0
-            for start in range(size):
-                if mark[start] >= 0:
-                    continue
-                path = []
-                node = start
-                while mark[node] < 0:
-                    mark[node] = start
-                    path.append(node)
-                    node = succ[node]
-                outcome = mark[node]
-                if outcome == start:  # the walk closed a new cycle at node
-                    colors = a_colors + b_colors
-                    cycle = tuple(colors[v] for v in path[path.index(node) :])
-                    hit = member_cache.get(cycle)
-                    if hit is None:
-                        hit = cond.up_member(UPWord((), cycle))
-                        member_cache[cycle] = hit
-                    outcome = WON if hit else LOST
-                for v in path:
-                    mark[v] = outcome
-                if outcome == WON:
-                    for v in path:
-                        mask |= 1 << v
-            wins_by_sigma[i] &= mask
-            beaten_by_tau[j] |= mask
 
-    alice_region = 0
-    for region in wins_by_sigma:
-        alice_region |= region
+    def pair_mask(i: int, j: int) -> int:
+        """The starts Alice wins under (sigmas[i], taus[j]), walked once."""
+        if (i, j) in masks:
+            return masks[i, j]
+        (a_next, a_colors), (b_next, b_colors) = sigma_moves[i], tau_moves[j]
+        succ = a_next + b_next
+        mark = [-1] * size
+        mask = 0
+        for start in range(size):
+            if mark[start] >= 0:
+                continue
+            path = []
+            node = start
+            while mark[node] < 0:
+                mark[node] = start
+                path.append(node)
+                node = succ[node]
+            outcome = mark[node]
+            if outcome == start:  # the walk closed a new cycle at node
+                colors = a_colors + b_colors
+                cycle = tuple(colors[v] for v in path[path.index(node) :])
+                hit = member_cache.get(cycle)
+                if hit is None:
+                    hit = cond.up_member(UPWord((), cycle))
+                    member_cache[cycle] = hit
+                outcome = WON if hit else LOST
+            for v in path:
+                mark[v] = outcome
+            if outcome == WON:
+                for v in path:
+                    mask |= 1 << v
+        masks[i, j] = mask
+        return mask
+
+    # Alice's region is the union over sigma of the starts sigma wins against
+    # every tau.  A sigma's scan stops once its wins lie inside the region of
+    # the sigmas before it and can neither widen it nor make sigma the first
+    # to win all of it; the tau that stopped it is tried first for the next.
+    everyone = (1 << size) - 1
+    region, alice_witness = 0, None
+    tau_order = list(range(len(taus)))
+    for i, sigma in enumerate(sigmas):
+        if region == everyone and alice_witness is not None:
+            break
+        wins = everyone
+        for k, j in enumerate(tau_order):
+            wins &= pair_mask(i, j)
+            if wins | region == region and (wins != region or alice_witness is not None):
+                tau_order.insert(0, tau_order.pop(k))
+                break
+        else:
+            region |= wins
+            alice_witness = sigma if wins == region else None
+    # Every sigma wins at least its own region against any tau, so a tau's
+    # lost starts cover Alice's region and are exactly it, making the tau a
+    # uniform witness, when no sigma wins outside it; the sigma that refutes
+    # a tau is tried first against the next.
+    bob_witness = None
+    sigma_order = list(range(len(sigmas)))
+    for j, tau in enumerate(taus):
+        for k, i in enumerate(sigma_order):
+            if pair_mask(i, j) | region != region:
+                sigma_order.insert(0, sigma_order.pop(k))
+                break
+        else:
+            bob_witness = tau
+            break
     winners = {
-        node: Player.ALICE if alice_region >> i & 1 else Player.BOB
+        node: Player.ALICE if region >> i & 1 else Player.BOB
         for i, node in enumerate(nodes)
     }
-    # a tau wins exactly where no sigma beats it, so its region is Bob's
-    # whole region when the starts it loses are Alice's whole region
-    alice_witness = next(
-        (s for s, region in zip(sigmas, wins_by_sigma) if region == alice_region), None
-    )
-    bob_witness = next(
-        (t for t, beaten in zip(taus, beaten_by_tau) if beaten == alice_region), None
-    )
     if alice_witness is None or bob_witness is None:
         # cannot happen for an energy condition; means the condition is not
         # positionally determined after all

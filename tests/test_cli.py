@@ -314,6 +314,14 @@ GOLDEN = Path(__file__).parent / "golden"
           "--max-len", "4", "--machine"]),
         ("counterexample-bob-memory2.txt", 0,
          ["counterexample", "--bob-memory", "2", "--machine"]),
+        # arenas too large for a reference solver in tier-1 (3^12 and 2^16
+        # positional pairs); their transcripts pin the solver's answer
+        ("solve-int-12x3.txt", 0,
+         ["solve", "--arena", str(GOLDEN / "solve-int-12x3.arena"),
+          "--cond", f"etog({GOLDEN / 'solve-int.valuation'})", "--machine"]),
+        ("solve-free-16x2.txt", 0,
+         ["solve", "--arena", str(GOLDEN / "solve-free-16x2.arena"),
+          "--cond", f"etog({VAL})", "--machine"]),
     ],
 )
 def test_machine_output_matches_golden_transcript(capsys, name, code, argv):

@@ -25,6 +25,7 @@ from etog.games import (
     MealyStrategy,
     Player,
     PositionalStrategy,
+    Solution,
     alternating_strategy,
     parse_arena,
     play_lasso,
@@ -389,13 +390,14 @@ def lasso_replay_solution(arena, cond):
     return winners, alice, bob
 
 
-def differential_arena(rng, colors, owners):
-    """At most 7 nodes of out-degree 1 to 3 and at most 256 positional pairs;
-    ``owners`` is "A", "B" or "AB" (random owner per node).  In about half
-    of the arenas the first edge of n0 is a self-loop."""
+def differential_arena(rng, colors, owners, max_nodes=7, max_pairs=256):
+    """At most ``max_nodes`` nodes of out-degree 1 to 3 and at most
+    ``max_pairs`` positional pairs; ``owners`` is "A", "B" or "AB" (random
+    owner per node).  In about half of the arenas the first edge of n0 is a
+    self-loop."""
     while True:
-        degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, 7))]
-        if math.prod(degrees) <= 256:
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, max_nodes))]
+        if math.prod(degrees) <= max_pairs:
             break
     names = [f"n{i}" for i in range(len(degrees))]
     lines = [f"node {x} {rng.choice(owners)}" for x in names]
@@ -432,6 +434,126 @@ class TestSolverAgainstLassoReplay:
             if any(e.source == e.target for e in arena.edges):
                 shapes.add("self-loop")
         assert shapes == {"no-alice", "no-bob", "mixed", "self-loop"}
+
+
+def full_pair_solution(arena, cond):
+    """Reference solver: ``solve_energy_game`` as it was before it skipped
+    pairs, walking every (sigma, tau) pair once and folding every mask."""
+    if isinstance(cond, UnionCondition):
+        raise ValueError(
+            "union conditions have no exact positional solver; "
+            "use verify_union_strategy for a bounded verdict"
+        )
+    if not isinstance(cond, EtogCondition):
+        raise TypeError(f"expected an energy condition, got {type(cond).__name__}")
+    missing = arena.colors - set(cond.colors)
+    if missing:
+        raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
+
+    sigmas = positional_strategies(arena, Player.ALICE)
+    taus = positional_strategies(arena, Player.BOB)
+    nodes = arena.nodes  # Alice's nodes first, so a pair's moves concatenate
+    size = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+
+    def moves(strategy, owned):
+        edges = [strategy.choice[node] for node in owned]
+        return [index[e.target] for e in edges], [e.color for e in edges]
+
+    sigma_moves = [moves(sigma, arena.alice_nodes) for sigma in sigmas]
+    tau_moves = [moves(tau, arena.bob_nodes) for tau in taus]
+    member_cache: dict[tuple[str, ...], bool] = {}
+    everyone = (1 << size) - 1
+    wins_by_sigma = [everyone] * len(sigmas)
+    beaten_by_tau = [0] * len(taus)
+
+    # Under a positional pair every node has one successor, so the play from
+    # any start runs into a cycle of the successor graph.  A start that enters
+    # a cycle at another node repeats a rotation of the same period; its value
+    # is a conjugate of the period's value, and a bi-invariant order keeps the
+    # sign under conjugation.  So one membership call per cycle decides every
+    # start that reaches it, and one walk per pair decides every start.
+    # mark[v] is -1 before v is reached, the start's index while v lies on
+    # the current walk, and LOST or WON once v's play is decided.
+    LOST, WON = size, size + 1
+    for i, (a_next, a_colors) in enumerate(sigma_moves):
+        for j, (b_next, b_colors) in enumerate(tau_moves):
+            succ = a_next + b_next
+            mark = [-1] * size
+            mask = 0
+            for start in range(size):
+                if mark[start] >= 0:
+                    continue
+                path = []
+                node = start
+                while mark[node] < 0:
+                    mark[node] = start
+                    path.append(node)
+                    node = succ[node]
+                outcome = mark[node]
+                if outcome == start:  # the walk closed a new cycle at node
+                    colors = a_colors + b_colors
+                    cycle = tuple(colors[v] for v in path[path.index(node) :])
+                    hit = member_cache.get(cycle)
+                    if hit is None:
+                        hit = cond.up_member(UPWord((), cycle))
+                        member_cache[cycle] = hit
+                    outcome = WON if hit else LOST
+                for v in path:
+                    mark[v] = outcome
+                if outcome == WON:
+                    for v in path:
+                        mask |= 1 << v
+            wins_by_sigma[i] &= mask
+            beaten_by_tau[j] |= mask
+
+    alice_region = 0
+    for region in wins_by_sigma:
+        alice_region |= region
+    winners = {
+        node: Player.ALICE if alice_region >> i & 1 else Player.BOB
+        for i, node in enumerate(nodes)
+    }
+    # a tau wins exactly where no sigma beats it, so its region is Bob's
+    # whole region when the starts it loses are Alice's whole region
+    alice_witness = next(
+        (s for s, region in zip(sigmas, wins_by_sigma) if region == alice_region), None
+    )
+    bob_witness = next(
+        (t for t, beaten in zip(taus, beaten_by_tau) if beaten == alice_region), None
+    )
+    if alice_witness is None or bob_witness is None:
+        # cannot happen for an energy condition; means the condition is not
+        # positionally determined after all
+        raise RuntimeError("no uniform positional witness exists")
+    return Solution(winners, alice_witness, bob_witness)
+
+
+ZERO_INT = Valuation(("x", "y"), Integers(), {"x": 0, "y": 0})
+
+
+class TestSolverAgainstFullPairWalk:
+    @pytest.mark.parametrize(
+        "cond",
+        [
+            EtogCondition(SUITE["int"]),
+            EtogCondition(FREE_VAL),
+            parity_condition(3),
+            EtogCondition(SUITE["inv-free"]),
+            # every cycle has value e, so every sigma wins the same starts
+            EtogCondition(ZERO_INT),
+        ],
+        ids=["int", "free", "parity", "inv-free", "zero-int"],
+    )
+    def test_winners_and_witnesses_match(self, cond):
+        rng = random.Random(2610)
+        for owners in ["AB"] * 50 + ["A"] * 10 + ["B"] * 10:
+            arena = differential_arena(rng, cond.colors, owners, max_nodes=10, max_pairs=4096)
+            expected = full_pair_solution(arena, cond)
+            solution = solve_energy_game(arena, cond)
+            assert solution.winners == expected.winners
+            assert solution.alice_strategy.choice == expected.alice_strategy.choice
+            assert solution.bob_strategy.choice == expected.bob_strategy.choice
 
 
 class TestUnionVerification:
