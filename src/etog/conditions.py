@@ -151,26 +151,32 @@ def up_member_oracle(cond: EtogCondition, word: UPWord, horizon: int) -> bool:
     value is negative (left-invariance of the order, which the order-axiom
     suite checks separately); the scan below therefore walks the distinct
     (offset, gap) chunks instead of materialising every quadratic pair.
+    Offsets with equal chunk values share one power loop, resumed where it
+    stopped: the group operations are pure, so testing each (chunk value, gap)
+    pair once decides the same set.  The prefix is validated, not read.
     """
     period = word.period
     p = len(period)
     if horizon < 2 * p:
         raise ValueError("horizon must cover at least two full periods")
-    group = cond.valuation.group
-    identity = group.identity()
+    valuation = cond.valuation
+    for color in word.prefix:
+        valuation.value_of(color)
+    group = valuation.group
+    compose, sign = group.compose, group.sign
+    reached: dict = {}  # chunk value -> (gaps scanned, chunk^gaps)
     for offset in range(p):
         # smallest 1-based prefix index in this residue class
         first_index = offset if offset >= 1 else p
         max_gap = (horizon - first_index) // p
-        if max_gap < 1:
-            continue
-        shifted = period[offset:] + period[:offset]
-        chunk = cond.valuation.val_word(shifted)
-        acc = identity
-        for _gap in range(1, max_gap + 1):
-            acc = group.compose(acc, chunk)
-            if group.sign(acc) is Ordering.LESS:
+        chunk = valuation.val_word(period[offset:] + period[:offset])
+        gap, acc = reached.get(chunk, (0, group.identity()))
+        while gap < max_gap:
+            acc = compose(acc, chunk)
+            gap += 1
+            if sign(acc) is Ordering.LESS:
                 return True
+        reached[chunk] = (gap, acc)
     return False
 
 

@@ -281,8 +281,10 @@ class FreeGroup(OrderedGroup):
     generators ranked in declaration order.  Degree 1 is each generator's
     exponent sum, counted letter by letter with ``tuple.count``; from degree
     2 on, each coefficient is read on its own with :func:`magnus_coefficient`,
-    and the scan stops at the first non-zero one.  ``compare(x, y)`` strips
-    the common prefix and then takes the sign of the reduced ``x * y^-1``.
+    and the scan stops at the first non-zero one.  It skips every pure power
+    g^d: killing the other generators maps w to (1 + g)^n_g, where n_g is g's
+    exponent sum, so g^d's coefficient is C(n_g, d): 0 once degree 1 vanished.
+    ``compare(x, y)`` strips the common prefix, then signs ``x * y^-1``.
     """
 
     generators: tuple[str, ...]
@@ -331,9 +333,10 @@ class FreeGroup(OrderedGroup):
         return self._scan(w)  # degree-1 part vanished entirely
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
-        """Scan order from degree 2, where the degree-1 counts end."""
+        """Scan order from degree 2, less the pure powers g^d: C(0, d) = 0."""
         for degree in range(2, max_degree + 1):
-            yield from itertools.product(self.generators, repeat=degree)
+            monos = itertools.product(self.generators, repeat=degree)
+            yield from (m for m in monos if m.count(m[0]) < degree)
 
     def _scan(self, w: FreeWord) -> Ordering:
         """Sign of the first non-zero coefficient in :meth:`_monomials` order."""

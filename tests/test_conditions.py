@@ -14,7 +14,7 @@ from etog.conditions import (
     up_member_oracle,
 )
 from etog.errors import NotationError, UnknownColorError
-from etog.groups import FreeWord, Integers, InverseOrder, LexVectors
+from etog.groups import FreeWord, Integers, InverseOrder, LexVectors, OrderedGroup, Ordering
 from etog.laws import standard_valuations
 
 SUITE = standard_valuations()
@@ -135,6 +135,111 @@ class TestOracle:
             assert cond.up_member(UPWord((), period)) == valuation.group.is_negative(
                 valuation.val_word(period)
             )
+
+    def test_prefix_colors_are_validated_like_membership(self):
+        word = UPWord(("zzz",), ("a",))
+        with pytest.raises(UnknownColorError):
+            W1.up_member(word)
+        with pytest.raises(UnknownColorError):
+            up_member_oracle(W1, word, 100)
+
+    @pytest.mark.parametrize("label", sorted(SUITE))
+    def test_matches_the_offset_by_offset_scan(self, label):
+        _assert_matches_offset_by_offset_scan(SUITE[label])
+
+    def test_matches_the_offset_by_offset_scan_beyond_gap_one(self):
+        # Under a sign that is not an order, a chunk can turn "negative" only
+        # at a later gap, so every offset's own gap bound is observable:
+        # period x at horizon 6 needs gap 3, period x z at horizon 7 needs
+        # gap 3 at offset 1, one past offset 0's bound for the same value -1.
+        valuation = SUITE["int"]
+        deep = Valuation(valuation.colors, _BelowMinusThree(), valuation.mapping)
+        cond = EtogCondition(deep)
+        assert up_member_oracle(cond, UPWord((), ("x",)), 6)
+        assert up_member_oracle(cond, UPWord((), ("x", "z")), 7)
+        assert not up_member_oracle(cond, UPWord((), ("x", "z")), 6)
+        _assert_matches_offset_by_offset_scan(deep)
+
+    def test_each_distinct_chunk_value_is_powered_once(self):
+        # eps eps a rotates onto the chunk value a at all three offsets, each
+        # with 49 gaps at horizon 150: one power loop, not three
+        counting = _CountingSigns(FREE_VAL.group)
+        cond = EtogCondition(Valuation(FREE_VAL.colors, counting, FREE_VAL.mapping))
+        assert not up_member_oracle(cond, UPWord((), ("eps", "eps", "a")), 150)
+        assert counting.signs == 49
+        counting.signs = 0
+        assert not _offset_by_offset_oracle(cond, UPWord((), ("eps", "eps", "a")), 150)
+        assert counting.signs == 147
+
+
+class _BelowMinusThree(Integers):
+    """Integers whose "sign" is LESS exactly at x <= -3; not an order."""
+
+    def sign(self, x: int) -> Ordering:
+        return Ordering.LESS if x <= -3 else Ordering.GREATER
+
+
+class _CountingSigns(OrderedGroup):
+    """Delegates to ``inner`` and counts the ``sign`` calls."""
+
+    def __init__(self, inner: OrderedGroup) -> None:
+        self.inner = inner
+        self.signs = 0
+
+    def identity(self):
+        return self.inner.identity()
+
+    def compose(self, x, y):
+        return self.inner.compose(x, y)
+
+    def invert(self, x):
+        return self.inner.invert(x)
+
+    def validate(self, x) -> None:
+        self.inner.validate(x)
+
+    def sign(self, x) -> Ordering:
+        self.signs += 1
+        return self.inner.sign(x)
+
+
+def _offset_by_offset_oracle(cond: EtogCondition, word: UPWord, horizon: int) -> bool:
+    """The reference: the previous ``up_member_oracle`` body, verbatim.  It
+    powers every offset's chunk from scratch, whatever the other offsets did."""
+    period = word.period
+    p = len(period)
+    if horizon < 2 * p:
+        raise ValueError("horizon must cover at least two full periods")
+    group = cond.valuation.group
+    identity = group.identity()
+    for offset in range(p):
+        # smallest 1-based prefix index in this residue class
+        first_index = offset if offset >= 1 else p
+        max_gap = (horizon - first_index) // p
+        if max_gap < 1:
+            continue
+        shifted = period[offset:] + period[:offset]
+        chunk = cond.valuation.val_word(shifted)
+        acc = identity
+        for _gap in range(1, max_gap + 1):
+            acc = group.compose(acc, chunk)
+            if group.sign(acc) is Ordering.LESS:
+                return True
+    return False
+
+
+def _assert_matches_offset_by_offset_scan(valuation: Valuation) -> None:
+    # horizons 2p .. 2p+11 give the offsets of one period different gap bounds
+    import itertools
+
+    cond = EtogCondition(valuation)
+    for length in (1, 2, 3, 4):
+        for period in itertools.product(valuation.colors, repeat=length):
+            word = UPWord((), period)
+            for horizon in range(2 * length, 2 * length + 12):
+                assert up_member_oracle(cond, word, horizon) == _offset_by_offset_oracle(
+                    cond, word, horizon
+                ), (period, horizon)
 
 
 class TestParityEncoding:

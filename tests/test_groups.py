@@ -361,6 +361,56 @@ def test_free_compare_strips_prefix_to_the_same_sign(prefix, u, v):
     assert ABC.compare(x, y) is ABC.sign(multiply(x, y.inverse())), (x, y)
 
 
+class _EveryMonomialFreeGroup(FreeGroup):
+    """The free group with the previous, unskipped scan order from degree 2."""
+
+    def _monomials(self, max_degree: int):
+        """Scan order from degree 2, where the degree-1 counts end."""
+        for degree in range(2, max_degree + 1):
+            yield from product(self.generators, repeat=degree)
+
+
+def _balanced_reduced_words(generators: tuple[str, ...], max_len: int):
+    """Every non-empty reduced word up to ``max_len`` whose exponent sums are all 0."""
+    letters = [(g, e) for g in generators for e in (1, -1)]
+
+    def extend(prefix: tuple, sums: dict):
+        if prefix and not any(sums.values()):
+            yield FreeWord(prefix)
+        if len(prefix) == max_len:
+            return
+        for g, e in letters:
+            if prefix and prefix[-1] == (g, -e):
+                continue
+            sums[g] += e
+            yield from extend(prefix + ((g, e),), sums)
+            sums[g] -= e
+
+    return list(extend((), dict.fromkeys(generators, 0)))
+
+
+def test_free_sign_skips_pure_powers_soundly():
+    # once every exponent sum n_g is 0, g^d has coefficient C(0, d) = 0, so
+    # skipping the pure powers must never change a sign
+    ab, abc = AB.generators, ABC.generators
+    commutator_ab = word("a b a^-1 b^-1")
+    commutator_ac = parse_element(ABC, "a c a^-1 c^-1")
+    long_words = []
+    for k in range(1, 31):
+        long_words.append((AB, reduce_word(commutator_ab.letters * k)))
+        long_words.append(
+            (ABC, reduce_word(commutator_ab.letters + commutator_ac.letters * k))
+        )
+    ab_words, abc_words = _balanced_reduced_words(ab, 8), _balanced_reduced_words(abc, 6)
+    assert (len(ab_words), len(abc_words)) == (360, 384)
+    short_words = [(AB, w) for w in ab_words] + [(ABC, w) for w in abc_words]
+    for spec, w in short_words + long_words:
+        unskipped = _EveryMonomialFreeGroup(spec.generators)
+        assert spec.sign(w) is unskipped.sign(w), w
+    for spec, w in short_words:
+        assert spec.sign(w) is _literal_compare(spec, w, E), w
+
+
 def test_magnus_soundness_guards_missing_coefficient():
     # every non-identity reduced word up to length 6 must expose a usable
     # coefficient at its own length, otherwise compare would raise
