@@ -22,7 +22,7 @@ Each group implements ``sign(x)``, the order of ``x`` against the identity;
 ``compare(x, y)`` is derived from it as ``sign(x * y^-1)``.  Nearly every order
 query (membership, the oracle, the law checkers) is a sign test, so it never
 builds the quotient.  The free group alone overrides ``compare``, to strip the
-common prefix before taking the sign.
+common prefix and the common suffix before taking the sign.
 
 All values are immutable and every operation is a pure function, so the whole
 module is safe for concurrent use.
@@ -52,7 +52,7 @@ class Ordering(enum.Enum):
     GREATER = 1
 
     def flipped(self) -> "Ordering":
-        return Ordering(-self.value)
+        return _FLIPPED[self]
 
     def __str__(self) -> str:
         return _ORDERING_NAMES[self]
@@ -62,6 +62,11 @@ _ORDERING_NAMES = {
     Ordering.LESS: "Less",
     Ordering.EQUAL: "Equal",
     Ordering.GREATER: "Greater",
+}
+_FLIPPED = {
+    Ordering.LESS: Ordering.GREATER,
+    Ordering.EQUAL: Ordering.EQUAL,
+    Ordering.GREATER: Ordering.LESS,
 }
 
 
@@ -284,7 +289,8 @@ class FreeGroup(OrderedGroup):
     and the scan stops at the first non-zero one.  It skips every pure power
     g^d: killing the other generators maps w to (1 + g)^n_g, where n_g is g's
     exponent sum, so g^d's coefficient is C(n_g, d): 0 once degree 1 vanished.
-    ``compare(x, y)`` strips the common prefix, then signs ``x * y^-1``.
+    ``compare(x, y)`` strips the common prefix and the common suffix, then
+    signs ``x * y^-1``.
     """
 
     generators: tuple[str, ...]
@@ -310,17 +316,21 @@ class FreeGroup(OrderedGroup):
             raise SpecMismatchError(f"not a word over {self.generators}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
-        # (p u)(p v)^-1 is the conjugate by p of u v^-1.  Conjugation only adds
-        # terms of strictly higher degree than the lowest non-constant term, so
-        # under the degree-graded scan both share the same leading coefficient;
-        # stripping the common prefix keeps words short.
-        k = 0
-        limit = min(len(x.letters), len(y.letters))
-        while k < limit and x.letters[k] == y.letters[k]:
+        # (p u s)(p v s)^-1 = p (u v^-1) p^-1, the conjugate by p of u v^-1.
+        # Conjugation only adds terms of strictly higher degree than the lowest
+        # non-constant term, so under the degree-graded scan both share the
+        # same leading coefficient.  Stripping the common prefix p and suffix s
+        # keeps words short, and leaves u v^-1 reduced: u and v do not end in
+        # the same letter.
+        lx, ly = x.letters, y.letters
+        k, i, j = 0, len(lx), len(ly)
+        limit = min(i, j)
+        while k < limit and lx[k] == ly[k]:
             k += 1
-        return self.sign(
-            multiply(FreeWord(x.letters[k:]), FreeWord(y.letters[k:]).inverse())
-        )
+        while i > k and j > k and lx[i - 1] == ly[j - 1]:
+            i -= 1
+            j -= 1
+        return self.sign(FreeWord(lx[k:i] + tuple([(s, -e) for s, e in reversed(ly[k:j])])))
 
     def sign(self, w: FreeWord) -> Ordering:
         letters = w.letters
@@ -353,9 +363,9 @@ class MisorderedFreeGroup(FreeGroup):
     """A deliberately broken free-group order; test instrumentation only.
 
     It swaps the scan positions of the two monomials ``(g0, g1)`` and
-    ``(g1,)`` in ``sign`` and compares without the prefix strip, so that the
-    law checkers can demonstrate their sensitivity (``etog check
-    --inject-fault``).
+    ``(g1,)`` in ``sign`` and compares without stripping a common prefix or
+    suffix, so that the law checkers can demonstrate their sensitivity
+    (``etog check --inject-fault``).
     """
 
     def __post_init__(self) -> None:

@@ -79,9 +79,10 @@ def random_word(rng: random.Random, alphabet: Sequence[str], max_len: int, min_l
 def random_reduced_word(rng: random.Random, generators: Sequence[str], max_len: int) -> FreeWord:
     """Uniform-ish random reduced word of length <= max_len."""
     length = rng.randint(0, max_len)
+    generators = list(generators)
     letters: list[tuple[str, int]] = []
     while len(letters) < length:
-        candidate = (rng.choice(list(generators)), rng.choice((1, -1)))
+        candidate = (rng.choice(generators), rng.choice((1, -1)))
         if letters and letters[-1][0] == candidate[0] and letters[-1][1] == -candidate[1]:
             continue
         letters.append(candidate)
@@ -143,16 +144,27 @@ def standard_valuations() -> dict[str, Valuation]:
 
 
 def negative_word_predicate(valuation: Valuation) -> Callable[[Word], bool]:
-    """The predicate 'this word's value is negative', with memoisation."""
-    cache: dict[Word, bool] = {}
+    """The predicate 'this word's value is negative'.
+
+    It remembers the last prefix ``word[:-1]`` it evaluated and that prefix's
+    value.  Consecutive words of one length in ``itertools.product`` order
+    share their prefix, so over them each word costs one ``compose``, plus one
+    ``val_word`` each time the prefix changes.
+    """
+    group = valuation.group
+    memo = ((), group.identity())  # the last prefix and its value
 
     def predicate(word: Word) -> bool:
+        nonlocal memo
         word = tuple(word)
-        hit = cache.get(word)
-        if hit is None:
-            hit = valuation.group.is_negative(valuation.val_word(word))
-            cache[word] = hit
-        return hit
+        if not word:
+            return group.is_negative(group.identity())
+        prefix = word[:-1]
+        seen, value = memo
+        if prefix != seen:
+            value = valuation.val_word(prefix)
+            memo = prefix, value
+        return group.is_negative(group.compose(value, valuation.value_of(word[-1])))
 
     return predicate
 
@@ -173,41 +185,70 @@ def check_closure(
     predicate and its complement must both be closed under concatenation, and
     for every word up to max_len the predicate must be constant on its cyclic
     shifts.  Returns the first counterexample if any.
+
+    The predicate is asked once per word.  Its values on the words of length L
+    form one ``bytes`` row: entry c is the word with base-n code c, in
+    ``itertools.product`` order.  A predicate is constant on all cyclic shifts
+    exactly when it is constant under the shift by one letter, which takes the
+    word with code c1 n^(L-1) + r to the one with code r n + c1; so each row
+    must equal its transpose.  For a fixed u, the words u v with |v| = L form
+    a contiguous slice J of row |u| + L, so one test per u covers every v
+    against row L read as an integer V: V & ~J must be 0 when u is in the set,
+    ~V & J when it is not.  Only a failing row is searched word by word, for
+    the first counterexample in word order.
     """
     detail = f"exhaustive up to length {max_len} over {len(alphabet)} colors"
-    by_length: list[list[Word]] = [[]]
-    table: dict[Word, bool] = {}
+    n = len(alphabet)
+
+    def word(length: int, code: int) -> Word:
+        letters = []
+        for _ in range(length):
+            code, digit = divmod(code, n)
+            letters.append(alphabet[digit])
+        return tuple(reversed(letters))
+
+    rows = [b""]
     for length in range(1, max_len + 1):
-        bucket = list(itertools.product(alphabet, repeat=length))
-        by_length.append(bucket)
-        for word in bucket:
-            table[word] = predicate(word)
-    for word, value in table.items():
-        for cut in range(1, len(word)):
-            shifted = word[cut:] + word[:cut]
-            if table[shifted] != value:
-                return CheckResult(
-                    name,
-                    False,
-                    detail,
-                    f"cyclic shift changes membership: {' '.join(word)} vs {' '.join(shifted)}",
-                )
+        rows.append(bytes(map(predicate, itertools.product(alphabet, repeat=length))))
+
+    for length in range(2, max_len + 1):
+        row = rows[length]
+        m = len(row) // n
+        rotated = bytearray(len(row))
+        for c in range(n):
+            rotated[c::n] = row[c * m:(c + 1) * m]
+        if rotated == row:
+            continue
+        for code, value in enumerate(row):
+            for cut in range(1, length):
+                low = n ** (length - cut)
+                shifted = (code % low) * n ** cut + code // low
+                if row[shifted] != value:
+                    return CheckResult(
+                        name,
+                        False,
+                        detail,
+                        "cyclic shift changes membership: "
+                        f"{' '.join(word(length, code))} vs {' '.join(word(length, shifted))}",
+                    )
+
     for len_u in range(1, max_len):
         for len_v in range(1, max_len - len_u + 1):
-            for u in by_length[len_u]:
-                in_u = table[u]
-                for v in by_length[len_v]:
-                    joined = table[u + v]
-                    if in_u and table[v] and not joined:
-                        return CheckResult(
-                            name, False, detail,
-                            f"set not closed under concatenation: {' '.join(u)} | {' '.join(v)}",
-                        )
-                    if not in_u and not table[v] and joined:
-                        return CheckResult(
-                            name, False, detail,
-                            f"complement not closed under concatenation: {' '.join(u)} | {' '.join(v)}",
-                        )
+            row_v, joined = rows[len_v], rows[len_u + len_v]
+            size = len(row_v)
+            in_v = int.from_bytes(row_v, "big")
+            for a, in_u in enumerate(rows[len_u]):
+                in_uv = int.from_bytes(joined[a * size:(a + 1) * size], "big")
+                bad = in_v & ~in_uv if in_u else ~in_v & in_uv
+                if bad:
+                    # the first v in word order is the most significant byte
+                    b = size - 1 - (bad.bit_length() - 1) // 8
+                    broken = "set" if in_u else "complement"
+                    return CheckResult(
+                        name, False, detail,
+                        f"{broken} not closed under concatenation: "
+                        f"{' '.join(word(len_u, a))} | {' '.join(word(len_v, b))}",
+                    )
     return CheckResult(name, True, detail)
 
 

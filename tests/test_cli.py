@@ -322,6 +322,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("solve-free-16x2.txt", 0,
          ["solve", "--arena", str(GOLDEN / "solve-free-16x2.arena"),
           "--cond", f"etog({VAL})", "--machine"]),
+        # CLI defaults: closure runs up to length 6
+        ("check-seed0-defaults.txt", 0, ["check", "--seed", "0", "--machine"]),
     ],
 )
 def test_machine_output_matches_golden_transcript(capsys, name, code, argv):

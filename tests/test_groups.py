@@ -284,8 +284,9 @@ def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
 
 
 def test_optimised_compare_matches_literal_expansion():
-    # the production compare strips common prefixes, short-circuits on the
-    # degree-1 counts and deepens lazily; all of that must be invisible
+    # the production compare strips common prefixes and suffixes,
+    # short-circuits on the degree-1 counts and deepens lazily; all of that
+    # must be invisible
     import random
 
     rng = random.Random(2024)
@@ -301,6 +302,21 @@ def test_optimised_compare_matches_literal_expansion():
         x = multiply(prefix, random_reduced_word(rng, ("a", "b"), 3))
         y = multiply(prefix, random_reduced_word(rng, ("a", "b"), 3))
         assert AB.compare(x, y) is _literal_compare(AB, x, y), (x, y)
+    # shared suffixes, shared prefixes and suffixes, equal words, and one word
+    # a suffix of the other exercise the suffix strip, over 2 and 3 generators
+    for spec in (AB, FreeGroup(("a", "b", "c"))):
+        generators = spec.generators
+        for _ in range(400):
+            prefix, suffix, u, v = (random_reduced_word(rng, generators, 3) for _ in range(4))
+            for x, y in (
+                (u, v),
+                (multiply(u, suffix), multiply(v, suffix)),
+                (multiply(prefix, multiply(u, suffix)), multiply(prefix, multiply(v, suffix))),
+                (u, u),
+                (suffix, multiply(u, suffix)),
+                (multiply(u, suffix), suffix),
+            ):
+                assert spec.compare(x, y) is _literal_compare(spec, x, y), (x, y)
 
 
 ABC = FreeGroup(("a", "b", "c"))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,12 +13,14 @@ from etog.groups import (
     Ordering,
 )
 from etog.laws import (
+    CheckResult,
     check_closure,
     check_fairly_mixing,
     check_invariant_subsemigroup,
     full_check_battery,
     negative_word_predicate,
     order_axiom_battery,
+    random_reduced_word,
     reduced_words,
     standard_valuations,
     words_up_to,
@@ -236,3 +239,120 @@ class TestFullBattery:
 
 def test_words_up_to_counts():
     assert sum(1 for _ in words_up_to(("x", "y"), 3)) == 2 + 4 + 8
+
+
+def _word_by_word_closure(predicate, alphabet, max_len, name="closure"):
+    """The check_closure that the row method replaced, kept verbatim as the
+    slow path: one dict entry per word, every shift and every (u, v) pair."""
+    detail = f"exhaustive up to length {max_len} over {len(alphabet)} colors"
+    by_length: list[list[tuple]] = [[]]
+    table: dict[tuple, bool] = {}
+    for length in range(1, max_len + 1):
+        bucket = list(itertools.product(alphabet, repeat=length))
+        by_length.append(bucket)
+        for word in bucket:
+            table[word] = predicate(word)
+    for word, value in table.items():
+        for cut in range(1, len(word)):
+            shifted = word[cut:] + word[:cut]
+            if table[shifted] != value:
+                return CheckResult(
+                    name,
+                    False,
+                    detail,
+                    f"cyclic shift changes membership: {' '.join(word)} vs {' '.join(shifted)}",
+                )
+    for len_u in range(1, max_len):
+        for len_v in range(1, max_len - len_u + 1):
+            for u in by_length[len_u]:
+                in_u = table[u]
+                for v in by_length[len_v]:
+                    joined = table[u + v]
+                    if in_u and table[v] and not joined:
+                        return CheckResult(
+                            name, False, detail,
+                            f"set not closed under concatenation: {' '.join(u)} | {' '.join(v)}",
+                        )
+                    if not in_u and not table[v] and joined:
+                        return CheckResult(
+                            name, False, detail,
+                            f"complement not closed under concatenation: {' '.join(u)} | {' '.join(v)}",
+                        )
+    return CheckResult(name, True, detail)
+
+
+def _necklace(word: tuple) -> tuple:
+    return min(word[cut:] + word[:cut] for cut in range(len(word)))
+
+
+def _closure_tables(rng: random.Random, alphabet: tuple, max_len: int):
+    """Seeded word -> bool tables: random, shift-invariant, negative words of
+    each suite valuation over the alphabet's first colors, and each of those
+    with one word flipped or with one word's whole shift class flipped."""
+    words = list(words_up_to(alphabet, max_len))
+    necklaces = {w: _necklace(w) for w in words}
+    tables = [{w: rng.random() < 0.5 for w in words}]
+    for p in (0.5, 0.9):
+        coin = {n: rng.random() < p for n in set(necklaces.values())}
+        tables.append({w: coin[necklaces[w]] for w in words})
+    for label in sorted(SUITE):
+        suite = SUITE[label]
+        colors = suite.colors[: len(alphabet)]
+        valuation = Valuation(colors, suite.group, {c: suite.mapping[c] for c in colors})
+        rename = dict(zip(alphabet, colors))
+        negative = negative_word_predicate(valuation)
+        tables.append({w: negative(tuple(rename[c] for c in w)) for w in words})
+    for table in tables[:]:
+        target = rng.choice(words)
+        tables.append({**table, target: not table[target]})
+        tables.append(
+            {w: v != (necklaces[w] == necklaces[target]) for w, v in table.items()}
+        )
+    return tables
+
+
+@pytest.mark.parametrize("colors", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5])
+def test_row_closure_matches_word_by_word_closure(colors, max_len):
+    rng = random.Random(100 * colors + max_len)
+    alphabet = ("p", "q", "r", "s")[:colors]
+    for table in _closure_tables(rng, alphabet, max_len):
+        fast = check_closure(table.__getitem__, alphabet, max_len)
+        slow = _word_by_word_closure(table.__getitem__, alphabet, max_len)
+        assert (fast.passed, fast.counterexample) == (slow.passed, slow.counterexample)
+
+
+@pytest.mark.parametrize("label", sorted(SUITE))
+def test_prefix_reuse_matches_val_word(label):
+    # the predicate remembers one prefix; asked out of order it must still
+    # give val_word's answer on every word
+    valuation = SUITE[label]
+    predicate = negative_word_predicate(valuation)
+    words = list(words_up_to(valuation.colors, 3))
+    random.Random(7).shuffle(words)
+    for word in [()] + words:
+        expected = valuation.group.is_negative(valuation.val_word(word))
+        assert predicate(word) is expected, word
+
+
+def _random_reduced_word_before(rng, generators, max_len):
+    """random_reduced_word before it built the generator list once per call."""
+    length = rng.randint(0, max_len)
+    letters: list[tuple[str, int]] = []
+    while len(letters) < length:
+        candidate = (rng.choice(list(generators)), rng.choice((1, -1)))
+        if letters and letters[-1][0] == candidate[0] and letters[-1][1] == -candidate[1]:
+            continue
+        letters.append(candidate)
+    return FreeWord(tuple(letters))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_reduced_word_draws_the_same_words(seed):
+    for generators in (("a",), ("a", "b"), ("a", "b", "c")):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            assert random_reduced_word(fast, generators, 7) == _random_reduced_word_before(
+                slow, generators, 7
+            )
+        assert fast.random() == slow.random()
