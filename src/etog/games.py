@@ -17,8 +17,10 @@ point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
 memory size.  It builds the opponent machine lazily, branching on each entry
 whose absence stops the play with ``MissingMachineEntryError`` and resuming
-the play from that step for each option, and decides each distinct cycle it
-meets once per call.
+the play from that step for each option.  The entries decided on the current
+branch sit on an explicit stack, so no bound is limited by Python's recursion
+depth.  Each completed play is judged from its own path, deciding each
+distinct cycle once per call, and a lasso is built only for a beating play.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .conditions import EtogCondition, UnionCondition, UPWord
 from .errors import (
@@ -210,8 +212,8 @@ class Lasso:
 
 class _Play:
     """A play in progress: its joint state (node, Alice state, Bob state),
-    the edges played so far, and ``seen``, the path index at which each
-    earlier joint state was left, in path order."""
+    the edges played so far with their colours alongside, and ``seen``, the
+    path index at which each earlier joint state was left, in path order."""
 
     def __init__(self, arena: Arena, start: str, alice: Strategy, bob: Strategy) -> None:
         if start not in arena.alice_nodes and start not in arena.bob_nodes:
@@ -220,26 +222,34 @@ class _Play:
         self.joint = (start, alice.initial_state(), bob.initial_state())
         self.seen: dict[tuple, int] = {}
         self.path: list[Edge] = []
+        self.colors: list[str] = []
 
-    def resume(self) -> Lasso:
-        """Play until the joint state repeats.  A step that raises (such as
-        on a missing machine entry) is not taken and its joint state is not
-        in ``seen``, so the play can resume there once the entry exists."""
+    def run(self) -> int:
+        """Play until the joint state repeats and return the path index at
+        which the cycle starts.  A step that raises (such as on a missing
+        machine entry) is not taken and its joint state is not in ``seen``,
+        so the play can resume there once the entry exists."""
         alice, bob, alice_nodes = self.alice, self.bob, self.alice_nodes
-        seen, path, joint = self.seen, self.path, self.joint
+        seen, path, colors, joint = self.seen, self.path, self.colors, self.joint
         while joint not in seen:
             node, a_state, b_state = joint
             edge = alice.move(a_state, node) if node in alice_nodes else bob.move(b_state, node)
             after = (edge.target, alice.advance(a_state, edge), bob.advance(b_state, edge))
             seen[joint] = len(path)
             path.append(edge)
+            colors.append(edge.color)
             self.joint = joint = after
-        cut = seen[joint]
-        return Lasso(tuple(path[:cut]), tuple(path[cut:]))
+        return seen[joint]
+
+    def resume(self) -> Lasso:
+        """:meth:`run`, with the play cut into its lasso."""
+        cut = self.run()
+        return Lasso(tuple(self.path[:cut]), tuple(self.path[cut:]))
 
     def rewind(self, length: int, joint: tuple) -> None:
         """Cut the play back to its first ``length`` edges, ending at ``joint``."""
         del self.path[length:]
+        del self.colors[length:]
         while len(self.seen) > length:
             self.seen.popitem()  # the newest entry first
         self.joint = joint
@@ -423,12 +433,15 @@ def verify_union_strategy(
     (state, edge) update that is not decided yet, it stops at that step with
     :class:`MissingMachineEntryError`, and each option for that entry is tried
     in turn by resuming the play there, rewound to that step before the next
-    option.  Fresh states are introduced in canonical order, so no two
-    enumerated machines behave identically on the induced play.
-    ``machines_checked`` counts completed plays.  Conditions are
+    option.  The search is depth first over an explicit stack with one frame
+    per entry decided on the current branch, so its depth is not bounded by
+    Python's recursion limit.  Fresh states are introduced in canonical order,
+    so no two enumerated machines behave identically on the induced play.
+    ``machines_checked`` counts completed plays.  Each one is judged from the
+    colours of its path from the cycle start on: conditions are
     prefix-independent, so each distinct cycle is decided once per call.
     Returns the first beating machine in that order, completed with its
-    unreached entries, if any.
+    unreached entries, and its lasso, the only one built, if any.
     """
     if bob_memory_bound < 1:
         raise ValueError("bob_memory_bound must be >= 1")
@@ -440,51 +453,56 @@ def verify_union_strategy(
     updates: dict[tuple[int, Edge], int] = {}
     bob = MealyStrategy(Player.BOB, tuple(range(bob_memory_bound)), 0, moves, updates)
     play = _Play(arena, start, alice, bob)
+    out_edges = {node: arena.out_edges(node) for node in arena.bob_nodes}
     machines = 0
     member_cache: dict[tuple[str, ...], bool] = {}
-
-    def explore() -> Lasso | None:
-        # Resume the play of the partial machine; on a missing entry try each
-        # option in turn from the step that stopped, rewinding the play to it
-        # before the next.  A beating lasso is returned with the entries that
-        # produce it still in place; otherwise every entry added is removed.
-        nonlocal machines
+    # One frame per entry decided on the current branch, oldest first:
+    # (table, key, its untried options, (path length, joint) where it stopped
+    # the play).  A completed play that does not beat Alice moves the newest
+    # frame with options left to its next one, rewinding the play to where
+    # that entry stopped it; exhausted frames are dropped with their entries.
+    frames: list[tuple[dict, tuple, Iterator, tuple[int, tuple]]] = []
+    while True:
         try:
-            lasso = play.resume()
+            cut = play.run()
         except MissingMachineEntryError as missing:
-            if missing.table is moves:
-                options = arena.out_edges(missing.key[1])
-            elif missing.table is updates:
+            table, key = missing.table, missing.key
+            if table is moves:
+                options = iter(out_edges[key[1]])
+            elif table is updates:
                 # states are introduced in canonical order, so the next fresh
                 # state is one past the largest assigned
                 used = 1 + max(updates.values(), default=0)
-                options = range(min(used + 1, bob_memory_bound))
+                options = iter(range(min(used + 1, bob_memory_bound)))
             else:
                 raise  # an incomplete Alice machine
-            stop = len(play.path), play.joint
-            for option in options:
-                missing.table[missing.key] = option
-                lasso = explore()
-                if lasso is not None:
-                    return lasso
-                del missing.table[missing.key]
-                play.rewind(*stop)
-            return None
+            table[key] = next(options)
+            frames.append((table, key, options, (len(play.path), play.joint)))
+            continue
         machines += 1
-        cycle = lasso.cycle_colors
+        cycle = tuple(play.colors[cut:])
         hit = member_cache.get(cycle)
         if hit is None:
             hit = member_cache[cycle] = cond.up_member(UPWord((), cycle))
-        return None if hit else lasso
-
-    lasso = explore()
-    if lasso is None:
-        return UnionVerdict(True, bob_memory_bound, machines)
+        if not hit:
+            break
+        while frames:
+            table, key, options, stop = frames[-1]
+            option = next(options, None)  # no option is None
+            if option is not None:
+                table[key] = option
+                play.rewind(*stop)
+                break
+            del table[key]
+            frames.pop()
+        else:
+            return UnionVerdict(True, bob_memory_bound, machines)
+    lasso = Lasso(tuple(play.path[:cut]), tuple(play.path[cut:]))
     # unreached entries are irrelevant; fill them deterministically
     states = tuple(range(1 + max(updates.values(), default=0)))
     for state in states:
         for node in arena.bob_nodes:
-            moves.setdefault((state, node), arena.out_edges(node)[0])
+            moves.setdefault((state, node), out_edges[node][0])
         for edge in arena.edges:
             updates.setdefault((state, edge), state)
     machine = MealyStrategy(Player.BOB, states, 0, moves, updates)
@@ -494,6 +512,8 @@ def verify_union_strategy(
 def alternating_strategy(arena: Arena, node: str) -> MealyStrategy:
     """Two-state Alice strategy that alternates the first two edges of one
     node (her other nodes keep their first declared edge)."""
+    if node not in arena.alice_nodes:
+        raise ArenaError(f"node {node!r} is not an Alice node")
     options = arena.out_edges(node)
     if len(options) < 2:
         raise ArenaError(f"node {node!r} needs two outgoing edges to alternate")

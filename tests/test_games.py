@@ -22,6 +22,7 @@ from etog.errors import (
     UnknownEndpointError,
 )
 from etog.games import (
+    Lasso,
     MealyStrategy,
     Player,
     PositionalStrategy,
@@ -116,6 +117,16 @@ class TestArenaParsing:
             parse_arena("node a C\nedge a x a\n")
         with pytest.raises(ArenaError):
             parse_arena("nonsense\n")
+
+
+class TestAlternatingStrategy:
+    def test_bob_node_rejected(self, refutation_arena):
+        with pytest.raises(ArenaError, match=r"^node 'lc' is not an Alice node$"):
+            alternating_strategy(refutation_arena, "lc")
+
+    def test_undeclared_node_rejected(self, refutation_arena):
+        with pytest.raises(ArenaError, match=r"^node 'zz' is not an Alice node$"):
+            alternating_strategy(refutation_arena, "zz")
 
 
 class TestPlayLasso:
@@ -728,19 +739,26 @@ class TestUnionVerifierCharacterisation:
         # every completed play is judged through the verifier's membership
         # cache; its answer must equal an uncached call on the whole lasso
         completed = []
-        resume = games._Play.resume
+        built = []
+        run = games._Play.run
 
-        def recording_resume(play):
-            lasso = resume(play)
-            completed.append(lasso)
-            return lasso
+        def recording_run(play):
+            cut = run(play)
+            completed.append(Lasso(tuple(play.path[:cut]), tuple(play.path[cut:])))
+            return cut
 
-        monkeypatch.setattr(games._Play, "resume", recording_resume)
+        def counting_lasso(stem, cycle):
+            built.append(Lasso(stem, cycle))
+            return built[-1]
+
+        monkeypatch.setattr(games._Play, "run", recording_run)
+        monkeypatch.setattr(games, "Lasso", counting_lasso)
         alternating = alternating_strategy(refutation_arena, "sq")
         cases = [(refutation_arena, alternating, "sq", 2), *random_union_draws()]
         pinned = [REFUTATION_VERDICTS[("alternating", 2)], *RANDOM_VERDICTS]
         for (arena, alice, start, memory), expected in zip(cases, pinned, strict=True):
             completed.clear()
+            built.clear()
             recorder = RecordingCondition(UNION)
             verdict = verify_union_strategy(arena, recorder, start, alice, memory)
             assert verdict_summary(verdict) == expected
@@ -754,6 +772,34 @@ class TestUnionVerifierCharacterisation:
             if not verdict.wins_within_bound:
                 assert completed[-1] == verdict.beating_lasso
                 assert not decided[verdict.beating_lasso.cycle_colors]
+            # a lasso is built for the beating play only
+            assert built == ([] if verdict.wins_within_bound else [verdict.beating_lasso])
+
+    @pytest.mark.parametrize("memory", [2, 3, 4, 200])
+    def test_deep_bound_beats_positional_left(self, refutation_arena, memory):
+        # positional-0 is beaten after m^2 + m - 1 machines, at a deep bound too
+        alice = positional_strategies(refutation_arena, Player.ALICE)[0]
+        verdict = verify_union_strategy(refutation_arena, UNION, "sq", alice, memory)
+        assert not verdict.wins_within_bound
+        assert verdict.machines_checked == memory**2 + memory - 1
+        assert verdict.beating_lasso.cycle_colors == ("eps", "a", "eps", "a^-1")
+        assert play_lasso(refutation_arena, "sq", alice, verdict.beating_strategy) == (
+            verdict.beating_lasso
+        )
+
+    def test_play_deciding_more_entries_than_the_recursion_limit(self):
+        # every step of this one-player play decides a move and an update, so
+        # its 2,000 entries are decided on one branch before the first play
+        # completes; its cycle has the identity value and beats Alice at once
+        size = 1000
+        arena = make_arena(
+            [f"node v{i} B" for i in range(size)]
+            + [f"edge v{i} eps v{(i + 1) % size}" for i in range(size)]
+        )
+        alice = PositionalStrategy(Player.ALICE, {})
+        verdict = verify_union_strategy(arena, UNION, "v0", alice, 1)
+        assert not verdict.wins_within_bound and verdict.machines_checked == 1
+        assert verdict.beating_lasso.cycle_colors == ("eps",) * size
 
     def test_missing_machine_entry_is_an_arena_error(self, refutation_arena):
         lc_a = refutation_arena.out_edges("lc")[0]
