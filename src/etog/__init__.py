@@ -46,6 +46,8 @@ from .groups import (
     LexVectors,
     OrderedGroup,
     Ordering,
+    letter,
+    letter_parts,
     magnus_coefficient,
     multiply,
     reduce_word,
@@ -77,6 +79,8 @@ __all__ = [
     "alternating_strategy",
     "format_element",
     "format_group",
+    "letter",
+    "letter_parts",
     "load_arena",
     "load_valuation",
     "magnus_coefficient",

@@ -39,7 +39,7 @@ from .errors import (
     UnknownColorError,
     UnknownEndpointError,
 )
-from .groups import FreeWord, multiply
+from .groups import FreeWord, multiply, reduce_word
 from .notation import read_ascii
 
 
@@ -557,7 +557,7 @@ def ramsey_distinct_check(depth: int) -> DistinctnessReport:
         word = FreeWord()
         seen: set[FreeWord] = set()
         for position, sign in enumerate(signs):
-            word = multiply(word, FreeWord(((generators[position % 2], sign),)))
+            word = multiply(word, reduce_word([(generators[position % 2], sign)]))
             if word.is_identity:
                 return DistinctnessReport(paths, False, f"identity at step {position + 1} of {signs}")
             if word in seen:

@@ -24,6 +24,15 @@ query (membership, the oracle, the law checkers) is a sign test, so it never
 builds the quotient.  The free group alone overrides ``compare``, to strip the
 common prefix and the common suffix before taking the sign.
 
+A free-group letter is a signed ``int``: ``letter(g, 1)`` is a positive code
+that spells the generator name ``g`` (its UTF-8 bytes after a leading 0x01
+byte, read as one big-endian number) and ``letter(g, -1)`` is its negation.  So
+inversion, seam cancellation and the degree-1 counts compare plain integers,
+and a word still carries its generator names without a group to look them up
+in: ``validate`` can reject a word over foreign generators and
+``format_word`` can print any word.  :func:`letter` and :func:`letter_parts`
+are the only functions that know the encoding.
+
 All values are immutable and every operation is a pure function, so the whole
 module is safe for concurrent use.
 """
@@ -32,7 +41,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -41,7 +50,24 @@ from .errors import (
     UnknownGeneratorError,
 )
 
-Letter = tuple[str, int]
+Letter = int
+
+
+def letter(symbol: str, exponent: int) -> Letter:
+    """The code of ``symbol^exponent``; ``exponent`` is +1 or -1.
+
+    The leading 0x01 byte keeps the code injective on every string, ``""``
+    and names with leading NUL characters included, and makes it positive.
+    """
+    code = int.from_bytes(b"\x01" + symbol.encode("utf-8"), "big")
+    return code if exponent > 0 else -code
+
+
+def letter_parts(code: Letter) -> tuple[str, int]:
+    """The ``(symbol, exponent)`` pair that :func:`letter` encoded as ``code``."""
+    magnitude = abs(code)
+    raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
+    return raw[1:].decode("utf-8"), 1 if code > 0 else -1
 
 
 class Ordering(enum.Enum):
@@ -82,12 +108,14 @@ def _sign_ordering(value: int) -> Ordering:
 class FreeWord:
     """A reduced word over formal generators; the empty word is the identity.
 
-    Instances must stay reduced (no adjacent ``g g^-1`` pair).  Construct them
-    through :func:`reduce_word`, :func:`multiply` or :meth:`inverse`, which
-    preserve the invariant; the constructor itself trusts its input so the hot
-    composition path stays cheap.  Membership in a particular free group is
-    checked by :meth:`FreeGroup.validate` where a word enters the library, not
-    by the word itself.
+    ``letters`` holds one signed-integer code per letter (see :func:`letter`),
+    so the inverse of a letter is its negation.  Instances must stay reduced
+    (no adjacent ``g g^-1`` pair, that is no adjacent codes ``c, -c``).
+    Construct them through :func:`reduce_word`, :func:`multiply` or
+    :meth:`inverse`, which preserve the invariant; the constructor itself
+    trusts its input so the hot composition path stays cheap.  Membership in
+    a particular free group is checked by :meth:`FreeGroup.validate` where a
+    word enters the library, not by the word itself.
     """
 
     letters: tuple[Letter, ...] = ()
@@ -103,7 +131,7 @@ class FreeWord:
         return multiply(self, other)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((s, -e) for s, e in reversed(self.letters)))
+        return FreeWord(tuple([-c for c in reversed(self.letters)]))
 
     def __repr__(self) -> str:
         return f"FreeWord({format_word(self)})"
@@ -116,15 +144,17 @@ def format_word(word: FreeWord) -> str:
     """Space-separated letters, inverse letters as ``g^-1``; ``e`` if empty."""
     if not word.letters:
         return "e"
-    return " ".join(s if e > 0 else f"{s}^-1" for s, e in word.letters)
+    parts = map(letter_parts, word.letters)
+    return " ".join(s if e > 0 else f"{s}^-1" for s, e in parts)
 
 
 def reduce_word(
-    letters: Iterable[Letter], generators: Sequence[str] | None = None
+    letters: Iterable[tuple[str, int]], generators: Sequence[str] | None = None
 ) -> FreeWord:
-    """Free-group normal form: cancel adjacent inverse pairs until none remain.
+    """Free-group normal form of ``(symbol, exponent)`` pairs: cancel adjacent
+    inverse pairs until none remain.
 
-    Idempotent.  When ``generators`` is given, letters outside it raise
+    When ``generators`` is given, letters outside it raise
     :class:`UnknownGeneratorError`.
     """
     known = frozenset(generators) if generators is not None else None
@@ -134,25 +164,25 @@ def reduce_word(
             raise UnknownGeneratorError(f"unknown generator {symbol!r}")
         if exponent not in (1, -1):
             raise ValueError(f"letter exponent must be +1 or -1, got {exponent!r}")
-        if stack and stack[-1][0] == symbol and stack[-1][1] == -exponent:
+        code = letter(symbol, exponent)
+        if stack and stack[-1] == -code:
             stack.pop()
         else:
-            stack.append((symbol, exponent))
+            stack.append(code)
     return FreeWord(tuple(stack))
 
 
 def multiply(x: FreeWord, y: FreeWord) -> FreeWord:
     """Concatenate two reduced words, cancelling at the seam only."""
     lx, ly = x.letters, y.letters
-    i, j = len(lx), 0
-    while i > 0 and j < len(ly):
-        s, e = lx[i - 1]
-        t, f = ly[j]
-        if s == t and e == -f:
-            i -= 1
-            j += 1
-        else:
-            break
+    if not lx:
+        return y
+    if not ly:
+        return x
+    i, j, n = len(lx), 0, len(ly)
+    while i > 0 and j < n and lx[i - 1] == -ly[j]:
+        i -= 1
+        j += 1
     return FreeWord(lx[:i] + ly[j:])
 
 
@@ -163,18 +193,19 @@ def magnus_coefficient(word: FreeWord, monomial: tuple[str, ...]) -> int:
     first ``j`` symbols in the product so far.  A letter ``g`` multiplies by
     ``1 + g``: ``c[j] += c[j-1]`` wherever ``monomial[j-1] == g``, for ``j``
     downwards.  ``g^-1`` multiplies by ``1 - g + g^2 - ...``: the same slots
-    take ``c[j] -= c[j-1]`` for ``j`` upwards.  Exact integers.
+    take ``c[j] -= c[j-1]`` for ``j`` upwards.  Exact integers.  ``monomial``
+    names its generators; the slots are keyed by their letter codes.
     """
-    slots: dict[str, list[int]] = {}
+    slots: dict[Letter, list[int]] = {}
     for j, symbol in enumerate(monomial, 1):
-        slots.setdefault(symbol, []).append(j)
+        slots.setdefault(letter(symbol, 1), []).append(j)
     c = [1] + [0] * len(monomial)
-    for symbol, exponent in word.letters:
-        if exponent > 0:
-            for j in reversed(slots.get(symbol, ())):
+    for code in word.letters:
+        if code > 0:
+            for j in reversed(slots.get(code, ())):
                 c[j] += c[j - 1]
         else:
-            for j in slots.get(symbol, ()):
+            for j in slots.get(-code, ()):
                 c[j] -= c[j - 1]
     return c[-1]
 
@@ -284,7 +315,8 @@ class FreeGroup(OrderedGroup):
     ``sign(w)`` is the sign of the first non-zero non-constant coefficient
     of ``w``, scanning monomials by degree and then lexicographically with
     generators ranked in declaration order.  Degree 1 is each generator's
-    exponent sum, counted letter by letter with ``tuple.count``; from degree
+    exponent sum, ``letters.count(c) - letters.count(-c)`` for its code ``c``
+    in ``codes``, which construction derives from ``generators``; from degree
     2 on, each coefficient is read on its own with :func:`magnus_coefficient`,
     and the scan stops at the first non-zero one.  It skips every pure power
     g^d: killing the other generators maps w to (1 + g)^n_g, where n_g is g's
@@ -294,12 +326,14 @@ class FreeGroup(OrderedGroup):
     """
 
     generators: tuple[str, ...]
+    codes: tuple[Letter, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.generators:
             raise ValueError("generator list must be non-empty")
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("generator list must be duplicate-free")
+        object.__setattr__(self, "codes", tuple(letter(g, 1) for g in self.generators))
 
     def identity(self) -> FreeWord:
         return IDENTITY_WORD
@@ -311,8 +345,8 @@ class FreeGroup(OrderedGroup):
         return x.inverse()
 
     def validate(self, x) -> None:
-        known = self.generators
-        if not isinstance(x, FreeWord) or any(s not in known for s, _ in x.letters):
+        known = self.codes
+        if not isinstance(x, FreeWord) or any(abs(c) not in known for c in x.letters):
             raise SpecMismatchError(f"not a word over {self.generators}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
@@ -330,14 +364,14 @@ class FreeGroup(OrderedGroup):
         while i > k and j > k and lx[i - 1] == ly[j - 1]:
             i -= 1
             j -= 1
-        return self.sign(FreeWord(lx[k:i] + tuple([(s, -e) for s, e in reversed(ly[k:j])])))
+        return self.sign(FreeWord(lx[k:i] + tuple([-c for c in reversed(ly[k:j])])))
 
     def sign(self, w: FreeWord) -> Ordering:
         letters = w.letters
         if not letters:
             return Ordering.EQUAL
-        for g in self.generators:
-            total = letters.count((g, 1)) - letters.count((g, -1))
+        for c in self.codes:
+            total = letters.count(c) - letters.count(-c)
             if total:
                 return _sign_ordering(total)
         return self._scan(w)  # degree-1 part vanished entirely

@@ -25,6 +25,8 @@ from .groups import (
     OrderedGroup,
     Ordering,
     format_word,
+    letter,
+    letter_parts,
     magnus_coefficient,
     multiply,
 )
@@ -58,15 +60,16 @@ def words_up_to(alphabet: Sequence[str], max_len: int) -> Iterable[Word]:
 def reduced_words(generators: Sequence[str], max_len: int) -> Iterator[FreeWord]:
     """All reduced words over the generators and their inverses with length
     <= max_len, shortest first, starting with the empty word."""
-    letters = [(g, 1) for g in generators] + [(g, -1) for g in generators]
+    codes = [letter(g, 1) for g in generators]
+    letters = codes + [-c for c in codes]
     frontier = [FreeWord()]
     yield from frontier
     for _ in range(max_len):
         frontier = [
-            FreeWord(word.letters + (letter,))
+            FreeWord(word.letters + (c,))
             for word in frontier
-            for letter in letters
-            if not word.letters or word.letters[-1] != (letter[0], -letter[1])
+            for c in letters
+            if not word.letters or word.letters[-1] != -c
         ]
         yield from frontier
 
@@ -79,11 +82,11 @@ def random_word(rng: random.Random, alphabet: Sequence[str], max_len: int, min_l
 def random_reduced_word(rng: random.Random, generators: Sequence[str], max_len: int) -> FreeWord:
     """Uniform-ish random reduced word of length <= max_len."""
     length = rng.randint(0, max_len)
-    generators = list(generators)
-    letters: list[tuple[str, int]] = []
+    codes = [letter(g, 1) for g in generators]
+    letters: list[int] = []
     while len(letters) < length:
-        candidate = (rng.choice(generators), rng.choice((1, -1)))
-        if letters and letters[-1][0] == candidate[0] and letters[-1][1] == -candidate[1]:
+        candidate = rng.choice(codes) * rng.choice((1, -1))
+        if letters and letters[-1] == -candidate:
             continue
         letters.append(candidate)
     return FreeWord(tuple(letters))
@@ -121,10 +124,10 @@ def standard_valuations() -> dict[str, Valuation]:
     free_group = FreeGroup(("a", "b"))
     free_map = {
         "eps": FreeWord(),
-        "a": FreeWord((("a", 1),)),
-        "a^-1": FreeWord((("a", -1),)),
-        "b": FreeWord((("b", 1),)),
-        "b^-1": FreeWord((("b", -1),)),
+        "a": FreeWord((letter("a", 1),)),
+        "a^-1": FreeWord((letter("a", -1),)),
+        "b": FreeWord((letter("b", 1),)),
+        "b^-1": FreeWord((letter("b", -1),)),
     }
     free_colors = ("eps", "a", "a^-1", "b", "b^-1")
     return {
@@ -406,15 +409,16 @@ def check_invariant_subsemigroup(
         group = valuation.group
         identity = group.identity()
         mul, inv = group.compose, group.invert
+        images = {letter(color, 1): valuation.value_of(color) for color in colors}
 
         def in_s(value) -> bool:
             return group.sign(value) is not Ordering.LESS
 
         def element(word: FreeWord):
             value = identity
-            for color, exponent in word.letters:
-                image = valuation.value_of(color)
-                value = mul(value, image if exponent > 0 else inv(image))
+            for code in word.letters:
+                image = images[abs(code)]
+                value = mul(value, image if code > 0 else inv(image))
             return value
     else:
         in_s, mul, inv = membership, multiply, FreeWord.inverse
@@ -538,7 +542,8 @@ def magnus_soundness(generators: Sequence[str], max_len: int) -> CheckResult:
         if word.is_identity:
             continue
         checked += 1
-        symbols = tuple(dict.fromkeys(s for s, _ in word.letters))
+        codes = dict.fromkeys(abs(c) for c in word.letters)
+        symbols = tuple(letter_parts(c)[0] for c in codes)
         monomials = (
             mono
             for degree in range(1, len(word.letters) + 1)

@@ -143,13 +143,14 @@ def format_group(spec: OrderedGroup) -> str:
 
 
 def _parse_letter(token: str) -> tuple[str, int]:
+    symbol, exponent = token, 1
     if token.endswith("^-1"):
-        return token[:-3], -1
-    if token.endswith("^1"):
-        return token[:-2], 1
-    if "^" in token:
+        symbol, exponent = token[:-3], -1
+    elif token.endswith("^1"):
+        symbol = token[:-2]
+    if not symbol or "^" in symbol:
         raise NotationError(f"bad letter exponent in {token!r} (only ^-1 allowed)")
-    return token, 1
+    return symbol, exponent
 
 
 def parse_element(spec: OrderedGroup, text: str):

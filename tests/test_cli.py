@@ -34,6 +34,13 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "free(a,b)", "a c", "e")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("token", ["a^-1^-1", "a^1^-1", "a^-1^1", "^-1"])
+    def test_stacked_or_bare_exponent_names_the_token(self, capsys, token):
+        # these used to report "unknown generator 'a^-1'" (or '')
+        code, _, err = run(capsys, "compare", "free(a,b)", token, "e")
+        assert code == 2
+        assert err == f"error: bad letter exponent in {token!r} (only ^-1 allowed)\n"
+
 
 class TestMembership:
     def test_zero_commutator_word_is_non_member(self, capsys):

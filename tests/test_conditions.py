@@ -14,7 +14,15 @@ from etog.conditions import (
     up_member_oracle,
 )
 from etog.errors import NotationError, UnknownColorError
-from etog.groups import FreeWord, Integers, InverseOrder, LexVectors, OrderedGroup, Ordering
+from etog.groups import (
+    FreeWord,
+    Integers,
+    InverseOrder,
+    LexVectors,
+    OrderedGroup,
+    Ordering,
+    reduce_word,
+)
 from etog.laws import standard_valuations
 
 SUITE = standard_valuations()
@@ -40,7 +48,7 @@ class TestValuation:
 
     def test_prefix_sums_cancelling_loop(self):
         sums = FREE_VAL.prefix_sums(("eps", "a", "eps", "a^-1"))
-        e, a = FreeWord(), FreeWord((("a", 1),))
+        e, a = FreeWord(), reduce_word([("a", 1)])
         assert sums == [e, a, a, e]
 
     def test_prefix_sums_int(self):
@@ -49,7 +57,7 @@ class TestValuation:
 
     def test_prefix_sums_growing_word(self):
         sums = FREE_VAL.prefix_sums(("eps", "a", "eps", "b"))
-        assert sums[-1] == FreeWord((("a", 1), ("b", 1)))
+        assert sums[-1] == reduce_word([("a", 1), ("b", 1)])
 
     def test_unknown_color(self):
         with pytest.raises(UnknownColorError):

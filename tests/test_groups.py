@@ -1,7 +1,7 @@
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etog.conditions import Valuation
@@ -20,6 +20,9 @@ from etog.groups import (
     LexVectors,
     MisorderedFreeGroup,
     Ordering,
+    format_word,
+    letter,
+    letter_parts,
     magnus_coefficient,
     multiply,
     reduce_word,
@@ -42,7 +45,7 @@ def word(text: str) -> FreeWord:
 
 class TestReduce:
     def test_cancellation(self):
-        assert reduce_word([("a", 1), ("a", -1), ("b", 1)]) == FreeWord((("b", 1),))
+        assert reduce_word([("a", 1), ("a", -1), ("b", 1)]) == reduce_word([("b", 1)])
 
     def test_identity(self):
         assert reduce_word([]) == FreeWord()
@@ -53,7 +56,7 @@ class TestReduce:
 
     def test_idempotent(self):
         once = reduce_word([("a", 1), ("a", -1), ("b", 1), ("a", 1)])
-        assert reduce_word(once.letters) == once
+        assert reduce_word(map(letter_parts, once.letters)) == once
 
     def test_unknown_generator(self):
         with pytest.raises(UnknownGeneratorError):
@@ -230,8 +233,8 @@ def test_group_axioms_on_free_words(x, y, z):
 @given(raw_words)
 @settings(deadline=None)
 def test_reduced_words_have_no_adjacent_cancellation(x):
-    w = reduce_word(x)
-    for left, right in zip(w.letters, w.letters[1:]):
+    pairs = [letter_parts(c) for c in reduce_word(x).letters]
+    for left, right in zip(pairs, pairs[1:]):
         assert not (left[0] == right[0] and left[1] == -right[1])
 
 
@@ -240,7 +243,7 @@ def _brute_coefficient(w: FreeWord, monomial: tuple[str, ...]) -> int:
     over non-decreasing letter positions that spell the monomial.  A letter g
     (1 + g) may be used at most once; each use of g^-1 (1 - g + g^2 - ...)
     contributes -1."""
-    letters = w.letters
+    letters = [letter_parts(c) for c in w.letters]
     total = 0
     for positions in combinations_with_replacement(range(len(letters)), len(monomial)):
         sign = 1
@@ -392,7 +395,7 @@ def _balanced_reduced_words(generators: tuple[str, ...], max_len: int):
 
     def extend(prefix: tuple, sums: dict):
         if prefix and not any(sums.values()):
-            yield FreeWord(prefix)
+            yield reduce_word(prefix)
         if len(prefix) == max_len:
             return
         for g, e in letters:
@@ -409,14 +412,12 @@ def test_free_sign_skips_pure_powers_soundly():
     # once every exponent sum n_g is 0, g^d has coefficient C(0, d) = 0, so
     # skipping the pure powers must never change a sign
     ab, abc = AB.generators, ABC.generators
-    commutator_ab = word("a b a^-1 b^-1")
-    commutator_ac = parse_element(ABC, "a c a^-1 c^-1")
+    commutator_ab = [letter_parts(c) for c in word("a b a^-1 b^-1").letters]
+    commutator_ac = [letter_parts(c) for c in parse_element(ABC, "a c a^-1 c^-1").letters]
     long_words = []
     for k in range(1, 31):
-        long_words.append((AB, reduce_word(commutator_ab.letters * k)))
-        long_words.append(
-            (ABC, reduce_word(commutator_ab.letters + commutator_ac.letters * k))
-        )
+        long_words.append((AB, reduce_word(commutator_ab * k)))
+        long_words.append((ABC, reduce_word(commutator_ab + commutator_ac * k)))
     ab_words, abc_words = _balanced_reduced_words(ab, 8), _balanced_reduced_words(abc, 6)
     assert (len(ab_words), len(abc_words)) == (360, 384)
     short_words = [(AB, w) for w in ab_words] + [(ABC, w) for w in abc_words]
@@ -440,3 +441,126 @@ def test_first_coefficient_missing_is_reachable_only_by_bug():
     # sanity: the error type exists and compare never raises it on real input
     with pytest.raises(FirstCoefficientMissingError):
         raise FirstCoefficientMissingError("synthetic")
+
+
+NAMES = ["", "\x00a", "a", "a^-1", "b", "\u00e4", "\u03b1\u03b2", "\U0001d49c", "g\x00"]
+
+
+@given(st.text(), st.sampled_from([1, -1]))
+@example("", 1)
+@example("\x00a", -1)
+@example("a^-1", 1)
+@example("\u00e4", -1)
+@settings(deadline=None)
+def test_letter_round_trips_and_negates(symbol, exponent):
+    code = letter(symbol, exponent)
+    assert letter_parts(code) == (symbol, exponent)
+    assert letter(symbol, -1) == -letter(symbol, 1)
+    assert (code > 0) == (exponent > 0)
+
+
+@given(st.text(), st.sampled_from([1, -1]), st.text(), st.sampled_from([1, -1]))
+@example("", 1, "\x00", 1)
+@example("a", 1, "\x00a", 1)
+@example("a^-1", 1, "a", -1)
+@settings(deadline=None)
+def test_letter_is_injective(s, e, t, f):
+    assert (letter(s, e) == letter(t, f)) == ((s, e) == (t, f))
+
+
+def test_letter_codes_of_named_examples_are_distinct():
+    codes = [letter(name, e) for name in NAMES for e in (1, -1)]
+    assert len(set(codes)) == len(codes)
+    assert [letter_parts(c) for c in codes] == [(n, e) for n in NAMES for e in (1, -1)]
+
+
+def test_words_keep_their_generator_names():
+    spec = FreeGroup(("\u00e4", "a^-1", ""))
+    w = reduce_word([("a^-1", 1), ("\u00e4", -1), ("", 1)])
+    spec.validate(w)
+    assert format_word(w) == "a^-1 \u00e4^-1 "
+    assert repr(w) == "FreeWord(a^-1 \u00e4^-1 )"
+    with pytest.raises(SpecMismatchError):
+        FreeGroup(("\x00a", "b")).validate(reduce_word([("a", 1)]))
+
+
+# multiply, FreeGroup.sign and magnus_coefficient as they were on
+# (symbol, exponent) letter pairs, kept as a reference for the integer letters
+
+
+def _pair_multiply(lx: tuple, ly: tuple) -> tuple:
+    i, j = len(lx), 0
+    while i > 0 and j < len(ly):
+        s, e = lx[i - 1]
+        t, f = ly[j]
+        if s == t and e == -f:
+            i -= 1
+            j += 1
+        else:
+            break
+    return lx[:i] + ly[j:]
+
+
+def _pair_coefficient(letters: tuple, monomial: tuple[str, ...]) -> int:
+    slots: dict[str, list[int]] = {}
+    for j, symbol in enumerate(monomial, 1):
+        slots.setdefault(symbol, []).append(j)
+    c = [1] + [0] * len(monomial)
+    for symbol, exponent in letters:
+        if exponent > 0:
+            for j in reversed(slots.get(symbol, ())):
+                c[j] += c[j - 1]
+        else:
+            for j in slots.get(symbol, ()):
+                c[j] -= c[j - 1]
+    return c[-1]
+
+
+def _pair_sign(generators: tuple[str, ...], letters: tuple) -> Ordering:
+    if not letters:
+        return Ordering.EQUAL
+    for g in generators:
+        total = letters.count((g, 1)) - letters.count((g, -1))
+        if total:
+            return Ordering.GREATER if total > 0 else Ordering.LESS
+    for degree in range(2, len(letters) + 1):
+        for mono in product(generators, repeat=degree):
+            if mono.count(mono[0]) < degree:
+                c = _pair_coefficient(letters, mono)
+                if c:
+                    return Ordering.GREATER if c > 0 else Ordering.LESS
+    raise AssertionError(f"no usable coefficient for {letters!r}")
+
+
+def test_integer_letters_match_pair_letters_on_every_oracle_power():
+    # every chunk^k that up_member_oracle builds for the periods of length
+    # <= 4 over the shipped valuation at horizon 50x period: each rotation's
+    # value, powered k = 1..50 (equal chunk values share one power loop there)
+    from etog.laws import standard_valuations
+
+    valuation = standard_valuations()["free"]
+    group, colors = valuation.group, valuation.colors
+    pair_images = {c: tuple(map(letter_parts, valuation.value_of(c).letters)) for c in colors}
+    seen = set()
+    for length in range(1, 5):
+        for period in product(colors, repeat=length):
+            for offset in range(length):
+                rotation = period[offset:] + period[:offset]
+                chunk = valuation.val_word(rotation)
+                pair_chunk = ()
+                for color in rotation:
+                    pair_chunk = _pair_multiply(pair_chunk, pair_images[color])
+                assert tuple(map(letter_parts, chunk.letters)) == pair_chunk, rotation
+                if chunk in seen:
+                    continue
+                seen.add(chunk)
+                acc, pair_acc = group.identity(), ()
+                for k in range(1, 51):
+                    acc = multiply(acc, chunk)
+                    pair_acc = _pair_multiply(pair_acc, pair_chunk)
+                    assert tuple(map(letter_parts, acc.letters)) == pair_acc, (rotation, k)
+                    assert group.sign(acc) is _pair_sign(group.generators, pair_acc), (
+                        rotation,
+                        k,
+                    )
+    assert len(seen) == 161

@@ -11,6 +11,8 @@ from etog.groups import (
     InverseOrder,
     MisorderedFreeGroup,
     Ordering,
+    letter_parts,
+    reduce_word,
 )
 from etog.laws import (
     CheckResult,
@@ -152,7 +154,7 @@ class TestInvariantSubsemigroup:
 
         def non_negative(word: FreeWord) -> bool:
             value = group.identity()
-            for color, exponent in word.letters:
+            for color, exponent in map(letter_parts, word.letters):
                 image = valuation.value_of(color)
                 if exponent < 0:
                     image = group.invert(image)
@@ -178,8 +180,9 @@ class TestReducedWords:
             assert lengths.count(n) == 2 * k * (2 * k - 1) ** (n - 1)
         assert len(set(words)) == len(words)
         for w in words:
-            assert {s for s, _ in w.letters} <= set(generators)
-            for (s, e), (t, f) in zip(w.letters, w.letters[1:]):
+            pairs = [letter_parts(c) for c in w.letters]
+            assert {s for s, _ in pairs} <= set(generators)
+            for (s, e), (t, f) in zip(pairs, pairs[1:]):
                 assert not (s == t and e == -f)
 
 
@@ -336,7 +339,8 @@ def test_prefix_reuse_matches_val_word(label):
 
 
 def _random_reduced_word_before(rng, generators, max_len):
-    """random_reduced_word before it built the generator list once per call."""
+    """random_reduced_word before it built the generator list once per call,
+    drawing ``(symbol, exponent)`` pairs."""
     length = rng.randint(0, max_len)
     letters: list[tuple[str, int]] = []
     while len(letters) < length:
@@ -344,7 +348,7 @@ def _random_reduced_word_before(rng, generators, max_len):
         if letters and letters[-1][0] == candidate[0] and letters[-1][1] == -candidate[1]:
             continue
         letters.append(candidate)
-    return FreeWord(tuple(letters))
+    return reduce_word(letters)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
