@@ -38,8 +38,8 @@ class ArenaError(EtogError, ValueError):
 
 
 class MissingMachineEntryError(ArenaError):
-    """A finite-memory strategy has no entry under ``key`` in ``table``, the
-    mapping of its moves or of its updates."""
+    """A play needs the entry under ``key`` in ``table``, the mapping of a
+    finite-memory strategy's moves or of its updates, and it is not there."""
 
     def __init__(self, message: str, table, key) -> None:
         super().__init__(message)

@@ -15,12 +15,13 @@ witness, with the opponent that refuted the previous strategy tried first.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
-memory size.  It builds the opponent machine lazily, branching on each entry
-whose absence stops the play with ``MissingMachineEntryError`` and resuming
-the play from that step for each option.  The entries decided on the current
-branch sit on an explicit stack, so no bound is limited by Python's recursion
-depth.  Each completed play is judged from its own path, deciding each
-distinct cycle once per call, and a lasso is built only for a beating play.
+memory size.  It builds the opponent machine lazily in its own play loop:
+an entry the play needs and that is not decided yet takes its first option,
+and each further option resumes the play from that step.  The entries decided
+on the current branch sit on an explicit stack, so no bound is limited by
+Python's recursion depth.  Each completed play is judged from its own path,
+deciding each distinct cycle once per call, and a lasso is built only for a
+beating play.
 """
 
 from __future__ import annotations
@@ -210,55 +211,25 @@ class Lasso:
         return UPWord(self.stem_colors, self.cycle_colors)
 
 
-class _Play:
-    """A play in progress: its joint state (node, Alice state, Bob state),
-    the edges played so far with their colours alongside, and ``seen``, the
-    path index at which each earlier joint state was left, in path order."""
-
-    def __init__(self, arena: Arena, start: str, alice: Strategy, bob: Strategy) -> None:
-        if start not in arena.alice_nodes and start not in arena.bob_nodes:
-            raise ArenaError(f"unknown start node {start!r}")
-        self.alice_nodes, self.alice, self.bob = arena.alice_nodes, alice, bob
-        self.joint = (start, alice.initial_state(), bob.initial_state())
-        self.seen: dict[tuple, int] = {}
-        self.path: list[Edge] = []
-        self.colors: list[str] = []
-
-    def run(self) -> int:
-        """Play until the joint state repeats and return the path index at
-        which the cycle starts.  A step that raises (such as on a missing
-        machine entry) is not taken and its joint state is not in ``seen``,
-        so the play can resume there once the entry exists."""
-        alice, bob, alice_nodes = self.alice, self.bob, self.alice_nodes
-        seen, path, colors, joint = self.seen, self.path, self.colors, self.joint
-        while joint not in seen:
-            node, a_state, b_state = joint
-            edge = alice.move(a_state, node) if node in alice_nodes else bob.move(b_state, node)
-            after = (edge.target, alice.advance(a_state, edge), bob.advance(b_state, edge))
-            seen[joint] = len(path)
-            path.append(edge)
-            colors.append(edge.color)
-            self.joint = joint = after
-        return seen[joint]
-
-    def resume(self) -> Lasso:
-        """:meth:`run`, with the play cut into its lasso."""
-        cut = self.run()
-        return Lasso(tuple(self.path[:cut]), tuple(self.path[cut:]))
-
-    def rewind(self, length: int, joint: tuple) -> None:
-        """Cut the play back to its first ``length`` edges, ending at ``joint``."""
-        del self.path[length:]
-        del self.colors[length:]
-        while len(self.seen) > length:
-            self.seen.popitem()  # the newest entry first
-        self.joint = joint
-
-
 def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lasso:
     """Simulate the unique play of a strategy pair until the joint state
-    (node, Alice state, Bob state) repeats; deterministic."""
-    return _Play(arena, start, alice, bob).resume()
+    (node, Alice state, Bob state) repeats; deterministic.  An incomplete
+    Mealy machine raises :class:`MissingMachineEntryError` at the first step
+    that needs an entry it lacks."""
+    if start not in arena.nodes:
+        raise ArenaError(f"unknown start node {start!r}")
+    alice_nodes = arena.alice_nodes
+    joint = (start, alice.initial_state(), bob.initial_state())
+    seen: dict[tuple, int] = {}  # joint state -> path index at which it was left
+    path: list[Edge] = []
+    while joint not in seen:
+        node, a_state, b_state = joint
+        edge = alice.move(a_state, node) if node in alice_nodes else bob.move(b_state, node)
+        seen[joint] = len(path)
+        path.append(edge)
+        joint = (edge.target, alice.advance(a_state, edge), bob.advance(b_state, edge))
+    cut = seen[joint]
+    return Lasso(tuple(path[:cut]), tuple(path[cut:]))
 
 
 def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrategy]:
@@ -406,6 +377,9 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     return Solution(winners, alice_witness, bob_witness)
 
 
+_MISSING = object()  # a machine entry not decided yet
+
+
 @dataclass
 class UnionVerdict:
     """Outcome of the bounded verification of an Alice strategy.
@@ -427,79 +401,102 @@ def verify_union_strategy(
     """Test an Alice strategy against every Bob machine with few states.
 
     Enumerates Bob Mealy strategies with at most ``bob_memory_bound`` states
-    up to extensionality on reachable joint states.  One play, in the loop
-    behind :func:`play_lasso`, runs against a machine whose tables hold only
-    the decisions made so far; when it needs a (state, node) move or a
-    (state, edge) update that is not decided yet, it stops at that step with
-    :class:`MissingMachineEntryError`, and each option for that entry is tried
-    in turn by resuming the play there, rewound to that step before the next
-    option.  The search is depth first over an explicit stack with one frame
-    per entry decided on the current branch, so its depth is not bounded by
-    Python's recursion limit.  Fresh states are introduced in canonical order,
-    so no two enumerated machines behave identically on the induced play.
-    ``machines_checked`` counts completed plays.  Each one is judged from the
-    colours of its path from the cycle start on: conditions are
-    prefix-independent, so each distinct cycle is decided once per call.
-    Returns the first beating machine in that order, completed with its
-    unreached entries, and its lasso, the only one built, if any.
+    up to extensionality on reachable joint states.  Its own copy of the
+    :func:`play_lasso` loop reads Bob's partial tables: an entry not decided
+    yet takes its first option where the play needs it, and a frame holds
+    the other options and that step.  Once a play completes without
+    beating Alice, the newest frame with an option left takes the next one,
+    and the play is rewound to that frame's step and resumed; exhausted
+    frames are dropped with their entries.  The search is depth first over
+    this explicit stack, so Python's recursion limit does not bound it.
+    Fresh states are introduced in canonical order, so no two enumerated
+    machines behave identically on the induced play.  ``machines_checked``
+    counts completed plays.  Each one is judged from the colours of its path
+    from the cycle start on: conditions are prefix-independent, so each
+    distinct cycle is decided once per call.  Returns the first beating
+    machine in that order, completed with its unreached entries, and its
+    lasso, the only one built, if any.  An incomplete Alice machine raises
+    :class:`MissingMachineEntryError` where the play needs the entry.
     """
     if bob_memory_bound < 1:
         raise ValueError("bob_memory_bound must be >= 1")
     missing = arena.colors - set(cond.colors)
     if missing:
         raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
+    if start not in arena.nodes:
+        raise ArenaError(f"unknown start node {start!r}")
 
+    alice_nodes = arena.alice_nodes
+    out_edges = {node: arena.out_edges(node) for node in arena.bob_nodes}
     moves: dict[tuple[int, str], Edge] = {}
     updates: dict[tuple[int, Edge], int] = {}
-    bob = MealyStrategy(Player.BOB, tuple(range(bob_memory_bound)), 0, moves, updates)
-    play = _Play(arena, start, alice, bob)
-    out_edges = {node: arena.out_edges(node) for node in arena.bob_nodes}
     machines = 0
     member_cache: dict[tuple[str, ...], bool] = {}
+    # The play: joint states (node, Alice state, Bob state) in path order,
+    # each with the path index at which it was left, and the edges and
+    # colours played from them.  Bob states 0 .. used - 1 are introduced.
+    seen: dict[tuple, int] = {}
+    joints: list[tuple] = []
+    path: list[Edge] = []
+    colors: list[str] = []
+    joint = (start, alice.initial_state(), 0)
+    used = 1
     # One frame per entry decided on the current branch, oldest first:
-    # (table, key, its untried options, (path length, joint) where it stopped
-    # the play).  A completed play that does not beat Alice moves the newest
-    # frame with options left to its next one, rewinding the play to where
-    # that entry stopped it; exhausted frames are dropped with their entries.
-    frames: list[tuple[dict, tuple, Iterator, tuple[int, tuple]]] = []
+    # (table, key, its untried options, path length and joint state at the
+    # step that decided it, states introduced before it).
+    frames: list[tuple[dict, tuple, Iterator, int, tuple, int]] = []
     while True:
-        try:
-            cut = play.run()
-        except MissingMachineEntryError as missing:
-            table, key = missing.table, missing.key
-            if table is moves:
-                options = iter(out_edges[key[1]])
-            elif table is updates:
-                # states are introduced in canonical order, so the next fresh
-                # state is one past the largest assigned
-                used = 1 + max(updates.values(), default=0)
-                options = iter(range(min(used + 1, bob_memory_bound)))
+        while joint not in seen:
+            node, a_state, b_state = joint
+            if node in alice_nodes:
+                edge = alice.move(a_state, node)
             else:
-                raise  # an incomplete Alice machine
-            table[key] = next(options)
-            frames.append((table, key, options, (len(play.path), play.joint)))
-            continue
+                key = (b_state, node)
+                edge = moves.get(key, _MISSING)
+                if edge is _MISSING:
+                    options = iter(out_edges[node])
+                    edge = moves[key] = next(options)
+                    frames.append((moves, key, options, len(path), joint, used))
+            a_next = alice.advance(a_state, edge)
+            key = (b_state, edge)
+            b_next = updates.get(key, _MISSING)
+            if b_next is _MISSING:
+                # states are introduced in canonical order: the options are
+                # the states introduced so far and, within the bound, one more
+                options = iter(range(min(used + 1, bob_memory_bound)))
+                b_next = updates[key] = next(options)
+                frames.append((updates, key, options, len(path), joint, used))
+            seen[joint] = len(path)
+            joints.append(joint)
+            path.append(edge)
+            colors.append(edge.color)
+            joint = (edge.target, a_next, b_next)
         machines += 1
-        cycle = tuple(play.colors[cut:])
+        cut = seen[joint]
+        cycle = tuple(colors[cut:])
         hit = member_cache.get(cycle)
         if hit is None:
             hit = member_cache[cycle] = cond.up_member(UPWord((), cycle))
         if not hit:
             break
         while frames:
-            table, key, options, stop = frames[-1]
+            table, key, options, length, joint, used = frames[-1]
             option = next(options, None)  # no option is None
             if option is not None:
                 table[key] = option
-                play.rewind(*stop)
+                if table is updates:
+                    used = max(used, option + 1)
                 break
             del table[key]
             frames.pop()
         else:
             return UnionVerdict(True, bob_memory_bound, machines)
-    lasso = Lasso(tuple(play.path[:cut]), tuple(play.path[cut:]))
+        for dropped in joints[length:]:
+            del seen[dropped]
+        del joints[length:], path[length:], colors[length:]
+    lasso = Lasso(tuple(path[:cut]), tuple(path[cut:]))
     # unreached entries are irrelevant; fill them deterministically
-    states = tuple(range(1 + max(updates.values(), default=0)))
+    states = tuple(range(used))
     for state in states:
         for node in arena.bob_nodes:
             moves.setdefault((state, node), out_edges[node][0])

@@ -345,9 +345,14 @@ class FreeGroup(OrderedGroup):
         return x.inverse()
 
     def validate(self, x) -> None:
-        known = self.codes
-        if not isinstance(x, FreeWord) or any(abs(c) not in known for c in x.letters):
-            raise SpecMismatchError(f"not a word over {self.generators}: {x!r}")
+        mismatch = f"not a word over {self.generators}"
+        if not isinstance(x, FreeWord):
+            raise SpecMismatchError(f"{mismatch}: {x!r}")
+        for c in x.letters:
+            if type(c) is not int:  # such a word has no repr: name the letter
+                raise SpecMismatchError(f"{mismatch}: letter {c!r} is not a letter code")
+            if abs(c) not in self.codes:
+                raise SpecMismatchError(f"{mismatch}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
         # (p u s)(p v s)^-1 = p (u v^-1) p^-1, the conjugate by p of u v^-1.

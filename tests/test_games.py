@@ -5,6 +5,7 @@ import random
 import pytest
 
 from etog import games
+from etog.cli import shipped_arena_path
 from etog.conditions import (
     EtogCondition,
     UnionCondition,
@@ -171,40 +172,31 @@ class TestPlayLasso:
         assert len(lasso.stem) + len(lasso.cycle) <= joint_states + 1
 
     @pytest.mark.parametrize("table", ["moves", "updates"])
-    def test_resume_after_missing_entry(self, refutation_arena, table):
+    def test_missing_entry_names_its_table_and_key(self, refutation_arena, table):
         # take out each entry of one table in turn; a play that needs it
-        # stops at that step, and once the entry is back it resumes to the
-        # lasso of a fresh play with the whole machine
+        # raises with that table and key, and one that does not is unchanged
         sigma = alternating_strategy(refutation_arena, "sq")
         full = bob_alternator(refutation_arena, "lc", "a", "a^-1")
         expected = play_lasso(refutation_arena, "sq", sigma, full)
-        edges = expected.stem + expected.cycle
         stops = 0
-        for key, value in getattr(full, table).items():
+        for key in getattr(full, table):
             partial = {"moves": dict(full.moves), "updates": dict(full.updates)}
             del partial[table][key]
             bob = MealyStrategy(Player.BOB, full.states, 0, partial["moves"], partial["updates"])
-            play = games._Play(refutation_arena, "sq", sigma, bob)
             try:
-                lasso = play.resume()
+                lasso = play_lasso(refutation_arena, "sq", sigma, bob)
             except MissingMachineEntryError as missing:
                 assert missing.table is partial[table] and missing.key == key
+                stops += 1
             else:
                 assert lasso == expected  # the play never needs this entry
-                continue
-            stops += 1
-            assert play.joint not in play.seen
-            assert len(play.seen) == len(play.path)
-            assert tuple(play.path) == edges[: len(play.path)]
-            # no state has advanced past the step that stopped
-            node, a_state, b_state = "sq", sigma.initial_state(), full.initial_state()
-            for edge in play.path:
-                node = edge.target
-                a_state, b_state = sigma.advance(a_state, edge), full.advance(b_state, edge)
-            assert play.joint == (node, a_state, b_state)
-            partial[table][key] = value
-            assert play.resume() == expected
         assert stops > 0
+
+    def test_unknown_start_node(self, refutation_arena):
+        sigma = alternating_strategy(refutation_arena, "sq")
+        tau = bob_alternator(refutation_arena, "lc", "a", "a^-1")
+        with pytest.raises(ArenaError, match=r"^unknown start node 'zz'$"):
+            play_lasso(refutation_arena, "zz", sigma, tau)
 
 
 def make_arena(lines):
@@ -737,30 +729,26 @@ class TestUnionVerifierCharacterisation:
         self, refutation_arena, monkeypatch
     ):
         # every completed play is judged through the verifier's membership
-        # cache; its answer must equal an uncached call on the whole lasso
-        completed = []
+        # cache; its answer must equal an uncached call on the whole lasso.
+        # The reference enumerates the same plays in the same order (see
+        # TestUnionVerifierAgainstReplay) and records each completed one.
         built = []
-        run = games._Play.run
-
-        def recording_run(play):
-            cut = run(play)
-            completed.append(Lasso(tuple(play.path[:cut]), tuple(play.path[cut:])))
-            return cut
 
         def counting_lasso(stem, cycle):
             built.append(Lasso(stem, cycle))
             return built[-1]
 
-        monkeypatch.setattr(games._Play, "run", recording_run)
-        monkeypatch.setattr(games, "Lasso", counting_lasso)
         alternating = alternating_strategy(refutation_arena, "sq")
         cases = [(refutation_arena, alternating, "sq", 2), *random_union_draws()]
         pinned = [REFUTATION_VERDICTS[("alternating", 2)], *RANDOM_VERDICTS]
         for (arena, alice, start, memory), expected in zip(cases, pinned, strict=True):
-            completed.clear()
+            completed = []
+            replay_union_verdict(arena, UNION, start, alice, memory, completed)
             built.clear()
             recorder = RecordingCondition(UNION)
-            verdict = verify_union_strategy(arena, recorder, start, alice, memory)
+            with monkeypatch.context() as patch:
+                patch.setattr(games, "Lasso", counting_lasso)
+                verdict = verify_union_strategy(arena, recorder, start, alice, memory)
             assert verdict_summary(verdict) == expected
             assert len(completed) == verdict.machines_checked
             cycles = [word.period for word, _ in recorder.calls]
@@ -809,6 +797,11 @@ class TestUnionVerifierCharacterisation:
         with pytest.raises(ArenaError, match=r"^no update for state 0 on edge 2$"):
             bob.advance(0, lc_a)
 
+    def test_unknown_start_node(self, refutation_arena):
+        alice = alternating_strategy(refutation_arena, "sq")
+        with pytest.raises(ArenaError, match=r"^unknown start node 'zz'$"):
+            verify_union_strategy(refutation_arena, UNION, "zz", alice, 2)
+
     def test_incomplete_alice_machine_is_reported_not_enumerated(self, refutation_arena):
         alternating = alternating_strategy(refutation_arena, "sq")
         alice = MealyStrategy(
@@ -817,12 +810,27 @@ class TestUnionVerifierCharacterisation:
         with pytest.raises(ArenaError, match=r"^no update for state 'first' on edge 0$"):
             verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
 
+    def test_alice_machine_missing_a_move_is_reported_not_enumerated(self, refutation_arena):
+        # the second visit to sq needs the move of state 'second', left out
+        alternating = alternating_strategy(refutation_arena, "sq")
+        moves = {key: edge for key, edge in alternating.moves.items() if key[0] == "first"}
+        alice = MealyStrategy(
+            Player.ALICE, alternating.states, "first", moves, alternating.updates
+        )
+        message = r"^no move for state 'second' at node 'sq'$"
+        with pytest.raises(MissingMachineEntryError, match=message) as raised:
+            verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
+        assert raised.value.table is moves and raised.value.key == ("second", "sq")
+        with pytest.raises(MissingMachineEntryError, match=message):
+            replay_union_verdict(refutation_arena, UNION, "sq", alice, 2)
 
-def replay_union_verdict(arena, cond, start, alice, bound):
+
+def replay_union_verdict(arena, cond, start, alice, bound, completed=None):
     """Reference verifier: the enumeration of ``verify_union_strategy`` with
     every play run again from the start node by ``play_lasso`` after each
     missing entry, and every completed play judged without a cache.  Returns
-    (wins, machines, beating tables, beating lasso)."""
+    (wins, machines, beating tables, beating lasso), and appends each
+    completed play's lasso to ``completed`` when it is given."""
     moves, updates = {}, {}
     bob = MealyStrategy(Player.BOB, tuple(range(bound)), 0, moves, updates)
     machines = 0
@@ -847,6 +855,8 @@ def replay_union_verdict(arena, cond, start, alice, bound):
                 del missing.table[missing.key]
             return None
         machines += 1
+        if completed is not None:
+            completed.append(lasso)
         return None if cond.up_member(lasso.up_word()) else lasso
 
     lasso = explore()
@@ -876,9 +886,9 @@ def random_alice_machine(rng, arena):
 
 
 class TestUnionVerifierAgainstReplay:
-    """The verifier resumes a stopped play where it stopped; the reference
-    plays again from the start node.  Both must enumerate the same machines
-    in the same order."""
+    """The verifier resumes its play from the step that decided an entry;
+    the reference plays again from the start node.  Both must enumerate the
+    same machines in the same order."""
 
     def check(self, arena, alice, start, memory):
         verdict = verify_union_strategy(arena, UNION, start, alice, memory)
@@ -898,6 +908,27 @@ class TestUnionVerifierAgainstReplay:
     def test_random_union_draws(self):
         for arena, sigma, start, memory in random_union_draws():
             self.check(arena, sigma, start, memory)
+
+    def test_shipped_arena_at_memory_three(self):
+        arena = games.load_arena(shipped_arena_path(), FREE_VAL.colors)
+        alices = [
+            *positional_strategies(arena, Player.ALICE),
+            alternating_strategy(arena, "sq"),
+        ]
+        verdicts = [self.check(arena, alice, "sq", 3) for alice in alices]
+        assert [v.machines_checked for v in verdicts] == [11, 11, 84404]
+
+    def test_random_alice_machines_out_degree_three(self):
+        rng = random.Random(1500)
+        outcomes = set()
+        for _ in range(100):
+            # at most 3 nodes: at 4, one draw of this seed checks 261,483 machines
+            arena = random_arena(rng, max_nodes=3, max_out=3, colors=FREE_VAL.colors)
+            alice = random_alice_machine(rng, arena)
+            start = rng.choice(arena.nodes)
+            verdict = self.check(arena, alice, start, rng.randint(1, 3))
+            outcomes.add(verdict.wins_within_bound)
+        assert outcomes == {True, False}
 
     def test_random_alice_machines(self):
         rng = random.Random(2026)

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -480,8 +481,19 @@ def test_words_keep_their_generator_names():
     spec.validate(w)
     assert format_word(w) == "a^-1 \u00e4^-1 "
     assert repr(w) == "FreeWord(a^-1 \u00e4^-1 )"
-    with pytest.raises(SpecMismatchError):
+    message = r"^not a word over \('\\x00a', 'b'\): FreeWord\(a\)$"
+    with pytest.raises(SpecMismatchError, match=message):
         FreeGroup(("\x00a", "b")).validate(reduce_word([("a", 1)]))
+
+
+@pytest.mark.parametrize("bad", [("a", 1), "a", True], ids=["tuple", "str", "bool"])
+def test_validate_rejects_letters_that_are_not_codes(bad):
+    # such a word cannot even be printed; the mismatch names the letter
+    message = rf"^not a word over \('a',\): letter {re.escape(repr(bad))} is not a letter code$"
+    with pytest.raises(SpecMismatchError, match=message):
+        FreeGroup(("a",)).validate(FreeWord((bad,)))
+    with pytest.raises(SpecMismatchError, match=message):
+        Valuation(("x",), FreeGroup(("a",)), {"x": FreeWord((bad,))})
 
 
 # multiply, FreeGroup.sign and magnus_coefficient as they were on
