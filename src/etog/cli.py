@@ -107,19 +107,20 @@ def cmd_compare(args) -> int:
 def cmd_membership(args) -> int:
     cond = parse_condition(args.cond, base_dir=os.getcwd())
     word = UPWord.make(args.prefix or "", args.period)
-    member = cond.up_member(word)
     members = cond.members if isinstance(cond, UnionCondition) else (cond,)
+    decided = []
     lines = []
     for i, part in enumerate(members):
+        decided.append(part.up_member(word))
         valuation = part.valuation
         value = valuation.val_word(word.period)
         sign = valuation.group.sign(value)
         rendered = format_element(valuation.group, value)
         lines.append(
             f"  member {i}: period value = {rendered}, sign = {sign}, "
-            f"member = {part.up_member(word)}"
+            f"member = {decided[-1]}"
         )
-    verdict = "member" if member else "non-member"
+    verdict = "member" if any(decided) else "non-member"
     if args.machine:
         print(f"RESULT membership {verdict}")
     else:
@@ -196,36 +197,21 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
     )
 
     for sigma in games.positional_strategies(arena, games.Player.ALICE):
-        picked = sigma.choice[start]
-        label = f"positional-{picked.index}"
+        name = f"counterexample.positional-{sigma.choice[start].index}-beaten"
         verdict = games.verify_union_strategy(arena, union, start, sigma, bob_memory)
         if verdict.wins_within_bound:
             report.verdicts.append(
-                CheckResult(
-                    f"counterexample.{label}-beaten",
-                    False,
-                    f"bob-memory={bob_memory}",
-                    "no beating opponent found",
-                )
+                CheckResult(name, False, f"bob-memory={bob_memory}", "no beating opponent found")
             )
             continue
         cycle = verdict.beating_lasso.cycle_colors
-        value = valuation.val_word(cycle)
-        value_is_identity = valuation.group.sign(value) is Ordering.EQUAL
-        report.verdicts.append(
-            CheckResult(
-                f"counterexample.{label}-beaten",
-                value_is_identity,
-                f"bob-memory={bob_memory} machines={verdict.machines_checked}",
-                None
-                if value_is_identity
-                else f"beating cycle {' '.join(cycle)} has non-identity value",
-            )
-        )
-        if not report.verdicts[-1].counterexample:
-            report.verdicts[-1].detail += (
-                f" cycle='{' '.join(cycle)}' cycle-value=identity"
-            )
+        shown = " ".join(cycle)
+        detail = f"bob-memory={bob_memory} machines={verdict.machines_checked}"
+        if valuation.group.sign(valuation.val_word(cycle)) is Ordering.EQUAL:
+            result = CheckResult(name, True, f"{detail} cycle='{shown}' cycle-value=identity")
+        else:
+            result = CheckResult(name, False, detail, f"beating cycle {shown} has non-identity value")
+        report.verdicts.append(result)
 
     alternating = games.alternating_strategy(arena, start)
     verdict = games.verify_union_strategy(arena, union, start, alternating, bob_memory)

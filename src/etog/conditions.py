@@ -68,15 +68,6 @@ class Valuation:
             value = self.group.compose(value, self.value_of(color))
         return value
 
-    def prefix_sums(self, word: Sequence[str]) -> list:
-        """Values of the length-1 ... length-n prefixes."""
-        out = []
-        value = self.group.identity()
-        for color in word:
-            value = self.group.compose(value, self.value_of(color))
-            out.append(value)
-        return out
-
 
 @dataclass(frozen=True)
 class UPWord:

@@ -38,8 +38,10 @@ class ArenaError(EtogError, ValueError):
 
 
 class MissingMachineEntryError(ArenaError):
-    """A play needs the entry under ``key`` in ``table``, the mapping of a
-    finite-memory strategy's moves or of its updates, and it is not there."""
+    """A play needs the entry under ``key`` in ``table``, and it is not there.
+
+    ``table`` is the mapping of a finite-memory strategy's moves or of its
+    updates, or a positional strategy's ``choice``."""
 
     def __init__(self, message: str, table, key) -> None:
         super().__init__(message)

@@ -146,7 +146,10 @@ class PositionalStrategy:
         return None
 
     def move(self, state, node: str) -> Edge:
-        edge = self.choice[node]
+        try:
+            edge = self.choice[node]
+        except KeyError:
+            raise MissingMachineEntryError(f"no move at node {node!r}", self.choice, node) from None
         if edge.source != node:
             raise ArenaError(f"strategy picks an edge not leaving {node!r}")
         return edge
@@ -238,7 +241,7 @@ def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrateg
     nodes = arena.alice_nodes if owner is Player.ALICE else arena.bob_nodes
     pools = [arena.out_edges(node) for node in nodes]
     strategies = []
-    for combo in itertools.product(*pools) if nodes else [()]:
+    for combo in itertools.product(*pools):
         strategies.append(PositionalStrategy(owner, dict(zip(nodes, combo))))
     return strategies
 

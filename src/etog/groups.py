@@ -246,9 +246,6 @@ class OrderedGroup:
     def is_negative(self, x) -> bool:
         return self.sign(x) is Ordering.LESS
 
-    def is_positive(self, x) -> bool:
-        return self.sign(x) is Ordering.GREATER
-
 
 @dataclass(frozen=True)
 class Integers(OrderedGroup):

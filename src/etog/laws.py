@@ -277,99 +277,71 @@ def check_fairly_mixing(
       in S then x.alpha does too;
     * (C) interleavings built from finitely many head blocks followed by an
       alternating tail pair (u, v), so all three interleavings are ultimately
-      periodic.
+      periodic.  Each sample is tested on the side of S (the condition or its
+      complement) that its odd interleaving lies on.
 
     This is a bounded checker, not a decision procedure: law (C) quantifies
     over arbitrary infinite block sequences which no finite search covers.
     """
     alphabet = list(alphabet)
 
-    def up(prefix_max: int = max_len) -> UPWord:
-        return UPWord(
-            random_word(rng, alphabet, prefix_max),
-            random_word(rng, alphabet, max_len, min_len=1),
-        )
+    def word(min_len: int = 0) -> Word:
+        return random_word(rng, alphabet, max_len, min_len)
 
-    results = []
+    def up() -> UPWord:
+        return UPWord(word(), word(min_len=1))
+
+    def show(alpha: UPWord) -> str:
+        return f"[{' '.join(alpha.prefix)} | {' '.join(alpha.period)}]"
+
+    def verdict(law: str, failure: str | None, hits: int | None = None) -> CheckResult:
+        counted = "" if hits is None else f" hypothesis-hits={hits}"
+        detail = f"samples={samples}{counted} max-len={max_len}"
+        return CheckResult(f"fairly-mixing.{law}", failure is None, detail, failure)
 
     failure = None
     for _ in range(samples):
-        x = random_word(rng, alphabet, max_len)
+        x = word()
         alpha = up()
-        glued = UPWord(x + alpha.prefix, alpha.period)
-        if member(glued) != member(alpha):
-            failure = (
-                f"prefix {' '.join(x) or '(empty)'} changes membership of "
-                f"[{' '.join(alpha.prefix)} | {' '.join(alpha.period)}]"
-            )
+        if member(UPWord(x + alpha.prefix, alpha.period)) != member(alpha):
+            failure = f"prefix {' '.join(x) or '(empty)'} changes membership of {show(alpha)}"
             break
-    results.append(
-        CheckResult("fairly-mixing.A", failure is None, f"samples={samples} max-len={max_len}", failure)
-    )
+    results = [verdict("A", failure)]
 
     hits = 0
     failure = None
     for _ in range(samples):
-        x = random_word(rng, alphabet, max_len, min_len=1)
+        x = word(min_len=1)
         alpha = up()
-        mx = member(UPWord((), x))
-        ma = member(alpha)
-        if mx != ma:
+        side = member(UPWord((), x))
+        if member(alpha) != side:
             continue
         hits += 1
-        if member(UPWord(x + alpha.prefix, alpha.period)) != mx:
-            failure = (
-                f"x={' '.join(x)} alpha=[{' '.join(alpha.prefix)} | {' '.join(alpha.period)}]"
-            )
+        if member(UPWord(x + alpha.prefix, alpha.period)) != side:
+            failure = f"x={' '.join(x)} alpha={show(alpha)}"
             break
-    results.append(
-        CheckResult(
-            "fairly-mixing.B",
-            failure is None,
-            f"samples={samples} hypothesis-hits={hits} max-len={max_len}",
-            failure,
-        )
-    )
+    results.append(verdict("B", failure, hits))
 
     hits = 0
     failure = None
     for _ in range(samples):
-        heads = [
-            random_word(rng, alphabet, max_len, min_len=1)
-            for _ in range(2 * rng.randint(0, 2))
-        ]
-        u = random_word(rng, alphabet, max_len, min_len=1)
-        v = random_word(rng, alphabet, max_len, min_len=1)
-        odd_heads = tuple(c for w in heads[0::2] for c in w)
-        even_heads = tuple(c for w in heads[1::2] for c in w)
-        all_heads = tuple(c for w in heads for c in w)
-        odd = UPWord(odd_heads, u)
-        even = UPWord(even_heads, v)
-        full = UPWord(all_heads, u + v)
-        pieces = heads + [u, v]
-        for target in (True, False):
-            if member(odd) != target or member(even) != target:
-                continue
-            if any(member(UPWord((), piece)) != target for piece in pieces):
-                continue
-            hits += 1
-            if member(full) != target:
-                rendered = [" ".join(w) for w in heads]
-                failure = (
-                    f"heads={rendered} u={' '.join(u)} v={' '.join(v)} "
-                    f"interleavings in S={target} but the merge is not"
-                )
-                break
-        if failure:
+        heads = [word(min_len=1) for _ in range(2 * rng.randint(0, 2))]
+        u = word(min_len=1)
+        v = word(min_len=1)
+        side = member(UPWord(tuple(c for w in heads[0::2] for c in w), u))
+        if member(UPWord(tuple(c for w in heads[1::2] for c in w), v)) != side:
+            continue
+        if any(member(UPWord((), piece)) != side for piece in heads + [u, v]):
+            continue
+        hits += 1
+        if member(UPWord(tuple(c for w in heads for c in w), u + v)) != side:
+            rendered = [" ".join(w) for w in heads]
+            failure = (
+                f"heads={rendered} u={' '.join(u)} v={' '.join(v)} "
+                f"interleavings in S={side} but the merge is not"
+            )
             break
-    results.append(
-        CheckResult(
-            "fairly-mixing.C",
-            failure is None,
-            f"samples={samples} hypothesis-hits={hits} max-len={max_len}",
-            failure,
-        )
-    )
+    results.append(verdict("C", failure, hits))
     return results
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import etog
-from etog.cli import main, shipped_valuation_path
+from etog import games
+from etog.cli import main, run_counterexample, shipped_valuation_path
 
 VAL = shipped_valuation_path()
 
@@ -75,6 +76,28 @@ class TestMembership:
         )
         assert code == 0
         assert out.strip().splitlines()[-1] == "member"
+
+    def test_union_report_lists_each_member_and_the_verdict(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "membership",
+            "--cond", f"union(etog({VAL}),inv-etog({VAL}))",
+            "--period", "eps a eps b",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "period: eps a eps b",
+            "  member 0: period value = a b, sign = Greater, member = False",
+            "  member 1: period value = a b, sign = Less, member = True",
+            "member",
+        ]
+
+    def test_bad_prefix_color_is_reported_before_a_bad_period_color(self, capsys):
+        code, _, err = run(
+            capsys, "membership", "--cond", f"union(etog({VAL}),inv-etog({VAL}))",
+            "--prefix", "zz", "--period", "yy",
+        )
+        assert code == 2 and err == "error: unknown color 'zz'\n"
 
     def test_machine_output(self, capsys):
         code, out, _ = run(
@@ -196,6 +219,33 @@ class TestCounterexample:
         )
         assert code == 0
         assert out == (GOLDEN / "counterexample-bob-memory3-depth6.txt").read_text()
+
+    def test_no_beating_opponent_fails_each_positional_verdict(self, monkeypatch):
+        # cannot happen on the shipped arena, so the verifier is replaced
+        def never_beaten(arena, union, start, alice, bob_memory):
+            return games.UnionVerdict(True, bob_memory, 5)
+
+        monkeypatch.setattr(games, "verify_union_strategy", never_beaten)
+        lines = [verdict.line() for verdict in run_counterexample(2, 3).verdicts]
+        assert lines[:2] == [
+            f"CHECK counterexample.positional-{i}-beaten FAIL bob-memory=2 "
+            "counterexample: no beating opponent found"
+            for i in (0, 1)
+        ]
+
+    def test_beating_cycle_of_non_identity_value_fails(self, monkeypatch):
+        def beaten_on_eps_a(arena, union, start, alice, bob_memory):
+            by_color = {edge.color: edge for edge in arena.edges}
+            lasso = games.Lasso((), (by_color["eps"], by_color["a"]))
+            return games.UnionVerdict(False, bob_memory, 3, None, lasso)
+
+        monkeypatch.setattr(games, "verify_union_strategy", beaten_on_eps_a)
+        lines = [verdict.line() for verdict in run_counterexample(2, 3).verdicts]
+        assert lines[:2] == [
+            f"CHECK counterexample.positional-{i}-beaten FAIL bob-memory=2 machines=3 "
+            "counterexample: beating cycle eps a has non-identity value"
+            for i in (0, 1)
+        ]
 
 
 class TestCheck:

@@ -15,13 +15,11 @@ from etog.conditions import (
 )
 from etog.errors import NotationError, UnknownColorError
 from etog.groups import (
-    FreeWord,
     Integers,
     InverseOrder,
     LexVectors,
     OrderedGroup,
     Ordering,
-    reduce_word,
 )
 from etog.laws import standard_valuations
 
@@ -45,19 +43,6 @@ class TestValuation:
 
     def test_empty_word_is_identity(self):
         assert INT_XY.val_word(()) == 0
-
-    def test_prefix_sums_cancelling_loop(self):
-        sums = FREE_VAL.prefix_sums(("eps", "a", "eps", "a^-1"))
-        e, a = FreeWord(), reduce_word([("a", 1)])
-        assert sums == [e, a, a, e]
-
-    def test_prefix_sums_int(self):
-        v = Valuation(("x",), Integers(), {"x": -1})
-        assert v.prefix_sums(("x", "x", "x")) == [-1, -2, -3]
-
-    def test_prefix_sums_growing_word(self):
-        sums = FREE_VAL.prefix_sums(("eps", "a", "eps", "b"))
-        assert sums[-1] == reduce_word([("a", 1), ("b", 1)])
 
     def test_unknown_color(self):
         with pytest.raises(UnknownColorError):
@@ -283,7 +268,7 @@ class TestStrictify:
         v = strictify(Valuation(("x",), Integers(), {"x": 0}))
         value = v.val_word(("x",))
         assert value == (0, 1)
-        assert v.group.is_positive(value)
+        assert v.group.sign(value) is Ordering.GREATER
 
     def test_negative_color_stays_negative(self):
         v = strictify(Valuation(("x",), Integers(), {"x": -1}))
@@ -291,7 +276,7 @@ class TestStrictify:
 
     def test_identity_color_of_free_valuation(self):
         v = strictify(FREE_VAL)
-        assert v.group.is_positive(v.val_word(("eps",)))
+        assert v.group.sign(v.val_word(("eps",))) is Ordering.GREATER
 
     def test_negative_word_set_is_preserved(self):
         import itertools

@@ -192,6 +192,16 @@ class TestPlayLasso:
                 assert lasso == expected  # the play never needs this entry
         assert stops > 0
 
+    @pytest.mark.parametrize("owner", ["A", "B"])
+    def test_positional_strategy_without_a_choice_names_its_node(self, owner):
+        arena = parse_arena(f"node s {owner}\nedge s x s\n")
+        alice = PositionalStrategy(Player.ALICE, {})
+        bob = PositionalStrategy(Player.BOB, {})
+        with pytest.raises(MissingMachineEntryError, match=r"^no move at node 's'$") as raised:
+            play_lasso(arena, "s", alice, bob)
+        owned = alice if owner == "A" else bob
+        assert raised.value.table is owned.choice and raised.value.key == "s"
+
     def test_unknown_start_node(self, refutation_arena):
         sigma = alternating_strategy(refutation_arena, "sq")
         tau = bob_alternator(refutation_arena, "lc", "a", "a^-1")
@@ -821,6 +831,17 @@ class TestUnionVerifierCharacterisation:
         with pytest.raises(MissingMachineEntryError, match=message) as raised:
             verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
         assert raised.value.table is moves and raised.value.key == ("second", "sq")
+        with pytest.raises(MissingMachineEntryError, match=message):
+            replay_union_verdict(refutation_arena, UNION, "sq", alice, 2)
+
+    def test_positional_alice_missing_a_choice_is_reported_not_enumerated(
+        self, refutation_arena
+    ):
+        alice = PositionalStrategy(Player.ALICE, {})
+        message = r"^no move at node 'sq'$"
+        with pytest.raises(MissingMachineEntryError, match=message) as raised:
+            verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
+        assert raised.value.table is alice.choice and raised.value.key == "sq"
         with pytest.raises(MissingMachineEntryError, match=message):
             replay_union_verdict(refutation_arena, UNION, "sq", alice, 2)
 

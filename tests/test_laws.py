@@ -88,6 +88,33 @@ class TestFairlyMixing:
         by_name = {r.name: r for r in results}
         assert not by_name["fairly-mixing.C"].passed
 
+    def test_prefix_dependent_control_lines(self):
+        def first_letter_is_x(word: UPWord) -> bool:
+            return (word.prefix + word.period)[0] == "x"
+
+        results = check_fairly_mixing(first_letter_is_x, ("x", "y"), random.Random(5), samples=500)
+        assert [r.line() for r in results] == [
+            "CHECK fairly-mixing.A FAIL samples=500 max-len=4 counterexample: "
+            "prefix y y x y changes membership of [x | x y]",
+            "CHECK fairly-mixing.B PASS samples=500 hypothesis-hits=279 max-len=4",
+            "CHECK fairly-mixing.C PASS samples=500 hypothesis-hits=113 max-len=4",
+        ]
+
+    def test_union_control_lines(self):
+        valuation = SUITE["free"]
+        reverse = Valuation(valuation.colors, InverseOrder(valuation.group), valuation.mapping)
+        union = UnionCondition((EtogCondition(valuation), EtogCondition(reverse)))
+        results = check_fairly_mixing(
+            union.up_member, valuation.colors, random.Random(11), samples=1000
+        )
+        assert [r.line() for r in results] == [
+            "CHECK fairly-mixing.A PASS samples=1000 max-len=4",
+            "CHECK fairly-mixing.B PASS samples=1000 hypothesis-hits=764 max-len=4",
+            "CHECK fairly-mixing.C FAIL samples=1000 hypothesis-hits=19 max-len=4 "
+            "counterexample: heads=[] u=b^-1 v=b a^-1 a "
+            "interleavings in S=True but the merge is not",
+        ]
+
     def test_union_condition_c_witness(self):
         # deterministic witness: blocks a and a^-1 repeat inside the union but
         # their merge has identity value and falls outside it
