@@ -14,22 +14,25 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 
 from . import games, laws
 from .conditions import (
     EtogCondition,
     UnionCondition,
     UPWord,
-    Valuation,
     describe_condition,
-    load_valuation,
     parse_condition,
 )
 from .errors import EtogError
-from .groups import InverseOrder, Ordering
+from .groups import Ordering
 from .laws import CheckResult
-from .notation import format_element, parse_element, parse_group
+from .notation import (
+    format_element,
+    parse_element,
+    parse_group,
+    shipped_arena_path,
+    shipped_valuation_path,
+)
 
 DEFAULT_SEED = 0
 
@@ -80,18 +83,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _data_path(name: str) -> str:
-    return str(resources.files("etog").joinpath("data", name))
-
-
-def shipped_arena_path() -> str:
-    return _data_path("refutation_arena.txt")
-
-
-def shipped_valuation_path() -> str:
-    return _data_path("free_valuation.txt")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -105,7 +96,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    cond = parse_condition(args.cond, base_dir=os.getcwd())
+    cond = parse_condition(args.cond)
     word = UPWord.make(args.prefix or "", args.period)
     members = cond.members if isinstance(cond, UnionCondition) else (cond,)
     decided = []
@@ -133,15 +124,13 @@ def cmd_membership(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cond = parse_condition(args.cond, base_dir=os.getcwd())
+    cond = parse_condition(args.cond)
     if isinstance(cond, UnionCondition):
-        print(
-            "solve handles single energy conditions only; unions of energy\n"
-            "conditions need not admit positional winners -- use the\n"
-            "'counterexample' command for the bounded union experiment",
-            file=sys.stderr,
+        raise EtogError(
+            "solve handles single energy conditions only; unions of energy "
+            "conditions need not admit positional winners -- use the "
+            "'counterexample' command for the bounded union experiment"
         )
-        return 2
     arena = games.load_arena(args.arena, alphabet=cond.colors)
     solution = games.solve_energy_game(arena, cond)
     witnesses = (solution.alice_strategy, solution.bob_strategy)
@@ -164,13 +153,10 @@ def cmd_solve(args) -> int:
 
 def build_refutation_setup():
     """The shipped 3-node arena plus the union of the two mutually inverse
-    free-group energy conditions over it."""
-    valuation = load_valuation(shipped_valuation_path())
-    straight = EtogCondition(valuation)
-    reverse = EtogCondition(
-        Valuation(valuation.colors, InverseOrder(valuation.group), valuation.mapping)
-    )
-    union = UnionCondition((straight, reverse))
+    free-group energy conditions over it: the law battery's ``free`` and ``inv-free``."""
+    suite = laws.standard_valuations()
+    valuation = suite["free"]
+    union = UnionCondition((EtogCondition(valuation), EtogCondition(suite["inv-free"])))
     arena = games.load_arena(shipped_arena_path(), alphabet=valuation.colors)
     return arena, union, valuation
 

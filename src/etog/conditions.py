@@ -12,8 +12,7 @@ are prefix-independent).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import NotationError, UnknownColorError
@@ -257,33 +256,28 @@ def _flatten(cond) -> tuple[EtogCondition, ...]:
     return cond.members
 
 
-def parse_condition(text: str, base_dir: str | None = None):
+def parse_condition(text: str):
     """Parse a condition spec string.
 
     ``etog(<valuation-file>)`` builds an energy condition from the file,
     ``inv-etog(<valuation-file>)`` the same valuation under the inverse order,
     and ``union(<cond>,<cond>)`` the union of two condition specs.  Relative
-    file paths resolve against ``base_dir``.
+    file paths resolve against the current directory.
     """
     _check_nesting(text)
     text = text.strip()
     for head, invert in (("etog(", False), ("inv-etog(", True)):
         if text.startswith(head) and text.endswith(")"):
-            path = text[len(head) : -1].strip()
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            valuation = load_valuation(path)
+            valuation = load_valuation(text[len(head) : -1].strip())
             if invert:
-                valuation = Valuation(
-                    valuation.colors, InverseOrder(valuation.group), valuation.mapping
-                )
+                valuation = replace(valuation, group=InverseOrder(valuation.group))
             return EtogCondition(valuation)
     if text.startswith("union(") and text.endswith(")"):
         parts = _split_top(text[len("union(") : -1], ",")
         if len(parts) != 2:
             raise NotationError("union(...) takes exactly two condition specs")
-        left = parse_condition(parts[0], base_dir)
-        right = parse_condition(parts[1], base_dir)
+        left = parse_condition(parts[0])
+        right = parse_condition(parts[1])
         return UnionCondition(_flatten(left) + _flatten(right))
     raise NotationError(f"unrecognised condition spec: {text!r}")
 

@@ -203,15 +203,11 @@ class Lasso:
     cycle: tuple[Edge, ...]
 
     @property
-    def stem_colors(self) -> tuple[str, ...]:
-        return tuple(edge.color for edge in self.stem)
-
-    @property
     def cycle_colors(self) -> tuple[str, ...]:
         return tuple(edge.color for edge in self.cycle)
 
     def up_word(self) -> UPWord:
-        return UPWord(self.stem_colors, self.cycle_colors)
+        return UPWord(tuple(edge.color for edge in self.stem), self.cycle_colors)
 
 
 def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lasso:
@@ -253,6 +249,12 @@ class Solution:
     bob_strategy: PositionalStrategy
 
 
+def _check_alphabet(arena: Arena, cond) -> None:
+    missing = arena.colors - set(cond.colors)
+    if missing:
+        raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
+
+
 def solve_energy_game(arena: Arena, cond) -> Solution:
     """Exact solver for a single energy condition by positional enumeration.
 
@@ -273,9 +275,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
         )
     if not isinstance(cond, EtogCondition):
         raise TypeError(f"expected an energy condition, got {type(cond).__name__}")
-    missing = arena.colors - set(cond.colors)
-    if missing:
-        raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
+    _check_alphabet(arena, cond)
 
     sigmas = positional_strategies(arena, Player.ALICE)
     taus = positional_strategies(arena, Player.BOB)
@@ -423,9 +423,7 @@ def verify_union_strategy(
     """
     if bob_memory_bound < 1:
         raise ValueError("bob_memory_bound must be >= 1")
-    missing = arena.colors - set(cond.colors)
-    if missing:
-        raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
+    _check_alphabet(arena, cond)
     if start not in arena.nodes:
         raise ArenaError(f"unknown start node {start!r}")
 
@@ -519,16 +517,11 @@ def alternating_strategy(arena: Arena, node: str) -> MealyStrategy:
         raise ArenaError(f"node {node!r} needs two outgoing edges to alternate")
     moves: dict[tuple[object, str], Edge] = {}
     updates: dict[tuple[object, Edge], object] = {}
-    for state, pick in (("first", options[0]), ("second", options[1])):
-        moves[(state, node)] = pick
+    for state, pick, flipped in (("first", options[0], "second"), ("second", options[1], "first")):
         for other in arena.alice_nodes:
-            if other != node:
-                moves[(state, other)] = arena.out_edges(other)[0]
+            moves[(state, other)] = pick if other == node else arena.out_edges(other)[0]
         for edge in arena.edges:
-            if edge.source == node:
-                updates[(state, edge)] = "second" if state == "first" else "first"
-            else:
-                updates[(state, edge)] = state
+            updates[(state, edge)] = flipped if edge.source == node else state
     return MealyStrategy(Player.ALICE, ("first", "second"), "first", moves, updates)
 
 

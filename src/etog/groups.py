@@ -64,9 +64,12 @@ def letter(symbol: str, exponent: int) -> Letter:
 
 
 def letter_parts(code: Letter) -> tuple[str, int]:
-    """The ``(symbol, exponent)`` pair that :func:`letter` encoded as ``code``."""
-    magnitude = abs(code)
+    """The ``(symbol, exponent)`` pair that :func:`letter` encoded as ``code``;
+    :class:`ValueError` for any value that no :func:`letter` call returns."""
+    magnitude = abs(code) if type(code) is int else 0
     raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
+    if raw[:1] != b"\x01":
+        raise ValueError(f"not a letter code: {code!r}")
     return raw[1:].decode("utf-8"), 1 if code > 0 else -1
 
 
@@ -81,14 +84,9 @@ class Ordering(enum.Enum):
         return _FLIPPED[self]
 
     def __str__(self) -> str:
-        return _ORDERING_NAMES[self]
+        return self.name.title()
 
 
-_ORDERING_NAMES = {
-    Ordering.LESS: "Less",
-    Ordering.EQUAL: "Equal",
-    Ordering.GREATER: "Greater",
-}
 _FLIPPED = {
     Ordering.LESS: Ordering.GREATER,
     Ordering.EQUAL: Ordering.EQUAL,
@@ -346,10 +344,12 @@ class FreeGroup(OrderedGroup):
         if not isinstance(x, FreeWord):
             raise SpecMismatchError(f"{mismatch}: {x!r}")
         for c in x.letters:
-            if type(c) is not int:  # such a word has no repr: name the letter
-                raise SpecMismatchError(f"{mismatch}: letter {c!r} is not a letter code")
-            if abs(c) not in self.codes:
-                raise SpecMismatchError(f"{mismatch}: {x!r}")
+            try:
+                letter_parts(c)
+            except ValueError:  # such a word has no repr: name the letter
+                raise SpecMismatchError(f"{mismatch}: letter {c!r} is not a letter code") from None
+        if not all(abs(c) in self.codes for c in x.letters):
+            raise SpecMismatchError(f"{mismatch}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
         # (p u s)(p v s)^-1 = p (u v^-1) p^-1, the conjugate by p of u v^-1.

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conditions import EtogCondition, UPWord, Valuation, up_member_oracle
+from .conditions import EtogCondition, UPWord, Valuation, load_valuation, up_member_oracle
 from .groups import (
     FreeGroup,
     FreeWord,
@@ -30,6 +30,7 @@ from .groups import (
     magnus_coefficient,
     multiply,
 )
+from .notation import shipped_valuation_path
 
 Word = tuple[str, ...]
 
@@ -119,17 +120,10 @@ def standard_valuations() -> dict[str, Valuation]:
     ``int`` and ``zlex2`` use four-letter alphabets; ``free`` maps the five
     colors eps, a, a^-1, b, b^-1 to the like-named elements of the ordered
     free group on a, b, and ``inv-free`` is the same valuation under the
-    reversed order.
+    reversed order.  ``free`` is read from the shipped valuation file, so the
+    two are the pair whose union ``etog counterexample`` plays.
     """
-    free_group = FreeGroup(("a", "b"))
-    free_map = {
-        "eps": FreeWord(),
-        "a": FreeWord((letter("a", 1),)),
-        "a^-1": FreeWord((letter("a", -1),)),
-        "b": FreeWord((letter("b", 1),)),
-        "b^-1": FreeWord((letter("b", -1),)),
-    }
-    free_colors = ("eps", "a", "a^-1", "b", "b^-1")
+    free = load_valuation(shipped_valuation_path())
     return {
         "int": Valuation(
             ("x", "y", "z", "w"),
@@ -141,8 +135,8 @@ def standard_valuations() -> dict[str, Valuation]:
             LexVectors(2),
             {"c": (0, 1), "d": (-1, 0), "u": (1, -1), "v": (0, 0)},
         ),
-        "free": Valuation(free_colors, free_group, free_map),
-        "inv-free": Valuation(free_colors, InverseOrder(free_group), free_map),
+        "free": free,
+        "inv-free": replace(free, group=InverseOrder(free.group)),
     }
 
 

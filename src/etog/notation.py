@@ -1,4 +1,4 @@
-"""Parsing and formatting of group specs and element literals.
+"""Parsing and formatting of group specs and element literals; shipped data paths.
 
 Group spec grammar (ASCII, whitespace-tolerant)::
 
@@ -16,8 +16,9 @@ Element literal grammar::
 from __future__ import annotations
 
 import re
+from importlib import resources
 
-from .errors import InputFileError, NotationError
+from .errors import InputFileError, NotationError, UnknownGeneratorError
 from .groups import (
     FreeGroup,
     Integers,
@@ -60,6 +61,18 @@ def read_ascii(path: str) -> str:
         raise InputFileError(f"cannot read {path!r}: {exc}") from None
 
 
+def _data_path(name: str) -> str:
+    return str(resources.files("etog").joinpath("data", name))
+
+
+def shipped_arena_path() -> str:
+    return _data_path("refutation_arena.txt")
+
+
+def shipped_valuation_path() -> str:
+    return _data_path("free_valuation.txt")
+
+
 def _split_top(text: str, separator: str) -> list[str]:
     """Split on a separator that is not nested inside (), [] pairs."""
     parts: list[str] = []
@@ -83,12 +96,6 @@ def _split_top(text: str, separator: str) -> list[str]:
     return parts
 
 
-def _inner(text: str, head: str) -> str:
-    if not text.endswith(")"):
-        raise NotationError(f"missing closing parenthesis in {text!r}")
-    return text[len(head) : -1]
-
-
 def parse_group(text: str) -> OrderedGroup:
     """Parse a group spec string into an ordered-group object."""
     _check_nesting(text)
@@ -96,7 +103,7 @@ def parse_group(text: str) -> OrderedGroup:
     if text == "int":
         return Integers()
     if text.startswith("zlex(") and text.endswith(")"):
-        body = _inner(text, "zlex(").strip()
+        body = text[len("zlex(") : -1].strip()
         try:
             dim = int(body)
         except ValueError:
@@ -107,7 +114,7 @@ def parse_group(text: str) -> OrderedGroup:
             raise NotationError(f"zlex dimension must be <= {MAX_ZLEX_DIM}")
         return LexVectors(dim)
     if text.startswith("free(") and text.endswith(")"):
-        names = [n.strip() for n in _inner(text, "free(").split(",")]
+        names = [n.strip() for n in text[len("free(") : -1].split(",")]
         if names == [""]:
             raise NotationError("free group needs at least one generator")
         for name in names:
@@ -119,9 +126,9 @@ def parse_group(text: str) -> OrderedGroup:
             raise NotationError("duplicate generator name")
         return FreeGroup(tuple(names))
     if text.startswith("inv(") and text.endswith(")"):
-        return InverseOrder(parse_group(_inner(text, "inv(")))
+        return InverseOrder(parse_group(text[len("inv(") : -1]))
     if text.startswith("prod(") and text.endswith(")"):
-        parts = _split_top(_inner(text, "prod("), ",")
+        parts = _split_top(text[len("prod(") : -1], ",")
         if len(parts) != 2:
             raise NotationError("prod(...) takes exactly two specs")
         return LexProduct(parse_group(parts[0]), parse_group(parts[1]))
@@ -188,7 +195,7 @@ def parse_element(spec: OrderedGroup, text: str):
             letters.append((symbol, exponent))
         try:
             return reduce_word(letters, spec.generators)
-        except Exception as exc:
+        except UnknownGeneratorError as exc:
             raise NotationError(str(exc)) from None
     if isinstance(spec, InverseOrder):
         return parse_element(spec.inner, text)

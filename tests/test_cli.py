@@ -7,7 +7,9 @@ import pytest
 
 import etog
 from etog import games
-from etog.cli import main, run_counterexample, shipped_valuation_path
+from etog.cli import build_refutation_setup, main, run_counterexample, shipped_valuation_path
+from etog.conditions import EtogCondition
+from etog.laws import standard_valuations
 
 VAL = shipped_valuation_path()
 
@@ -193,6 +195,7 @@ class TestSolve:
         )
         assert code == 2
         assert "counterexample" in err
+        assert err.startswith("error: ")
 
 
 class TestCounterexample:
@@ -219,6 +222,12 @@ class TestCounterexample:
         )
         assert code == 0
         assert out == (GOLDEN / "counterexample-bob-memory3-depth6.txt").read_text()
+
+    def test_setup_unites_the_pair_the_law_battery_certifies(self):
+        suite = standard_valuations()
+        _, union, valuation = build_refutation_setup()
+        assert valuation == suite["free"]
+        assert union.members == (EtogCondition(suite["free"]), EtogCondition(suite["inv-free"]))
 
     def test_no_beating_opponent_fails_each_positional_verdict(self, monkeypatch):
         # cannot happen on the shipped arena, so the verifier is replaced

@@ -204,6 +204,15 @@ class TestNotation:
         with pytest.raises(NotationError):
             parse_group("prod(int)")
 
+    def test_word_literal_errors_other_than_unknown_generators_propagate(self, monkeypatch):
+        # only an unknown generator is a notation error; anything else is a bug
+        def broken(letters, generators):
+            raise RuntimeError("bug in reduce_word")
+
+        monkeypatch.setattr("etog.notation.reduce_word", broken)
+        with pytest.raises(RuntimeError, match="bug in reduce_word"):
+            parse_element(AB, "a b")
+
     def test_zlex_dimension_capped(self):
         assert parse_group(f"zlex({MAX_ZLEX_DIM})") == LexVectors(MAX_ZLEX_DIM)
         for dim in (MAX_ZLEX_DIM + 1, 10**9):
@@ -486,7 +495,11 @@ def test_words_keep_their_generator_names():
         FreeGroup(("\x00a", "b")).validate(reduce_word([("a", 1)]))
 
 
-@pytest.mark.parametrize("bad", [("a", 1), "a", True], ids=["tuple", "str", "bool"])
+@pytest.mark.parametrize(
+    "bad",
+    [("a", 1), "a", True, 0, 2, 511],
+    ids=["tuple", "str", "bool", "zero", "no-leading-byte", "not-utf8"],
+)
 def test_validate_rejects_letters_that_are_not_codes(bad):
     # such a word cannot even be printed; the mismatch names the letter
     message = rf"^not a word over \('a',\): letter {re.escape(repr(bad))} is not a letter code$"
@@ -494,6 +507,12 @@ def test_validate_rejects_letters_that_are_not_codes(bad):
         FreeGroup(("a",)).validate(FreeWord((bad,)))
     with pytest.raises(SpecMismatchError, match=message):
         Valuation(("x",), FreeGroup(("a",)), {"x": FreeWord((bad,))})
+
+
+def test_validate_names_a_letter_that_is_no_code_after_a_foreign_generator():
+    # the foreign letter comes first, but the word still cannot be printed
+    with pytest.raises(SpecMismatchError, match=r"letter 'a' is not a letter code$"):
+        FreeGroup(("a",)).validate(FreeWord((letter("b", 1), "a")))
 
 
 # multiply, FreeGroup.sign and magnus_coefficient as they were on

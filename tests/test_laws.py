@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from etog.conditions import EtogCondition, UnionCondition, UPWord, Valuation
+from etog.conditions import (
+    EtogCondition,
+    UnionCondition,
+    UPWord,
+    Valuation,
+    load_valuation,
+    parse_condition,
+)
 from etog.groups import (
     FreeGroup,
     FreeWord,
@@ -27,9 +34,19 @@ from etog.laws import (
     standard_valuations,
     words_up_to,
 )
+from etog.notation import shipped_valuation_path
 
 SUITE = standard_valuations()
 INT_XY = Valuation(("x", "y"), Integers(), {"x": -1, "y": 1})
+
+
+class TestStandardValuations:
+    def test_free_is_the_shipped_valuation(self):
+        assert SUITE["free"] == load_valuation(shipped_valuation_path())
+
+    def test_inv_free_is_the_inv_etog_twin_of_the_shipped_valuation(self):
+        twin = parse_condition(f"inv-etog({shipped_valuation_path()})").valuation
+        assert SUITE["inv-free"] == twin
 
 
 class TestClosure:

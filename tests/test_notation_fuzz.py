@@ -50,13 +50,14 @@ def _parsed_or_refused(parse, *args):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(text=st.one_of(arbitrary_text, grammar_text))
-def test_parsers_refuse_only_with_etog_errors(tmp_path, text):
+def test_parsers_refuse_only_with_etog_errors(tmp_path, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "v.txt").write_text("group free(a,b)\nval x = a\nval y = b^-1\n")
     _parsed_or_refused(parse_group, text)
     _parsed_or_refused(parse_valuation, text)
     _parsed_or_refused(parse_arena, text)
     for condition in (text, f"etog({text})"):
-        _parsed_or_refused(parse_condition, condition, str(tmp_path))
+        _parsed_or_refused(parse_condition, condition)
     for spec in ELEMENT_SPECS:
         element = _parsed_or_refused(parse_element, spec, text)
         if element is not None:
