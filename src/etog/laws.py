@@ -76,21 +76,55 @@ def reduced_words(generators: Sequence[str], max_len: int) -> Iterator[FreeWord]
 
 
 def random_word(rng: random.Random, alphabet: Sequence[str], max_len: int, min_len: int = 0) -> Word:
-    length = rng.randint(min_len, max_len)
-    return tuple(rng.choice(alphabet) for _ in range(length))
+    """Uniform length in [min_len, max_len], then uniform among the words of
+    that length, from one draw.
+
+    One ``rng.randrange`` over span * n**max_len, where n is the alphabet
+    size and span = max_len - min_len + 1, is read as mixed-radix digits,
+    least significant first: the base-span digit is the length less
+    ``min_len``, and the next base-n digits, one per letter, index the
+    letters.
+    """
+    n = len(alphabet)
+    span = max_len - min_len + 1
+    code, length = divmod(rng.randrange(span * n**max_len), span)
+    letters = []
+    for _ in range(min_len + length):
+        code, digit = divmod(code, n)
+        letters.append(alphabet[digit])
+    return tuple(letters)
 
 
 def random_reduced_word(rng: random.Random, generators: Sequence[str], max_len: int) -> FreeWord:
-    """Uniform-ish random reduced word of length <= max_len."""
-    length = rng.randint(0, max_len)
-    codes = [letter(g, 1) for g in generators]
-    letters: list[int] = []
-    while len(letters) < length:
-        candidate = rng.choice(codes) * rng.choice((1, -1))
-        if letters and letters[-1] == -candidate:
-            continue
-        letters.append(candidate)
-    return FreeWord(tuple(letters))
+    """Uniform length in [0, max_len], then uniform among the reduced words
+    of that length, from one draw.
+
+    One ``rng.randrange`` is read as mixed-radix digits, least significant
+    first.  With k = 2 * len(generators) letters, the generators and then
+    their inverses: the base-(max_len + 1) digit is the length, the next
+    base-k digit indexes the first letter, and each later base-(k - 1) digit
+    r picks letter r, or letter k - 1 when letter r would cancel the previous
+    letter.  The digits of one length map one to one onto the reduced words
+    of that length, so nothing is rejected.
+    """
+    return _random_reduced_word(rng, tuple(letter(g, 1) for g in generators), max_len)
+
+
+def _random_reduced_word(rng: random.Random, codes: tuple[int, ...], max_len: int) -> FreeWord:
+    """:func:`random_reduced_word` over the generators' letter codes."""
+    letters = codes + tuple(-c for c in codes)
+    k = len(letters)
+    span = max_len + 1
+    code, length = divmod(rng.randrange(span * k * (k - 1) ** max(max_len - 1, 0)), span)
+    if not length:
+        return FreeWord()
+    code, digit = divmod(code, k)
+    word = [letters[digit]]
+    for _ in range(length - 1):
+        code, digit = divmod(code, k - 1)
+        c = letters[digit]
+        word.append(letters[-1] if c == -word[-1] else c)
+    return FreeWord(tuple(word))
 
 
 def sample_element(spec: OrderedGroup, rng: random.Random, max_len: int = 6):
@@ -99,7 +133,7 @@ def sample_element(spec: OrderedGroup, rng: random.Random, max_len: int = 6):
     if isinstance(spec, LexVectors):
         return tuple(rng.randint(-4, 4) for _ in range(spec.dim))
     if isinstance(spec, FreeGroup):
-        return random_reduced_word(rng, spec.generators, max_len)
+        return _random_reduced_word(rng, spec.codes, max_len)
     if isinstance(spec, InverseOrder):
         return sample_element(spec.inner, rng, max_len)
     if isinstance(spec, LexProduct):
@@ -551,19 +585,20 @@ def full_check_battery(
     results: list[CheckResult] = []
     suite = standard_valuations()
 
-    free_spec = (MisorderedFreeGroup if inject_fault else FreeGroup)(("a", "b"))
+    free = suite["free"].group
+    free_spec = MisorderedFreeGroup(free.generators) if inject_fault else free
     results.extend(order_axiom_battery(free_spec, rng, order_samples))
     for label, spec in (
         ("int", Integers()),
         ("zlex2", LexVectors(2)),
-        ("inv-free", InverseOrder(FreeGroup(("a", "b")))),
+        ("inv-free", suite["inv-free"].group),
         ("prod-int-int", LexProduct(Integers(), Integers())),
     ):
         for result in order_axiom_battery(spec, rng, max(order_samples // 10, 100)):
             result.name = f"{result.name}.{label}"
             results.append(result)
 
-    results.append(magnus_soundness(("a", "b"), max_len=5))
+    results.append(magnus_soundness(free.generators, max_len=5))
 
     for label, valuation in suite.items():
         predicate = negative_word_predicate(valuation)
