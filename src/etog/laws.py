@@ -75,73 +75,136 @@ def reduced_words(generators: Sequence[str], max_len: int) -> Iterator[FreeWord]
         yield from frontier
 
 
-def random_word(rng: random.Random, alphabet: Sequence[str], max_len: int, min_len: int = 0) -> Word:
-    """Uniform length in [min_len, max_len], then uniform among the words of
-    that length, from one draw.
+def _decoding_sampler(
+    bound: int, span: int, words_of_length: Sequence[int], decode: Callable[[int], object]
+) -> Callable[[random.Random], object]:
+    """A sampler that makes one ``rng.randrange(bound)`` per call and decodes
+    each distinct word once.
 
-    One ``rng.randrange`` over span * n**max_len, where n is the alphabet
-    size and span = max_len - min_len + 1, is read as mixed-radix digits,
-    least significant first: the base-span digit is the length less
-    ``min_len``, and the next base-n digits, one per letter, index the
-    letters.
+    The draw's lowest digit, base ``span``, is the length digit d, and a word
+    with that digit reads only the lowest ``words_of_length[d]`` values of the
+    digits above it.  So the draw modulo ``span * words_of_length[d]`` keeps
+    exactly what ``decode`` reads: it is the key, and the word decoded from it
+    is kept for the next draw with that key.  The sampler holds at most one
+    word per distinct key drawn.
     """
+    moduli = [span * count for count in words_of_length]
+    decoded: dict = {}
+
+    def sample(rng: random.Random):
+        code = rng.randrange(bound)
+        key = code % moduli[code % span]
+        word = decoded.get(key)
+        if word is None:
+            word = decoded[key] = decode(key)
+        return word
+
+    return sample
+
+
+def word_sampler(
+    alphabet: Sequence[str], max_len: int, min_len: int = 0
+) -> Callable[[random.Random], Word]:
+    """A sampler of words over the alphabet: uniform length in [min_len,
+    max_len], then uniform among the words of that length, from one draw.
+
+    Each call makes one ``rng.randrange`` over span * n**max_len, where n is
+    the alphabet size and span = max_len - min_len + 1, read as mixed-radix
+    digits, least significant first: the base-span digit is the length less
+    ``min_len``, and the next base-n digits, one per letter, index the
+    letters.  Each distinct word is decoded once per sampler.
+    """
+    if not 0 <= min_len <= max_len:
+        raise ValueError(
+            f"word lengths need 0 <= min_len <= max_len, got min_len={min_len} max_len={max_len}"
+        )
+    alphabet = tuple(alphabet)
     n = len(alphabet)
+    if not n and max_len:
+        raise ValueError(f"an empty alphabet has no words of length up to max_len={max_len}")
     span = max_len - min_len + 1
-    code, length = divmod(rng.randrange(span * n**max_len), span)
-    letters = []
-    for _ in range(min_len + length):
-        code, digit = divmod(code, n)
-        letters.append(alphabet[digit])
-    return tuple(letters)
+
+    def decode(key: int) -> Word:
+        code, length = divmod(key, span)
+        letters = []
+        for _ in range(min_len + length):
+            code, digit = divmod(code, n)
+            letters.append(alphabet[digit])
+        return tuple(letters)
+
+    words_of_length = [n ** (min_len + length) for length in range(span)]
+    return _decoding_sampler(span * n**max_len, span, words_of_length, decode)
 
 
-def random_reduced_word(rng: random.Random, generators: Sequence[str], max_len: int) -> FreeWord:
-    """Uniform length in [0, max_len], then uniform among the reduced words
-    of that length, from one draw.
+def reduced_word_sampler(codes: Sequence[int], max_len: int) -> Callable[[random.Random], FreeWord]:
+    """A sampler of reduced words over the generators with these letter
+    codes: uniform length in [0, max_len], then uniform among the reduced
+    words of that length, from one draw.
 
-    One ``rng.randrange`` is read as mixed-radix digits, least significant
-    first.  With k = 2 * len(generators) letters, the generators and then
-    their inverses: the base-(max_len + 1) digit is the length, the next
+    Each call makes one ``rng.randrange``, read as mixed-radix digits, least
+    significant first.  With k = 2 * len(codes) letters, the generators and
+    then their inverses: the base-(max_len + 1) digit is the length, the next
     base-k digit indexes the first letter, and each later base-(k - 1) digit
     r picks letter r, or letter k - 1 when letter r would cancel the previous
     letter.  The digits of one length map one to one onto the reduced words
-    of that length, so nothing is rejected.
+    of that length, so nothing is rejected.  Each distinct word is decoded
+    once per sampler.
     """
-    return _random_reduced_word(rng, tuple(letter(g, 1) for g in generators), max_len)
-
-
-def _random_reduced_word(rng: random.Random, codes: tuple[int, ...], max_len: int) -> FreeWord:
-    """:func:`random_reduced_word` over the generators' letter codes."""
-    letters = codes + tuple(-c for c in codes)
+    if not codes:
+        raise ValueError("no generators to draw reduced words over")
+    if max_len < 0:
+        raise ValueError(f"word lengths need max_len >= 0, got max_len={max_len}")
+    letters = tuple(codes) + tuple(-c for c in codes)
     k = len(letters)
     span = max_len + 1
-    code, length = divmod(rng.randrange(span * k * (k - 1) ** max(max_len - 1, 0)), span)
-    if not length:
-        return FreeWord()
-    code, digit = divmod(code, k)
-    word = [letters[digit]]
-    for _ in range(length - 1):
-        code, digit = divmod(code, k - 1)
-        c = letters[digit]
-        word.append(letters[-1] if c == -word[-1] else c)
-    return FreeWord(tuple(word))
+
+    def decode(key: int) -> FreeWord:
+        code, length = divmod(key, span)
+        if not length:
+            return FreeWord()
+        code, digit = divmod(code, k)
+        word = [letters[digit]]
+        for _ in range(length - 1):
+            code, digit = divmod(code, k - 1)
+            c = letters[digit]
+            word.append(letters[-1] if c == -word[-1] else c)
+        return FreeWord(tuple(word))
+
+    words_of_length = [1] + [k * (k - 1) ** (length - 1) for length in range(1, span)]
+    bound = span * k * (k - 1) ** max(max_len - 1, 0)
+    return _decoding_sampler(bound, span, words_of_length, decode)
 
 
-def sample_element(spec: OrderedGroup, rng: random.Random, max_len: int = 6):
+def element_sampler(spec: OrderedGroup, max_len: int = 6) -> Callable[[random.Random], object]:
+    """A sampler of elements of the group: integers uniform in [-9, 9],
+    vectors with each coordinate uniform in [-4, 4], free-group elements from
+    :func:`reduced_word_sampler` with at most ``max_len`` letters (under
+    either order), and lexicographic pairs drawn left, then right."""
     if isinstance(spec, Integers):
-        return rng.randint(-9, 9)
+        return lambda rng: rng.randint(-9, 9)
     if isinstance(spec, LexVectors):
-        return tuple(rng.randint(-4, 4) for _ in range(spec.dim))
+        dim = spec.dim
+        return lambda rng: tuple(rng.randint(-4, 4) for _ in range(dim))
     if isinstance(spec, FreeGroup):
-        return _random_reduced_word(rng, spec.codes, max_len)
+        return reduced_word_sampler(spec.codes, max_len)
     if isinstance(spec, InverseOrder):
-        return sample_element(spec.inner, rng, max_len)
+        return element_sampler(spec.inner, max_len)
     if isinstance(spec, LexProduct):
-        return (
-            sample_element(spec.left, rng, max_len),
-            sample_element(spec.right, rng, max_len),
-        )
+        left, right = element_sampler(spec.left, max_len), element_sampler(spec.right, max_len)
+        return lambda rng: (left(rng), right(rng))
     raise TypeError(f"no sampler for {spec!r}")
+
+
+def random_word(
+    rng: random.Random, alphabet: Sequence[str], max_len: int, min_len: int = 0
+) -> Word:
+    """One draw of :func:`word_sampler`."""
+    return word_sampler(alphabet, max_len, min_len)(rng)
+
+
+def random_reduced_word(rng: random.Random, generators: Sequence[str], max_len: int) -> FreeWord:
+    """One draw of :func:`reduced_word_sampler` over the named generators."""
+    return reduced_word_sampler([letter(g, 1) for g in generators], max_len)(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +374,11 @@ def check_fairly_mixing(
     This is a bounded checker, not a decision procedure: law (C) quantifies
     over arbitrary infinite block sequences which no finite search covers.
     """
-    alphabet = list(alphabet)
-
-    def word(min_len: int = 0) -> Word:
-        return random_word(rng, alphabet, max_len, min_len)
+    word = word_sampler(alphabet, max_len)
+    nonempty = word_sampler(alphabet, max_len, min_len=1)
 
     def up() -> UPWord:
-        return UPWord(word(), word(min_len=1))
+        return UPWord(word(rng), nonempty(rng))
 
     def show(alpha: UPWord) -> str:
         return f"[{' '.join(alpha.prefix)} | {' '.join(alpha.period)}]"
@@ -329,7 +390,7 @@ def check_fairly_mixing(
 
     failure = None
     for _ in range(samples):
-        x = word()
+        x = word(rng)
         alpha = up()
         if member(UPWord(x + alpha.prefix, alpha.period)) != member(alpha):
             failure = f"prefix {' '.join(x) or '(empty)'} changes membership of {show(alpha)}"
@@ -339,7 +400,7 @@ def check_fairly_mixing(
     hits = 0
     failure = None
     for _ in range(samples):
-        x = word(min_len=1)
+        x = nonempty(rng)
         alpha = up()
         side = member(UPWord((), x))
         if member(alpha) != side:
@@ -353,9 +414,9 @@ def check_fairly_mixing(
     hits = 0
     failure = None
     for _ in range(samples):
-        heads = [word(min_len=1) for _ in range(2 * rng.randint(0, 2))]
-        u = word(min_len=1)
-        v = word(min_len=1)
+        heads = [nonempty(rng) for _ in range(2 * rng.randint(0, 2))]
+        u = nonempty(rng)
+        v = nonempty(rng)
         side = member(UPWord(tuple(c for w in heads[0::2] for c in w), u))
         if member(UPWord(tuple(c for w in heads[1::2] for c in w), v)) != side:
             continue
@@ -487,11 +548,9 @@ def order_axiom_battery(
         if failures[check] is None:
             failures[check] = message
 
+    sample = element_sampler(spec, max_word_len)
     for _ in range(samples):
-        x = sample_element(spec, rng, max_word_len)
-        y = sample_element(spec, rng, max_word_len)
-        z = sample_element(spec, rng, max_word_len)
-        g = sample_element(spec, rng, max_word_len)
+        x, y, z, g = sample(rng), sample(rng), sample(rng), sample(rng)
 
         c_xy = spec.compare(x, y)
         c_yx = spec.compare(y, x)

@@ -18,8 +18,12 @@ from etog.groups import (
     FreeWord,
     Integers,
     InverseOrder,
+    LexProduct,
+    LexVectors,
     MisorderedFreeGroup,
+    OrderedGroup,
     Ordering,
+    letter,
     letter_parts,
 )
 from etog import laws
@@ -28,14 +32,16 @@ from etog.laws import (
     check_closure,
     check_fairly_mixing,
     check_invariant_subsemigroup,
+    element_sampler,
     full_check_battery,
     negative_word_predicate,
     order_axiom_battery,
     random_reduced_word,
     random_word,
+    reduced_word_sampler,
     reduced_words,
-    sample_element,
     standard_valuations,
+    word_sampler,
     words_up_to,
 )
 from etog.notation import shipped_valuation_path
@@ -420,6 +426,93 @@ def test_prefix_reuse_matches_val_word(label):
         assert predicate(word) is expected, word
 
 
+def _random_word_before(rng, alphabet, max_len, min_len=0):
+    """The per-draw random_word that word_sampler replaced, kept verbatim as
+    the reference the samplers must match draw for draw."""
+    n = len(alphabet)
+    span = max_len - min_len + 1
+    code, length = divmod(rng.randrange(span * n**max_len), span)
+    letters = []
+    for _ in range(min_len + length):
+        code, digit = divmod(code, n)
+        letters.append(alphabet[digit])
+    return tuple(letters)
+
+
+def _random_reduced_word_before(rng, codes, max_len):
+    """The per-draw reduced-word sampler, kept verbatim as a reference."""
+    letters = codes + tuple(-c for c in codes)
+    k = len(letters)
+    span = max_len + 1
+    code, length = divmod(rng.randrange(span * k * (k - 1) ** max(max_len - 1, 0)), span)
+    if not length:
+        return FreeWord()
+    code, digit = divmod(code, k)
+    word = [letters[digit]]
+    for _ in range(length - 1):
+        code, digit = divmod(code, k - 1)
+        c = letters[digit]
+        word.append(letters[-1] if c == -word[-1] else c)
+    return FreeWord(tuple(word))
+
+
+def _sample_element_before(spec, rng, max_len=6):
+    """The per-draw sample_element that element_sampler replaced, kept
+    verbatim as a reference."""
+    if isinstance(spec, Integers):
+        return rng.randint(-9, 9)
+    if isinstance(spec, LexVectors):
+        return tuple(rng.randint(-4, 4) for _ in range(spec.dim))
+    if isinstance(spec, FreeGroup):
+        return _random_reduced_word_before(rng, spec.codes, max_len)
+    if isinstance(spec, InverseOrder):
+        return _sample_element_before(spec.inner, rng, max_len)
+    if isinstance(spec, LexProduct):
+        return (
+            _sample_element_before(spec.left, rng, max_len),
+            _sample_element_before(spec.right, rng, max_len),
+        )
+    raise TypeError(f"no sampler for {spec!r}")
+
+
+def _assert_same_stream(sample, reference, seeds=(0, 1, 2), draws=2000):
+    """A sampler built once draws what the reference draws, element for
+    element, and leaves the rng where the reference leaves it."""
+    for seed in seeds:
+        built, before = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            assert sample(built) == reference(before)
+        assert built.random() == before.random()
+
+
+_SPECS: dict[str, OrderedGroup] = {
+    **{f"suite-{label}": valuation.group for label, valuation in SUITE.items()},
+    "prod-int-int": LexProduct(Integers(), Integers()),
+    "misordered": MisorderedFreeGroup(("a", "b")),
+    **{f"free{n}": FreeGroup(("a", "b", "c")[:n]) for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SPECS))
+def test_element_sampler_draws_the_per_draw_stream(label):
+    spec = _SPECS[label]
+    for max_len in (0, 1, 6):
+        _assert_same_stream(
+            element_sampler(spec, max_len),
+            lambda rng: _sample_element_before(spec, rng, max_len),
+        )
+
+
+@pytest.mark.parametrize("min_len", [0, 1])
+def test_word_sampler_draws_the_per_draw_stream(min_len):
+    for colors in (("x",), ("x", "y"), SUITE["free"].colors):
+        for max_len in (min_len, 4):
+            _assert_same_stream(
+                word_sampler(colors, max_len, min_len),
+                lambda rng: _random_word_before(rng, colors, max_len, min_len),
+            )
+
+
 class _FixedDraw:
     """An rng whose ``randrange`` returns ``code`` and records its bound."""
 
@@ -432,14 +525,13 @@ class _FixedDraw:
         return self.code
 
 
-def _every_draw(sample, length_digit: int, span: int) -> list:
-    """What ``sample(rng)`` returns for each code of its draw whose length
-    digit, the lowest, base ``span``, is ``length_digit``."""
+def _each_code(sample) -> list:
+    """What ``sample(rng)`` returns for each code of its draw, in code order."""
     rng = _FixedDraw()
     sample(rng)
     draws = []
-    for high in range(rng.bound // span):
-        rng.code = high * span + length_digit
+    for code in range(rng.bound):
+        rng.code = code
         draws.append(sample(rng))
     return draws
 
@@ -448,18 +540,31 @@ def _every_draw(sample, length_digit: int, span: int) -> list:
 def test_each_code_draws_a_distinct_word_of_its_length(generators):
     # with max_len equal to the drawn length, the codes of that length are in
     # bijection with the (reduced) words of that length
+    codes = tuple(letter(g, 1) for g in generators)
     colors = ("x", "y", "z")[: len(generators)]
-    for length in range(1, 5):
-        span = length + 1
-        reduced = _every_draw(
-            lambda rng: random_reduced_word(rng, generators, length), length, span
-        )
-        expected = [w for w in reduced_words(generators, length) if len(w) == length]
-        assert Counter(reduced) == Counter(expected)
-        plain = _every_draw(lambda rng: random_word(rng, colors, length), length, span)
-        assert Counter(plain) == Counter(w for w in words_up_to(colors, length) if len(w) == length)
+    for max_len in range(1, 5):
+        span = max_len + 1
+        for sample, before, words in (
+            (
+                reduced_word_sampler(codes, max_len),
+                lambda rng: _random_reduced_word_before(rng, codes, max_len),
+                reduced_words(generators, max_len),
+            ),
+            (
+                word_sampler(colors, max_len),
+                lambda rng: _random_word_before(rng, colors, max_len),
+                [()] + list(words_up_to(colors, max_len)),
+            ),
+        ):
+            # one sampler, each code drawn twice: the second pass repeats
+            # every key and must read the words the first pass decoded
+            drawn = _each_code(sample)
+            assert drawn == _each_code(before)
+            assert _each_code(sample) == drawn
+            of_length = [w for code, w in enumerate(drawn) if code % span == max_len]
+            assert Counter(of_length) == Counter(w for w in words if len(w) == max_len)
     # min_len == max_len leaves a single length, so the length digit has base 1
-    fixed = _every_draw(lambda rng: random_word(rng, colors, 3, min_len=3), 0, 1)
+    fixed = _each_code(word_sampler(colors, 3, min_len=3))
     assert Counter(fixed) == Counter(itertools.product(colors, repeat=3))
 
 
@@ -485,21 +590,25 @@ class _CountingRandom(random.Random):
 def test_each_sampled_word_costs_one_randrange(generators):
     samplers = [
         lambda rng: random_word(rng, ("x", "y", "z"), 4),
-        lambda rng: random_word(rng, ("x", "y", "z"), 4, min_len=1),
         lambda rng: random_reduced_word(rng, generators, 6),
-        lambda rng: sample_element(FreeGroup(generators), rng, 6),
+        word_sampler(("x", "y", "z"), 2),
+        word_sampler(("x", "y", "z"), 2, min_len=1),
+        reduced_word_sampler(tuple(letter(g, 1) for g in generators), 2),
+        element_sampler(FreeGroup(generators), 2),
     ]
     for sample in samplers:
         rng = _CountingRandom(0)
-        for n in range(1, 51):
-            sample(rng)
+        drawn = []
+        for n in range(1, 301):
+            drawn.append(sample(rng))
             assert rng.calls == Counter(randrange=n)
+        # 300 draws repeat some words, and a repeat costs the same one draw
+        assert len(set(drawn)) < 300
     # the group's letter codes draw what its generator names draw
     by_name, by_group = random.Random(4), random.Random(4)
+    sample = element_sampler(FreeGroup(generators), 6)
     for _ in range(100):
-        assert random_reduced_word(by_name, generators, 6) == sample_element(
-            FreeGroup(generators), by_group, 6
-        )
+        assert random_reduced_word(by_name, generators, 6) == sample(by_group)
 
 
 def test_sampled_word_lengths_stay_in_bounds():
@@ -509,3 +618,51 @@ def test_sampled_word_lengths_stay_in_bounds():
     assert {random_word(rng, ("x", "y"), 0) for _ in range(20)} == {()}
     assert {len(random_word(rng, ("x", "y"), 3, min_len=3)) for _ in range(50)} == {3}
     assert {len(random_reduced_word(rng, ("a", "b"), 3)) for _ in range(200)} == {0, 1, 2, 3}
+
+
+def test_reduced_word_sampler_decodes_only_the_words_it_draws(monkeypatch):
+    # an eager table at max_len=10 over two generators would build all
+    # 1 + 4 * (3**10 - 1) / 2 = 118,097 reduced words
+    built = []
+
+    def counting_free_word(*args):
+        built.append(args)
+        return FreeWord(*args)
+
+    monkeypatch.setattr(laws, "FreeWord", counting_free_word)
+    sample = reduced_word_sampler((letter("a", 1), letter("b", 1)), 10)
+    rng = random.Random(0)
+    drawn = [sample(rng) for _ in range(200)]
+    assert len(built) <= 200
+    assert len(built) == len(set(drawn))
+
+
+def _never_draws(word: UPWord) -> bool:
+    raise AssertionError("no draw should be made")
+
+
+@pytest.mark.parametrize(
+    "draw, bounds",
+    [
+        (
+            lambda: check_fairly_mixing(_never_draws, ("x", "y"), random.Random(0), max_len=0),
+            "min_len=1 max_len=0",
+        ),
+        (lambda: random_word(random.Random(0), ("x", "y"), 2, min_len=3), "min_len=3 max_len=2"),
+        (lambda: random_word(random.Random(0), ("x", "y"), -1), "min_len=0 max_len=-1"),
+        (lambda: random_reduced_word(random.Random(0), ("a", "b"), -1), "max_len=-1"),
+        (lambda: random_reduced_word(random.Random(0), (), 3), "no generators"),
+        (lambda: random_word(random.Random(0), (), 2), "empty alphabet .* max_len=2"),
+    ],
+    ids=[
+        "fairly-mixing-max-len-0",
+        "min-len-above-max-len",
+        "negative-max-len",
+        "reduced-negative-max-len",
+        "reduced-no-generators",
+        "empty-alphabet",
+    ],
+)
+def test_sampler_bounds_are_checked_when_it_is_built(draw, bounds):
+    with pytest.raises(ValueError, match=bounds):
+        draw()
