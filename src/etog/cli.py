@@ -2,9 +2,10 @@
 
 Subcommands: compare, membership, solve, check, counterexample.  Reports are
 printed both as human-readable text and, with --machine, as greppable
-``CHECK <name> PASS|FAIL <detail>`` lines.  Output is a pure function of the
-arguments, input files and seed; the exit code is 0 exactly when every
-requested verdict passes.
+``CHECK <name> PASS|FAIL <detail>`` lines.  The --machine output is a pure
+function of the arguments, input files and seed; the human-readable report
+adds the elapsed time.  The exit code is 0 exactly when every requested
+verdict passes.
 """
 
 from __future__ import annotations

@@ -29,13 +29,6 @@ from .notation import (
 Word = tuple[str, ...]
 
 
-def as_word(text_or_seq) -> Word:
-    """Coerce 'a b c' or an iterable of color names into a word tuple."""
-    if isinstance(text_or_seq, str):
-        return tuple(text_or_seq.split())
-    return tuple(text_or_seq)
-
-
 @dataclass(frozen=True)
 class Valuation:
     """Map from a color alphabet into an ordered group."""
@@ -81,7 +74,9 @@ class UPWord:
 
     @classmethod
     def make(cls, prefix, period) -> "UPWord":
-        return cls(as_word(prefix), as_word(period))
+        """Coerce 'a b c' or an iterable of color names into each word tuple."""
+        words = (tuple(w.split()) if isinstance(w, str) else tuple(w) for w in (prefix, period))
+        return cls(*words)
 
 
 @dataclass(frozen=True)
@@ -250,12 +245,6 @@ def load_valuation(path: str) -> Valuation:
     return parse_valuation(read_ascii(path))
 
 
-def _flatten(cond) -> tuple[EtogCondition, ...]:
-    if isinstance(cond, EtogCondition):
-        return (cond,)
-    return cond.members
-
-
 def parse_condition(text: str):
     """Parse a condition spec string.
 
@@ -276,9 +265,11 @@ def parse_condition(text: str):
         parts = _split_top(text[len("union(") : -1], ",")
         if len(parts) != 2:
             raise NotationError("union(...) takes exactly two condition specs")
-        left = parse_condition(parts[0])
-        right = parse_condition(parts[1])
-        return UnionCondition(_flatten(left) + _flatten(right))
+        members: tuple[EtogCondition, ...] = ()
+        for part in parts:
+            cond = parse_condition(part)
+            members += (cond,) if isinstance(cond, EtogCondition) else cond.members
+        return UnionCondition(members)
     raise NotationError(f"unrecognised condition spec: {text!r}")
 
 

@@ -27,6 +27,7 @@ beating play.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -289,8 +290,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
 
     sigma_moves = [moves(sigma, arena.alice_nodes) for sigma in sigmas]
     tau_moves = [moves(tau, arena.bob_nodes) for tau in taus]
-    member_cache: dict[tuple[str, ...], bool] = {}
-    masks: dict[tuple[int, int], int] = {}
+    member = functools.cache(lambda cycle: cond.up_member(UPWord((), cycle)))
 
     # Under a positional pair every node has one successor, so the play from
     # any start runs into a cycle of the successor graph.  A start that enters
@@ -302,10 +302,9 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     # the current walk, and LOST or WON once v's play is decided.
     LOST, WON = size, size + 1
 
+    @functools.cache
     def pair_mask(i: int, j: int) -> int:
         """The starts Alice wins under (sigmas[i], taus[j]), walked once."""
-        if (i, j) in masks:
-            return masks[i, j]
         (a_next, a_colors), (b_next, b_colors) = sigma_moves[i], tau_moves[j]
         succ = a_next + b_next
         mark = [-1] * size
@@ -323,17 +322,12 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
             if outcome == start:  # the walk closed a new cycle at node
                 colors = a_colors + b_colors
                 cycle = tuple(colors[v] for v in path[path.index(node) :])
-                hit = member_cache.get(cycle)
-                if hit is None:
-                    hit = cond.up_member(UPWord((), cycle))
-                    member_cache[cycle] = hit
-                outcome = WON if hit else LOST
+                outcome = WON if member(cycle) else LOST
             for v in path:
                 mark[v] = outcome
             if outcome == WON:
                 for v in path:
                     mask |= 1 << v
-        masks[i, j] = mask
         return mask
 
     # Alice's region is the union over sigma of the starts sigma wins against
@@ -432,7 +426,7 @@ def verify_union_strategy(
     moves: dict[tuple[int, str], Edge] = {}
     updates: dict[tuple[int, Edge], int] = {}
     machines = 0
-    member_cache: dict[tuple[str, ...], bool] = {}
+    member = functools.cache(lambda cycle: cond.up_member(UPWord((), cycle)))
     # The play: joint states (node, Alice state, Bob state) in path order,
     # each with the path index at which it was left, and the edges and
     # colours played from them.  Bob states 0 .. used - 1 are introduced.
@@ -475,10 +469,7 @@ def verify_union_strategy(
         machines += 1
         cut = seen[joint]
         cycle = tuple(colors[cut:])
-        hit = member_cache.get(cycle)
-        if hit is None:
-            hit = member_cache[cycle] = cond.up_member(UPWord((), cycle))
-        if not hit:
+        if not member(cycle):
             break
         while frames:
             table, key, options, length, joint, used = frames[-1]

@@ -8,6 +8,7 @@ reproducible; every result records the budget it was established under.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -89,15 +90,11 @@ def _decoding_sampler(
     word per distinct key drawn.
     """
     moduli = [span * count for count in words_of_length]
-    decoded: dict = {}
+    decode = functools.cache(decode)
 
     def sample(rng: random.Random):
         code = rng.randrange(bound)
-        key = code % moduli[code % span]
-        word = decoded.get(key)
-        if word is None:
-            word = decoded[key] = decode(key)
-        return word
+        return decode(code % moduli[code % span])
 
     return sample
 
@@ -195,18 +192,6 @@ def element_sampler(spec: OrderedGroup, max_len: int = 6) -> Callable[[random.Ra
     raise TypeError(f"no sampler for {spec!r}")
 
 
-def random_word(
-    rng: random.Random, alphabet: Sequence[str], max_len: int, min_len: int = 0
-) -> Word:
-    """One draw of :func:`word_sampler`."""
-    return word_sampler(alphabet, max_len, min_len)(rng)
-
-
-def random_reduced_word(rng: random.Random, generators: Sequence[str], max_len: int) -> FreeWord:
-    """One draw of :func:`reduced_word_sampler` over the named generators."""
-    return reduced_word_sampler([letter(g, 1) for g in generators], max_len)(rng)
-
-
 # ---------------------------------------------------------------------------
 # the standard test-suite valuations
 
@@ -246,18 +231,13 @@ def negative_word_predicate(valuation: Valuation) -> Callable[[Word], bool]:
     ``val_word`` each time the prefix changes.
     """
     group = valuation.group
-    memo = ((), group.identity())  # the last prefix and its value
+    prefix_value = functools.lru_cache(maxsize=1)(valuation.val_word)
 
     def predicate(word: Word) -> bool:
-        nonlocal memo
         word = tuple(word)
         if not word:
             return group.is_negative(group.identity())
-        prefix = word[:-1]
-        seen, value = memo
-        if prefix != seen:
-            value = valuation.val_word(prefix)
-            memo = prefix, value
+        value = prefix_value(word[:-1])
         return group.is_negative(group.compose(value, valuation.value_of(word[-1])))
 
     return predicate

@@ -545,28 +545,61 @@ def full_pair_solution(arena, cond):
 ZERO_INT = Valuation(("x", "y"), Integers(), {"x": 0, "y": 0})
 
 
+def full_pair_arenas(cond):
+    """The random arenas the solver is checked on against the full pair walk."""
+    rng = random.Random(2610)
+    for owners in ["AB"] * 50 + ["A"] * 10 + ["B"] * 10:
+        yield differential_arena(rng, cond.colors, owners, max_nodes=10, max_pairs=4096)
+
+
+FULL_PAIR_CONDITIONS = pytest.mark.parametrize(
+    "cond",
+    [
+        EtogCondition(SUITE["int"]),
+        EtogCondition(FREE_VAL),
+        parity_condition(3),
+        EtogCondition(SUITE["inv-free"]),
+        # every cycle has value e, so every sigma wins the same starts
+        EtogCondition(ZERO_INT),
+    ],
+    ids=["int", "free", "parity", "inv-free", "zero-int"],
+)
+
+
 class TestSolverAgainstFullPairWalk:
-    @pytest.mark.parametrize(
-        "cond",
-        [
-            EtogCondition(SUITE["int"]),
-            EtogCondition(FREE_VAL),
-            parity_condition(3),
-            EtogCondition(SUITE["inv-free"]),
-            # every cycle has value e, so every sigma wins the same starts
-            EtogCondition(ZERO_INT),
-        ],
-        ids=["int", "free", "parity", "inv-free", "zero-int"],
-    )
+    @FULL_PAIR_CONDITIONS
     def test_winners_and_witnesses_match(self, cond):
-        rng = random.Random(2610)
-        for owners in ["AB"] * 50 + ["A"] * 10 + ["B"] * 10:
-            arena = differential_arena(rng, cond.colors, owners, max_nodes=10, max_pairs=4096)
+        for arena in full_pair_arenas(cond):
             expected = full_pair_solution(arena, cond)
             solution = solve_energy_game(arena, cond)
             assert solution.winners == expected.winners
             assert solution.alice_strategy.choice == expected.alice_strategy.choice
             assert solution.bob_strategy.choice == expected.bob_strategy.choice
+
+    @FULL_PAIR_CONDITIONS
+    def test_each_cycle_decided_once_per_call(self, cond, monkeypatch):
+        # the solver refuses wrapped conditions, so membership is recorded
+        # on the class: no period is asked twice in one call, and each answer
+        # is that of an uncached call
+        uncached = EtogCondition.up_member
+        calls = []
+
+        def recording(self, word):
+            answer = uncached(self, word)
+            calls.append((word, answer))
+            return answer
+
+        monkeypatch.setattr(EtogCondition, "up_member", recording)
+        asked = 0
+        for arena in full_pair_arenas(cond):
+            calls.clear()
+            solve_energy_game(arena, cond)
+            periods = [word.period for word, _ in calls]
+            assert len(periods) == len(set(periods))
+            for word, answer in calls:
+                assert answer is uncached(cond, UPWord((), word.period))
+            asked += len(calls)
+        assert asked
 
 
 class TestUnionVerification:

@@ -271,13 +271,14 @@ def _brute_coefficient(w: FreeWord, monomial: tuple[str, ...]) -> int:
 def test_magnus_coefficient_matches_brute_force():
     import random
 
-    from etog.laws import random_reduced_word
+    from etog.laws import element_sampler
 
     rng = random.Random(5)
     generators = ("a", "b", "c")
     monomials = [m for d in range(1, 5) for m in product(generators, repeat=d)]
+    sample = element_sampler(FreeGroup(generators), 8)
     for _ in range(100):
-        w = random_reduced_word(rng, generators, 8)
+        w = sample(rng)
         for m in monomials:
             assert magnus_coefficient(w, m) == _brute_coefficient(w, m), (w, m)
 
@@ -303,24 +304,26 @@ def test_optimised_compare_matches_literal_expansion():
     import random
 
     rng = random.Random(2024)
-    from etog.laws import random_reduced_word
+    from etog.laws import element_sampler
 
+    sample = element_sampler(AB, 5)
     for _ in range(1200):
-        x = random_reduced_word(rng, ("a", "b"), 5)
-        y = random_reduced_word(rng, ("a", "b"), 5)
+        x = sample(rng)
+        y = sample(rng)
         assert AB.compare(x, y) is _literal_compare(AB, x, y), (x, y)
     # shared-prefix pairs exercise the conjugation strip specifically
+    sample_prefix, sample = element_sampler(AB, 4), element_sampler(AB, 3)
     for _ in range(800):
-        prefix = random_reduced_word(rng, ("a", "b"), 4)
-        x = multiply(prefix, random_reduced_word(rng, ("a", "b"), 3))
-        y = multiply(prefix, random_reduced_word(rng, ("a", "b"), 3))
+        prefix = sample_prefix(rng)
+        x = multiply(prefix, sample(rng))
+        y = multiply(prefix, sample(rng))
         assert AB.compare(x, y) is _literal_compare(AB, x, y), (x, y)
     # shared suffixes, shared prefixes and suffixes, equal words, and one word
     # a suffix of the other exercise the suffix strip, over 2 and 3 generators
     for spec in (AB, FreeGroup(("a", "b", "c"))):
-        generators = spec.generators
+        sample = element_sampler(spec, 3)
         for _ in range(400):
-            prefix, suffix, u, v = (random_reduced_word(rng, generators, 3) for _ in range(4))
+            prefix, suffix, u, v = (sample(rng) for _ in range(4))
             for x, y in (
                 (u, v),
                 (multiply(u, suffix), multiply(v, suffix)),

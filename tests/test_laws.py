@@ -36,8 +36,6 @@ from etog.laws import (
     full_check_battery,
     negative_word_predicate,
     order_axiom_battery,
-    random_reduced_word,
-    random_word,
     reduced_word_sampler,
     reduced_words,
     standard_valuations,
@@ -426,6 +424,26 @@ def test_prefix_reuse_matches_val_word(label):
         assert predicate(word) is expected, word
 
 
+@pytest.mark.parametrize("label", sorted(SUITE))
+def test_negative_word_predicate_evaluates_each_prefix_once(label, monkeypatch):
+    # asked row by row in itertools.product order, the predicate evaluates a
+    # prefix only when it changes: n**(L - 1) prefixes in row L
+    valuation = SUITE[label]
+    val_word = Valuation.val_word
+    calls = []
+
+    def counting(self, word):
+        calls.append(tuple(word))
+        return val_word(self, word)
+
+    monkeypatch.setattr(Valuation, "val_word", counting)
+    predicate = negative_word_predicate(valuation)
+    n, max_len = len(valuation.colors), 4
+    for word in words_up_to(valuation.colors, max_len):
+        assert predicate(word) is valuation.group.is_negative(val_word(valuation, word)), word
+    assert len(calls) == sum(n ** (length - 1) for length in range(1, max_len + 1))
+
+
 def _random_word_before(rng, alphabet, max_len, min_len=0):
     """The per-draw random_word that word_sampler replaced, kept verbatim as
     the reference the samplers must match draw for draw."""
@@ -589,8 +607,8 @@ class _CountingRandom(random.Random):
 @pytest.mark.parametrize("generators", [("a",), ("a", "b"), ("a", "b", "c")])
 def test_each_sampled_word_costs_one_randrange(generators):
     samplers = [
-        lambda rng: random_word(rng, ("x", "y", "z"), 4),
-        lambda rng: random_reduced_word(rng, generators, 6),
+        word_sampler(("x", "y", "z"), 4),
+        element_sampler(FreeGroup(generators), 6),
         word_sampler(("x", "y", "z"), 2),
         word_sampler(("x", "y", "z"), 2, min_len=1),
         reduced_word_sampler(tuple(letter(g, 1) for g in generators), 2),
@@ -606,18 +624,23 @@ def test_each_sampled_word_costs_one_randrange(generators):
         assert len(set(drawn)) < 300
     # the group's letter codes draw what its generator names draw
     by_name, by_group = random.Random(4), random.Random(4)
+    by_name_sample = reduced_word_sampler([letter(g, 1) for g in generators], 6)
     sample = element_sampler(FreeGroup(generators), 6)
     for _ in range(100):
-        assert random_reduced_word(by_name, generators, 6) == sample(by_group)
+        assert by_name_sample(by_name) == sample(by_group)
 
 
 def test_sampled_word_lengths_stay_in_bounds():
     rng = random.Random(0)
     for generators in (("a",), ("a", "b")):
-        assert {random_reduced_word(rng, generators, 0) for _ in range(20)} == {FreeWord()}
-    assert {random_word(rng, ("x", "y"), 0) for _ in range(20)} == {()}
-    assert {len(random_word(rng, ("x", "y"), 3, min_len=3)) for _ in range(50)} == {3}
-    assert {len(random_reduced_word(rng, ("a", "b"), 3)) for _ in range(200)} == {0, 1, 2, 3}
+        sample = element_sampler(FreeGroup(generators), 0)
+        assert {sample(rng) for _ in range(20)} == {FreeWord()}
+    sample = word_sampler(("x", "y"), 0)
+    assert {sample(rng) for _ in range(20)} == {()}
+    sample = word_sampler(("x", "y"), 3, min_len=3)
+    assert {len(sample(rng)) for _ in range(50)} == {3}
+    sample = element_sampler(FreeGroup(("a", "b")), 3)
+    assert {len(sample(rng)) for _ in range(200)} == {0, 1, 2, 3}
 
 
 def test_reduced_word_sampler_decodes_only_the_words_it_draws(monkeypatch):
@@ -648,11 +671,11 @@ def _never_draws(word: UPWord) -> bool:
             lambda: check_fairly_mixing(_never_draws, ("x", "y"), random.Random(0), max_len=0),
             "min_len=1 max_len=0",
         ),
-        (lambda: random_word(random.Random(0), ("x", "y"), 2, min_len=3), "min_len=3 max_len=2"),
-        (lambda: random_word(random.Random(0), ("x", "y"), -1), "min_len=0 max_len=-1"),
-        (lambda: random_reduced_word(random.Random(0), ("a", "b"), -1), "max_len=-1"),
-        (lambda: random_reduced_word(random.Random(0), (), 3), "no generators"),
-        (lambda: random_word(random.Random(0), (), 2), "empty alphabet .* max_len=2"),
+        (lambda: word_sampler(("x", "y"), 2, min_len=3), "min_len=3 max_len=2"),
+        (lambda: word_sampler(("x", "y"), -1), "min_len=0 max_len=-1"),
+        (lambda: element_sampler(FreeGroup(("a", "b")), -1), "max_len=-1"),
+        (lambda: reduced_word_sampler((), 3), "no generators"),
+        (lambda: word_sampler((), 2), "empty alphabet .* max_len=2"),
     ],
     ids=[
         "fairly-mixing-max-len-0",
