@@ -16,6 +16,7 @@ Element literal grammar::
 from __future__ import annotations
 
 import re
+import sys
 from importlib import resources
 
 from .errors import InputFileError, NotationError, UnknownGeneratorError
@@ -212,12 +213,20 @@ def parse_element(spec: OrderedGroup, text: str):
     raise NotationError(f"cannot parse element for spec {spec!r}")
 
 
+def _int_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # more digits than Python's int-to-str limit
+        limit = sys.get_int_max_str_digits()
+        raise NotationError(f"cannot print an integer of more than {limit} digits") from None
+
+
 def format_element(spec: OrderedGroup, element) -> str:
     spec.validate(element)
     if isinstance(spec, Integers):
-        return str(element)
+        return _int_text(element)
     if isinstance(spec, LexVectors):
-        return "(" + ",".join(str(a) for a in element) + ")"
+        return "(" + ",".join(_int_text(a) for a in element) + ")"
     if isinstance(spec, FreeGroup):
         return format_word(element)
     if isinstance(spec, InverseOrder):

@@ -7,7 +7,13 @@ import pytest
 
 import etog
 from etog import games
-from etog.cli import build_refutation_setup, main, run_counterexample, shipped_valuation_path
+from etog.cli import (
+    MAX_RAMSEY_DEPTH,
+    build_refutation_setup,
+    main,
+    run_counterexample,
+    shipped_valuation_path,
+)
 from etog.conditions import EtogCondition
 from etog.laws import standard_valuations
 
@@ -116,6 +122,15 @@ class TestMembership:
             capsys, "membership", "--cond", f"etog({VAL})", "--period", "zz"
         )
         assert code == 2 and "error" in err
+
+    def test_huge_period_value_is_refused_only_where_it_is_printed(self, capsys, tmp_path):
+        # the period value has more digits than Python prints; RESULT needs none
+        argv = _huge_value_membership(tmp_path)
+        code, out, err = run(capsys, *argv, "--machine")
+        assert (code, out, err) == (0, "RESULT membership non-member\n", "")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot print an integer of more than {sys.get_int_max_str_digits()} digits\n"
 
 
 class TestSolve:
@@ -256,6 +271,26 @@ class TestCounterexample:
             for i in (0, 1)
         ]
 
+    def test_cancelling_seam_fails_distinct_prefix_products(self, monkeypatch):
+        monkeypatch.setattr(games, "ramsey_distinct_check", lambda: "a b^-1 cancels at the seam")
+        assert run_counterexample(2, 3).verdicts[-1].line() == (
+            "CHECK counterexample.distinct-prefix-products FAIL depth=3 paths=64 "
+            "counterexample: a b^-1 cancels at the seam"
+        )
+
+    def test_ramsey_depth_is_capped_where_4_to_the_depth_still_prints(self, capsys):
+        # Python's int-to-str limit cannot go below 640 digits; 4^1000 has 603
+        assert len(str(4**MAX_RAMSEY_DEPTH)) <= sys.int_info.str_digits_check_threshold
+        code, out, _ = run(capsys, "counterexample", "--ramsey-depth", str(MAX_RAMSEY_DEPTH),
+                           "--machine")
+        assert code == 0
+        assert "CHECK counterexample.distinct-prefix-products PASS " \
+            f"depth={MAX_RAMSEY_DEPTH} paths={4**MAX_RAMSEY_DEPTH}\n" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "--ramsey-depth", str(MAX_RAMSEY_DEPTH + 1)])
+        assert exc.value.code == 2
+        assert f"must be <= {MAX_RAMSEY_DEPTH}" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_small_budget_passes(self, capsys):
@@ -303,6 +338,13 @@ def _bad_bytes_valuation(tmp_path):
     return ["membership", "--cond", f"etog({path})", "--period", "x"]
 
 
+def _huge_value_membership(tmp_path):
+    # 12 * (10^4300 - 1) has 4302 digits, past Python's default limit of 4300
+    path = tmp_path / "huge.txt"
+    path.write_text(f"group int\nval x = {'9' * 4300}\nval y = 1\n")
+    return ["membership", "--cond", f"etog({path})", "--period", " ".join(["x"] * 12)]
+
+
 def _empty_arena(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# no nodes\n")
@@ -326,18 +368,20 @@ def _mismatched_union(tmp_path):
         lambda tmp_path: ["compare", "zlex(1001)", "e", "e"],
         lambda tmp_path: ["counterexample", "--bob-memory", "0"],
         lambda tmp_path: ["counterexample", "--ramsey-depth", "-1"],
+        lambda tmp_path: ["counterexample", "--ramsey-depth", "1001"],
         lambda tmp_path: ["check", "--samples", "0"],
         lambda tmp_path: ["check", "--samples", "-5"],
         lambda tmp_path: ["check", "--max-len", "0"],
         lambda tmp_path: ["membership", "--cond", f"etog({VAL})", "--period", ""],
         _mismatched_union,
         _empty_arena,
+        _huge_value_membership,
     ],
     ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
          "deep-nesting", "huge-zlex-dimension", "zero-bob-memory",
-         "negative-ramsey-depth", "zero-check-samples", "negative-check-samples",
-         "zero-check-max-len", "empty-period", "union-alphabet-mismatch",
-         "empty-arena"],
+         "negative-ramsey-depth", "ramsey-depth-over-cap", "zero-check-samples",
+         "negative-check-samples", "zero-check-max-len", "empty-period",
+         "union-alphabet-mismatch", "empty-arena", "huge-period-value"],
 )
 def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, make_argv):
     monkeypatch.chdir(tmp_path)

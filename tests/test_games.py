@@ -36,7 +36,7 @@ from etog.games import (
     solve_energy_game,
     verify_union_strategy,
 )
-from etog.groups import Integers, InverseOrder
+from etog.groups import FreeWord, Integers, InverseOrder, reduce_word
 from etog.laws import standard_valuations
 
 REFUTATION_ARENA = """
@@ -996,19 +996,43 @@ class TestUnionVerifierAgainstReplay:
         assert outcomes == {True, False}
 
 
+def enumerate_prefix_products(depth):
+    """Reference for ``ramsey_distinct_check``: every sign pattern in
+    {+1,-1}^(2*depth), every partial product checked against the identity and
+    the products before it.  Returns ``(paths, passed, counterexample)``.  It
+    calls ``games.multiply``, so a patched ``multiply`` reaches it too."""
+    generators = ("a", "b")
+    paths = 0
+    for signs in itertools.product((1, -1), repeat=2 * depth):
+        paths += 1
+        word = FreeWord()
+        seen: set[FreeWord] = set()
+        for position, sign in enumerate(signs):
+            word = games.multiply(word, reduce_word([(generators[position % 2], sign)]))
+            if word.is_identity:
+                return paths, False, f"identity at step {position + 1} of {signs}"
+            if word in seen:
+                return paths, False, f"repeat at step {position + 1} of {signs}"
+            seen.add(word)
+    return paths, True, None
+
+
 class TestRamseyDistinctness:
-    def test_depth_one(self):
-        report = ramsey_distinct_check(1)
-        assert report.passed and report.paths == 4
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_exact_check_agrees_with_the_enumeration(self, depth):
+        assert enumerate_prefix_products(depth) == (4**depth, True, None)
+        assert ramsey_distinct_check() is None
 
-    def test_depth_three(self):
-        report = ramsey_distinct_check(3)
-        assert report.passed and report.paths == 64
+    def test_multiply_cancelling_a_against_b_inverse_fails_both(self, monkeypatch):
+        a, b_inverse = reduce_word([("a", 1)]), reduce_word([("b", -1)])
+        real_multiply = games.multiply
 
-    def test_depth_six(self):
-        report = ramsey_distinct_check(6)
-        assert report.passed and report.paths == 4096
+        def cancelling(x, y):
+            if x.letters[-1:] == a.letters and y.letters[:1] == b_inverse.letters:
+                return real_multiply(FreeWord(x.letters[:-1]), FreeWord(y.letters[1:]))
+            return real_multiply(x, y)
 
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            ramsey_distinct_check(0)
+        monkeypatch.setattr(games, "multiply", cancelling)
+        assert ramsey_distinct_check() == "a b^-1 cancels at the seam"
+        paths, passed, counterexample = enumerate_prefix_products(1)
+        assert not passed and counterexample == "identity at step 2 of (1, -1)"

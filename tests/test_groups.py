@@ -1,4 +1,5 @@
 import re
+import sys
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -38,6 +39,8 @@ from etog.notation import (
 
 AB = FreeGroup(("a", "b"))
 E = AB.identity()
+# one digit more than Python prints
+HUGE = 10 ** sys.get_int_max_str_digits()
 
 
 def word(text: str) -> FreeWord:
@@ -223,6 +226,15 @@ class TestNotation:
         spec = parse_group("prod(zlex(2),free(a,b))")
         element = parse_element(spec, "[(1,-2);a b^-1]")
         assert parse_element(spec, format_element(spec, element)) == element
+
+    @pytest.mark.parametrize(
+        "spec, element",
+        [("zlex(2)", (0, HUGE)), ("inv(int)", HUGE), ("prod(free(a),int)", (E, HUGE))],
+        ids=["zlex", "inv-int", "prod"],
+    )
+    def test_format_element_refuses_an_int_past_the_digit_limit(self, spec, element):
+        with pytest.raises(NotationError, match="digits"):
+            format_element(parse_group(spec), element)
 
 
 letters = st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([1, -1]))
