@@ -24,13 +24,14 @@ from .conditions import (
     describe_condition,
     parse_condition,
 )
-from .errors import EtogError
+from .errors import EtogError, NotationError
 from .groups import Ordering
 from .laws import CheckResult
 from .notation import (
     format_element,
     parse_element,
     parse_group,
+    parse_int,
     shipped_arena_path,
     shipped_valuation_path,
 )
@@ -69,18 +70,20 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("ETOG_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise EtogError(f"ETOG_SEED is not an integer: {env!r}") from None
+        return parse_int(env, f"ETOG_SEED is not an integer: {env!r}")
     return DEFAULT_SEED
 
 
-def _positive_int(text: str, cap: int | None = None) -> int:
+def _int(text: str) -> int:
+    """An integer option value; argparse prints the refusal after the option."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        return parse_int(text, f"not an integer: {text!r}")
+    except NotationError as exc:  # argparse would replace a ValueError's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str, cap: int | None = None) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     if cap is not None and value > cap:
@@ -126,12 +129,6 @@ def cmd_membership(args) -> int:
 
 def cmd_solve(args) -> int:
     cond = parse_condition(args.cond)
-    if isinstance(cond, UnionCondition):
-        raise EtogError(
-            "solve handles single energy conditions only; unions of energy "
-            "conditions need not admit positional winners -- use the "
-            "'counterexample' command for the bounded union experiment"
-        )
     arena = games.load_arena(args.arena, alphabet=cond.colors)
     solution = games.solve_energy_game(arena, cond)
     witnesses = (solution.alice_strategy, solution.bob_strategy)
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_counterexample)
 
     p = sub.add_parser("check", help="run the full law battery")
-    p.add_argument("--seed", type=int, default=None, help="fallback: ETOG_SEED env var")
+    p.add_argument("--seed", type=_int, default=None, help="fallback: ETOG_SEED env var")
     p.add_argument(
         "--samples", type=_positive_int, default=10_000, help="order-axiom sample budget"
     )

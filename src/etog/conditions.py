@@ -39,11 +39,11 @@ class Valuation:
 
     def __post_init__(self) -> None:
         if not self.colors:
-            raise ValueError("color alphabet must be non-empty")
+            raise NotationError("valuation defines no colors")
         if len(set(self.colors)) != len(self.colors):
-            raise ValueError("duplicate color")
+            raise NotationError("duplicate color")
         if set(self.mapping) != set(self.colors):
-            raise ValueError("valuation must assign exactly one image per color")
+            raise NotationError("valuation must assign exactly one image per color")
         for color in self.colors:
             self.group.validate(self.mapping[color])
 
@@ -236,8 +236,6 @@ def parse_valuation(text: str) -> Valuation:
         raise NotationError(f"line {lineno}: unrecognised directive {tokens[0]!r}")
     if group is None:
         raise NotationError("valuation file has no 'group' line")
-    if not colors:
-        raise NotationError("valuation file defines no colors")
     return Valuation(tuple(colors), group, mapping)
 
 

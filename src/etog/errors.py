@@ -9,10 +9,6 @@ class SpecMismatchError(EtogError):
     """An element was used under a group spec it does not belong to."""
 
 
-class UnknownGeneratorError(EtogError):
-    """A letter refers to a generator outside the declared generating set."""
-
-
 class UnknownColorError(EtogError):
     """A word contains a color outside the declared alphabet."""
 
@@ -30,7 +26,13 @@ class InputFileError(EtogError):
 
 
 class NotationError(EtogError, ValueError):
-    """Malformed group spec, element literal, valuation file or condition spec."""
+    """Malformed group spec, element literal, valuation file or condition spec,
+    or a malformed argument to the constructor that owns the invariant
+    (``FreeGroup``, ``LexVectors``, ``Valuation``)."""
+
+
+class UnknownGeneratorError(NotationError):
+    """A letter refers to a generator outside the declared generating set."""
 
 
 class ArenaError(EtogError, ValueError):

@@ -36,6 +36,7 @@ from .conditions import EtogCondition, UnionCondition, UPWord
 from .errors import (
     ArenaError,
     DuplicateNodeError,
+    EtogError,
     MissingMachineEntryError,
     MissingOutgoingEdgeError,
     UnknownColorError,
@@ -270,9 +271,9 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     are walked, none twice, and the answer is that of walking them all.
     """
     if isinstance(cond, UnionCondition):
-        raise ValueError(
-            "union conditions have no exact positional solver; "
-            "use verify_union_strategy for a bounded verdict"
+        raise EtogError(
+            "union conditions have no exact positional solver; use verify_union_strategy"
+            " or the 'counterexample' command for a bounded verdict"
         )
     if not isinstance(cond, EtogCondition):
         raise TypeError(f"expected an energy condition, got {type(cond).__name__}")

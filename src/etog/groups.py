@@ -46,6 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     FirstCoefficientMissingError,
+    NotationError,
     SpecMismatchError,
     UnknownGeneratorError,
 )
@@ -277,7 +278,7 @@ class LexVectors(OrderedGroup):
 
     def __post_init__(self) -> None:
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise NotationError("zlex dimension must be >= 1")
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.dim
@@ -325,9 +326,9 @@ class FreeGroup(OrderedGroup):
 
     def __post_init__(self) -> None:
         if not self.generators:
-            raise ValueError("generator list must be non-empty")
+            raise NotationError("free group needs at least one generator")
         if len(set(self.generators)) != len(self.generators):
-            raise ValueError("generator list must be duplicate-free")
+            raise NotationError("duplicate generator name")
         object.__setattr__(self, "codes", tuple(letter(g, 1) for g in self.generators))
 
     def identity(self) -> FreeWord:

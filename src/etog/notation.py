@@ -19,7 +19,7 @@ import re
 import sys
 from importlib import resources
 
-from .errors import InputFileError, NotationError, UnknownGeneratorError
+from .errors import InputFileError, NotationError
 from .groups import (
     FreeGroup,
     Integers,
@@ -74,6 +74,23 @@ def shipped_valuation_path() -> str:
     return _data_path("free_valuation.txt")
 
 
+def parse_int(text: str, refusal: str) -> int:
+    """The integer that ``text`` spells; a malformed literal raises
+    ``NotationError(refusal)``.
+
+    Decimal digits (those of ``str.isdecimal``) after at most one sign that
+    ``int`` still refuses are past Python's int-from-str digit limit: that
+    refusal names the limit and does not echo the literal.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            limit = sys.get_int_max_str_digits()
+            raise NotationError(f"integer literal has more than {limit} digits") from None
+        raise NotationError(refusal) from None
+
+
 def _split_top(text: str, separator: str) -> list[str]:
     """Split on a separator that is not nested inside (), [] pairs."""
     parts: list[str] = []
@@ -105,12 +122,7 @@ def parse_group(text: str) -> OrderedGroup:
         return Integers()
     if text.startswith("zlex(") and text.endswith(")"):
         body = text[len("zlex(") : -1].strip()
-        try:
-            dim = int(body)
-        except ValueError:
-            raise NotationError(f"zlex dimension is not an integer: {body!r}") from None
-        if dim < 1:
-            raise NotationError("zlex dimension must be >= 1")
+        dim = parse_int(body, f"zlex dimension is not an integer: {body!r}")
         if dim > MAX_ZLEX_DIM:
             raise NotationError(f"zlex dimension must be <= {MAX_ZLEX_DIM}")
         return LexVectors(dim)
@@ -123,8 +135,6 @@ def parse_group(text: str) -> OrderedGroup:
                 raise NotationError(f"bad generator name: {name!r}")
             if name == "e":
                 raise NotationError("generator name 'e' collides with the identity literal")
-        if len(set(names)) != len(names):
-            raise NotationError("duplicate generator name")
         return FreeGroup(tuple(names))
     if text.startswith("inv(") and text.endswith(")"):
         return InverseOrder(parse_group(text[len("inv(") : -1]))
@@ -169,19 +179,14 @@ def parse_element(spec: OrderedGroup, text: str):
     if text == "e":
         return spec.identity()
     if isinstance(spec, Integers):
-        try:
-            return int(text)
-        except ValueError:
-            raise NotationError(f"not an integer literal: {text!r}") from None
+        return parse_int(text, f"not an integer literal: {text!r}")
     if isinstance(spec, LexVectors):
         if not (text.startswith("(") and text.endswith(")")):
             raise NotationError(f"vector literal must look like (1,0,-1): {text!r}")
         body = text[1:-1].strip()
         entries = [p.strip() for p in body.split(",")] if body else []
-        try:
-            values = tuple(int(p) for p in entries)
-        except ValueError:
-            raise NotationError(f"non-integer vector entry in {text!r}") from None
+        refusal = f"non-integer vector entry in {text!r}"
+        values = tuple(parse_int(p, refusal) for p in entries)
         if len(values) != spec.dim:
             raise NotationError(
                 f"vector has {len(values)} entries, spec needs {spec.dim}"
@@ -194,10 +199,7 @@ def parse_element(spec: OrderedGroup, text: str):
             if symbol == "e":
                 raise NotationError("'e' cannot appear inside a word literal")
             letters.append((symbol, exponent))
-        try:
-            return reduce_word(letters, spec.generators)
-        except UnknownGeneratorError as exc:
-            raise NotationError(str(exc)) from None
+        return reduce_word(letters, spec.generators)
     if isinstance(spec, InverseOrder):
         return parse_element(spec.inner, text)
     if isinstance(spec, LexProduct):

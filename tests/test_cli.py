@@ -12,6 +12,7 @@ from etog.cli import (
     build_refutation_setup,
     main,
     run_counterexample,
+    shipped_arena_path,
     shipped_valuation_path,
 )
 from etog.conditions import EtogCondition
@@ -357,6 +358,90 @@ def _mismatched_union(tmp_path):
     return ["membership", "--cond", "union(etog(i.txt),etog(j.txt))", "--period", "x"]
 
 
+NINES = "9" * 5000  # past Python's int-from-str digit limit, 4300 by default
+DIGIT_LIMIT = f"integer literal has more than {sys.get_int_max_str_digits()} digits"
+
+
+def _valuation_without_colors(tmp_path):
+    (tmp_path / "none.txt").write_text("group int\n")
+    return ["membership", "--cond", "etog(none.txt)", "--period", "x"]
+
+
+def _huge_valuation_literal(tmp_path):
+    (tmp_path / "huge.txt").write_text(f"group int\nval x = {NINES}\n")
+    return ["membership", "--cond", "etog(huge.txt)", "--period", "x"]
+
+
+# Refusals owned by a constructor, the solver or parse_int, each with the end
+# of its stderr (argparse prints its usage lines first).  An argv may start
+# with NAME=value items, which set environment variables as in a shell.
+PINNED_REFUSALS = {
+    "duplicate-generator": (
+        lambda tmp_path: ["compare", "free(a,a)", "e", "e"],
+        "error: duplicate generator name\n",
+    ),
+    "zero-zlex-dimension": (
+        lambda tmp_path: ["compare", "zlex(0)", "e", "e"],
+        "error: zlex dimension must be >= 1\n",
+    ),
+    "unknown-generator": (
+        lambda tmp_path: ["compare", "free(a,b)", "a c", "e"],
+        "error: unknown generator 'c'\n",
+    ),
+    "valuation-without-colors": (
+        _valuation_without_colors,
+        "error: valuation defines no colors\n",
+    ),
+    "solve-union": (
+        lambda tmp_path: ["solve", "--arena", shipped_arena_path(),
+                          "--cond", f"union(etog({VAL}),inv-etog({VAL}))"],
+        "error: union conditions have no exact positional solver; use "
+        "verify_union_strategy or the 'counterexample' command for a bounded verdict\n",
+    ),
+    "int-literal-past-digit-limit": (
+        lambda tmp_path: ["compare", "int", NINES, "2"],
+        f"error: {DIGIT_LIMIT}\n",
+    ),
+    "vector-entry-past-digit-limit": (
+        lambda tmp_path: ["compare", "zlex(2)", f"({NINES},0)", "e"],
+        f"error: {DIGIT_LIMIT}\n",
+    ),
+    "zlex-dimension-past-digit-limit": (
+        lambda tmp_path: ["compare", f"zlex({NINES})", "e", "e"],
+        f"error: {DIGIT_LIMIT}\n",
+    ),
+    "valuation-literal-past-digit-limit": (
+        _huge_valuation_literal,
+        f"error: {DIGIT_LIMIT}\n",
+    ),
+    "check-samples-past-digit-limit": (
+        lambda tmp_path: ["check", "--samples", NINES],
+        f"etog check: error: argument --samples: {DIGIT_LIMIT}\n",
+    ),
+    "check-seed-past-digit-limit": (
+        lambda tmp_path: ["check", "--seed", NINES],
+        f"etog check: error: argument --seed: {DIGIT_LIMIT}\n",
+    ),
+    "etog-seed-past-digit-limit": (
+        lambda tmp_path: [f"ETOG_SEED={NINES}", "check", "--samples", "1", "--max-len", "1"],
+        f"error: {DIGIT_LIMIT}\n",
+    ),
+}
+
+
+def _run_refusal(capsys, monkeypatch, argv):
+    """Exit code and stderr of ``etog`` on ``argv``; leading ``NAME=value``
+    items set environment variables first."""
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects bad arguments this way
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -376,22 +461,34 @@ def _mismatched_union(tmp_path):
         _mismatched_union,
         _empty_arena,
         _huge_value_membership,
+        *(make_argv for make_argv, _ in PINNED_REFUSALS.values()),
     ],
     ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
          "deep-nesting", "huge-zlex-dimension", "zero-bob-memory",
          "negative-ramsey-depth", "ramsey-depth-over-cap", "zero-check-samples",
          "negative-check-samples", "zero-check-max-len", "empty-period",
-         "union-alphabet-mismatch", "empty-arena", "huge-period-value"],
+         "union-alphabet-mismatch", "empty-arena", "huge-period-value",
+         *PINNED_REFUSALS],
 )
 def test_input_failures_exit_2_without_traceback(capsys, tmp_path, monkeypatch, make_argv):
     monkeypatch.chdir(tmp_path)
-    try:
-        code = main(make_argv(tmp_path))
-    except SystemExit as exc:  # argparse rejects bad arguments this way
-        code = exc.code
-    err = capsys.readouterr().err
+    code, err = _run_refusal(capsys, monkeypatch, make_argv(tmp_path))
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("make_argv, refusal", PINNED_REFUSALS.values(), ids=PINNED_REFUSALS)
+def test_refusal_prints_one_pinned_error_line(capsys, tmp_path, monkeypatch, make_argv, refusal):
+    monkeypatch.chdir(tmp_path)
+    code, err = _run_refusal(capsys, monkeypatch, make_argv(tmp_path))
+    assert code == 2
+    # the whole stderr, or argparse's usage lines and then the refusal
+    assert err == refusal or (err.startswith("usage: etog ") and err.endswith(refusal))
+    assert err.count("error: ") == 1
+    if DIGIT_LIMIT in refusal:
+        # the refusal names the limit and does not echo the 5000 digits; at
+        # 80 columns argparse's two usage lines alone take about 120 bytes
+        assert len(refusal) < 200 and len(err) < 400
 
 
 def test_arena_error_does_not_depend_on_the_hash_seed(tmp_path):

@@ -17,6 +17,7 @@ from etog.conditions import (
 from etog.errors import (
     ArenaError,
     DuplicateNodeError,
+    EtogError,
     MissingMachineEntryError,
     MissingOutgoingEdgeError,
     UnknownColorError,
@@ -263,7 +264,7 @@ class TestSolver:
         assert all(w is Player.ALICE for w in solution.winners.values())
 
     def test_union_condition_refused(self, refutation_arena):
-        with pytest.raises(ValueError, match="union"):
+        with pytest.raises(EtogError, match="union"):
             solve_energy_game(refutation_arena, UNION)
 
     def test_alphabet_mismatch(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from etog.conditions import Valuation
 from etog.errors import (
+    EtogError,
     FirstCoefficientMissingError,
     NotationError,
     SpecMismatchError,
@@ -35,6 +36,7 @@ from etog.notation import (
     format_group,
     parse_element,
     parse_group,
+    parse_int,
 )
 
 AB = FreeGroup(("a", "b"))
@@ -45,6 +47,25 @@ HUGE = 10 ** sys.get_int_max_str_digits()
 
 def word(text: str) -> FreeWord:
     return parse_element(AB, text)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FreeGroup(("a", "a")),
+        lambda: FreeGroup(()),
+        lambda: LexVectors(0),
+        lambda: Valuation((), Integers(), {}),
+        lambda: Valuation(("x", "y"), Integers(), {"x": 0}),
+    ],
+    ids=["duplicate-generator", "no-generator", "zero-dimension", "no-color", "missing-image"],
+)
+def test_constructors_refuse_malformed_arguments_with_notation_errors(build):
+    # the constructor owns the check: the CLI shows an EtogError, and callers
+    # that catch ValueError keep working
+    with pytest.raises(NotationError) as refused:
+        build()
+    assert isinstance(refused.value, EtogError) and isinstance(refused.value, ValueError)
 
 
 class TestReduce:
@@ -215,6 +236,16 @@ class TestNotation:
         monkeypatch.setattr("etog.notation.reduce_word", broken)
         with pytest.raises(RuntimeError, match="bug in reduce_word"):
             parse_element(AB, "a b")
+
+    def test_parse_int_names_the_digit_limit_only_for_decimal_digits(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_int(" -17 ", "refused") == -17
+        for text in ("--5", "+-5", "5-", "", "a", "9" * (limit + 1) + "x"):
+            with pytest.raises(NotationError, match="^refused$"):
+                parse_int(text, "refused")
+        for text in ("9" * (limit + 1), "-" + "9" * (limit + 1), " +" + "0" * (limit + 1)):
+            with pytest.raises(NotationError, match=f"^integer literal has more than {limit} digits$"):
+                parse_int(text, "refused")
 
     def test_zlex_dimension_capped(self):
         assert parse_group(f"zlex({MAX_ZLEX_DIM})") == LexVectors(MAX_ZLEX_DIM)

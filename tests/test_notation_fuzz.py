@@ -1,11 +1,12 @@
-"""Fuzz the text parsers, which are the only gate for group elements.
+"""Fuzz the text parsers, which, with the constructors they call, are the
+gate for group elements.
 
 ``compose``, ``invert`` and ``compare`` trust their operands, so whatever the
 parsers accept must be a valid element, and whatever they refuse must be
 refused with an ``EtogError`` (the CLI turns those into exit code 2).
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from etog.conditions import parse_condition, parse_valuation
@@ -24,7 +25,9 @@ FRAGMENTS = [
     "v.txt", "group ", "val ", "node ", "edge ", "(", ")", "[", "]", ",", ";",
     "=", "#", " ", "\n", "a", "b", "x", "e", "A", "B", "^-1", "^1", "^", "-",
     "0", "1", "2", "9", "\x00",
+    "9" * 4301,  # one digit past Python's default int-from-str limit
 ]
+PAST_LIMIT = FRAGMENTS[-1]
 
 # no "/" in the text, so that a condition spec cannot name a file outside the
 # test's own directory
@@ -50,6 +53,11 @@ def _parsed_or_refused(parse, *args):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(text=st.one_of(arbitrary_text, grammar_text))
+# the digit-limit refusal of each integer site: literal, entry, dimension, file
+@example(text=PAST_LIMIT)
+@example(text=f"({PAST_LIMIT},0)")
+@example(text=f"zlex({PAST_LIMIT})")
+@example(text=f"group int\nval x = {PAST_LIMIT}")
 def test_parsers_refuse_only_with_etog_errors(tmp_path, monkeypatch, text):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "v.txt").write_text("group free(a,b)\nval x = a\nval y = b^-1\n")
