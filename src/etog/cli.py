@@ -70,7 +70,10 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("ETOG_SEED")
     if env is not None:
-        return parse_int(env, f"ETOG_SEED is not an integer: {env!r}")
+        try:
+            return parse_int(env, f"not an integer: {env!r}")
+        except NotationError as exc:
+            raise NotationError(f"ETOG_SEED: {exc}") from None
     return DEFAULT_SEED
 
 

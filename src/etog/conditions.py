@@ -45,6 +45,8 @@ class Valuation:
         if set(self.mapping) != set(self.colors):
             raise NotationError("valuation must assign exactly one image per color")
         for color in self.colors:
+            if color.split() != [color]:  # words split on whitespace
+                raise NotationError(f"bad color name {color!r}")
             self.group.validate(self.mapping[color])
 
     def value_of(self, color: str):
@@ -108,7 +110,7 @@ class UnionCondition:
 
     def __post_init__(self) -> None:
         if not self.members:
-            raise ValueError("union needs at least one member")
+            raise NotationError("union needs at least one member")
         first = self.members[0].colors
         for member in self.members[1:]:
             if set(member.colors) != set(first):
@@ -174,7 +176,7 @@ def parity_condition(priorities: int) -> EtogCondition:
     odd.
     """
     if priorities < 1:
-        raise ValueError("need at least one priority")
+        raise NotationError("need at least one priority")
     group = LexVectors(priorities)
     mapping = {}
     for k in range(1, priorities + 1):
@@ -226,8 +228,6 @@ def parse_valuation(text: str) -> Valuation:
                 raise NotationError(f"line {lineno}: expected 'val <color> = <element>'")
             color_part, literal = rest.split("=", 1)
             color = color_part.strip()
-            if not color or " " in color:
-                raise NotationError(f"line {lineno}: bad color name {color_part!r}")
             if color in mapping:
                 raise NotationError(f"line {lineno}: duplicate color {color!r}")
             colors.append(color)

@@ -27,8 +27,9 @@ class InputFileError(EtogError):
 
 class NotationError(EtogError, ValueError):
     """Malformed group spec, element literal, valuation file or condition spec,
-    or a malformed argument to the constructor that owns the invariant
-    (``FreeGroup``, ``LexVectors``, ``Valuation``)."""
+    or a malformed argument to the constructor or function that owns the
+    invariant (``FreeGroup``, ``MisorderedFreeGroup``, ``LexVectors``,
+    ``reduce_word``, ``Valuation``, ``UnionCondition``, ``parity_condition``)."""
 
 
 class UnknownGeneratorError(NotationError):

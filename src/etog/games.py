@@ -6,12 +6,15 @@ node) or finite-memory Mealy machines updated on every observed edge.  A play
 of two finite-state strategies is eventually periodic, so it is returned as a
 lasso (stem + cycle) whose cycle decides membership.
 
-``solve_energy_game`` enumerates positional strategies for both players, which
-is exact for single energy conditions: both the condition and its complement
-admit positional optimal strategies, so nothing is lost by the restriction.
-One walk of a strategy pair's successor graph plays it from every start; a
-pair is walked only while it can change Alice's winning region or either
-witness, with the opponent that refuted the previous strategy tried first.
+``solve_energy_game`` enumerates positional strategies, as one edge choice per
+owned node, for both players, which is exact for single energy conditions:
+both the condition and its complement admit positional optimal strategies, so
+nothing is lost by the restriction, and Bob's half of the answer mirrors
+Alice's.  One walk of a strategy pair's successor graph plays it from every
+start.  One scan finds both witnesses: Alice's runs on the starts she wins
+under each pair, and Bob's on their complements with her region counted as
+his.  A pair is walked only while it can change the scanning player's region
+or witness, with the opponent that refuted the previous strategy tried first.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
@@ -233,15 +236,17 @@ def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lass
     return Lasso(tuple(path[:cut]), tuple(path[cut:]))
 
 
+def _edge_choices(arena: Arena, nodes: tuple[str, ...]) -> list[tuple[Edge, ...]]:
+    """Every choice of one outgoing edge per node, in lexicographic order over
+    (node order, edge declaration order)."""
+    return list(itertools.product(*(arena.out_edges(node) for node in nodes)))
+
+
 def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrategy]:
     """All positional strategies of one player, in lexicographic order over
     (node declaration order, edge declaration order)."""
     nodes = arena.alice_nodes if owner is Player.ALICE else arena.bob_nodes
-    pools = [arena.out_edges(node) for node in nodes]
-    strategies = []
-    for combo in itertools.product(*pools):
-        strategies.append(PositionalStrategy(owner, dict(zip(nodes, combo))))
-    return strategies
+    return [PositionalStrategy(owner, dict(zip(nodes, c))) for c in _edge_choices(arena, nodes)]
 
 
 @dataclass
@@ -265,10 +270,15 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     from every start node.  The returned witnesses are the first strategies in
     enumeration order that win uniformly on their player's whole winning
     region (such uniform witnesses exist because the condition and its
-    complement are both positionally determined).  A strategy's scan of its
-    opponents stops once they cannot change Alice's region or either witness,
-    and the opponent that stopped the previous scan goes first, so fewer pairs
-    are walked, none twice, and the answer is that of walking them all.
+    complement are both positionally determined).  One scan finds both: it
+    folds a player's region over their strategies, and a strategy's scan of
+    its opponents stops once they cannot change that region or the witness,
+    with the opponent that stopped the previous scan tried first.  Bob's scan
+    is Alice's on the complemented pair masks, with her region counted as won
+    for him, so his region is every node from the start, and each of his
+    strategies stops at the first of hers that wins outside her region.
+    Fewer pairs are walked, none twice, and the answer is that of walking
+    them all.
     """
     if isinstance(cond, UnionCondition):
         raise EtogError(
@@ -279,18 +289,11 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
         raise TypeError(f"expected an energy condition, got {type(cond).__name__}")
     _check_alphabet(arena, cond)
 
-    sigmas = positional_strategies(arena, Player.ALICE)
-    taus = positional_strategies(arena, Player.BOB)
-    nodes = arena.nodes  # Alice's nodes first, so a pair's moves concatenate
+    sigmas = _edge_choices(arena, arena.alice_nodes)
+    taus = _edge_choices(arena, arena.bob_nodes)
+    nodes = arena.nodes  # Alice's nodes first, so a pair's edges concatenate
     size = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
-
-    def moves(strategy, owned):
-        edges = [strategy.choice[node] for node in owned]
-        return [index[e.target] for e in edges], [e.color for e in edges]
-
-    sigma_moves = [moves(sigma, arena.alice_nodes) for sigma in sigmas]
-    tau_moves = [moves(tau, arena.bob_nodes) for tau in taus]
     member = functools.cache(lambda cycle: cond.up_member(UPWord((), cycle)))
 
     # Under a positional pair every node has one successor, so the play from
@@ -306,8 +309,8 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     @functools.cache
     def pair_mask(i: int, j: int) -> int:
         """The starts Alice wins under (sigmas[i], taus[j]), walked once."""
-        (a_next, a_colors), (b_next, b_colors) = sigma_moves[i], tau_moves[j]
-        succ = a_next + b_next
+        edges = sigmas[i] + taus[j]
+        succ = [index[e.target] for e in edges]
         mark = [-1] * size
         mask = 0
         for start in range(size):
@@ -321,8 +324,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
                 node = succ[node]
             outcome = mark[node]
             if outcome == start:  # the walk closed a new cycle at node
-                colors = a_colors + b_colors
-                cycle = tuple(colors[v] for v in path[path.index(node) :])
+                cycle = tuple(edges[v].color for v in path[path.index(node) :])
                 outcome = WON if member(cycle) else LOST
             for v in path:
                 mark[v] = outcome
@@ -331,48 +333,51 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
                     mask |= 1 << v
         return mask
 
-    # Alice's region is the union over sigma of the starts sigma wins against
-    # every tau.  A sigma's scan stops once its wins lie inside the region of
-    # the sigmas before it and can neither widen it nor make sigma the first
-    # to win all of it; the tau that stopped it is tried first for the next.
     everyone = (1 << size) - 1
-    region, alice_witness = 0, None
-    tau_order = list(range(len(taus)))
-    for i, sigma in enumerate(sigmas):
-        if region == everyone and alice_witness is not None:
-            break
-        wins = everyone
-        for k, j in enumerate(tau_order):
-            wins &= pair_mask(i, j)
-            if wins | region == region and (wins != region or alice_witness is not None):
-                tau_order.insert(0, tau_order.pop(k))
+
+    def scan(strategies: int, opponents: int, mask, region: int):
+        """The union of ``region`` and the starts each strategy wins against
+        every opponent under ``mask``, and the index of the first strategy
+        that wins all of it, or None.  A strategy's scan stops once its wins
+        lie inside the region of the strategies before it and can neither
+        widen it nor make it the first to win all of it; the opponent that
+        stopped it is tried first for the next."""
+        witness = None
+        order = list(range(opponents))
+        for i in range(strategies):
+            if region == everyone and witness is not None:
                 break
-        else:
-            region |= wins
-            alice_witness = sigma if wins == region else None
-    # Every sigma wins at least its own region against any tau, so a tau's
-    # lost starts cover Alice's region and are exactly it, making the tau a
-    # uniform witness, when no sigma wins outside it; the sigma that refutes
-    # a tau is tried first against the next.
-    bob_witness = None
-    sigma_order = list(range(len(sigmas)))
-    for j, tau in enumerate(taus):
-        for k, i in enumerate(sigma_order):
-            if pair_mask(i, j) | region != region:
-                sigma_order.insert(0, sigma_order.pop(k))
-                break
-        else:
-            bob_witness = tau
-            break
-    winners = {
-        node: Player.ALICE if region >> i & 1 else Player.BOB
-        for i, node in enumerate(nodes)
-    }
-    if alice_witness is None or bob_witness is None:
+            wins = everyone
+            for k, j in enumerate(order):
+                wins &= mask(i, j)
+                if wins | region == region and (wins != region or witness is not None):
+                    order.insert(0, order.pop(k))
+                    break
+            else:
+                region |= wins
+                witness = i if wins == region else None
+        return region, witness
+
+    region, alice = scan(len(sigmas), len(taus), pair_mask, 0)
+    # Bob's scan runs on the starts Alice loses, with her region counted as
+    # his, so his region is every node before it starts.  Every sigma wins at
+    # least its own region against any tau, so a tau's lost starts cover
+    # Alice's region and are exactly it, making the tau a uniform witness,
+    # when no sigma wins outside it: each tau stops at the first sigma that
+    # does, and the scan at the first tau that none does.
+    _, bob = scan(
+        len(taus), len(sigmas), lambda j, i: ~pair_mask(i, j) & everyone | region, everyone
+    )
+    if alice is None or bob is None:
         # cannot happen for an energy condition; means the condition is not
         # positionally determined after all
         raise RuntimeError("no uniform positional witness exists")
-    return Solution(winners, alice_witness, bob_witness)
+    winners = {v: Player.ALICE if region >> i & 1 else Player.BOB for i, v in enumerate(nodes)}
+    return Solution(
+        winners,
+        PositionalStrategy(Player.ALICE, dict(zip(arena.alice_nodes, sigmas[alice]))),
+        PositionalStrategy(Player.BOB, dict(zip(arena.bob_nodes, taus[bob]))),
+    )
 
 
 _MISSING = object()  # a machine entry not decided yet

@@ -162,7 +162,7 @@ def reduce_word(
         if known is not None and symbol not in known:
             raise UnknownGeneratorError(f"unknown generator {symbol!r}")
         if exponent not in (1, -1):
-            raise ValueError(f"letter exponent must be +1 or -1, got {exponent!r}")
+            raise NotationError(f"letter exponent must be +1 or -1, got {exponent!r}")
         code = letter(symbol, exponent)
         if stack and stack[-1] == -code:
             stack.pop()
@@ -408,7 +408,7 @@ class MisorderedFreeGroup(FreeGroup):
     def __post_init__(self) -> None:
         super().__post_init__()
         if len(self.generators) < 2:
-            raise ValueError("the misorder fault needs at least two generators")
+            raise NotationError("the misorder fault needs at least two generators")
 
     compare = OrderedGroup.compare
 

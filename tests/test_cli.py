@@ -367,14 +367,20 @@ def _valuation_without_colors(tmp_path):
     return ["membership", "--cond", "etog(none.txt)", "--period", "x"]
 
 
+def _tab_in_color(tmp_path):
+    (tmp_path / "tab.txt").write_text("group int\nval x = 1\nval a\tb = -1\n")
+    return ["membership", "--cond", "etog(tab.txt)", "--period", "x"]
+
+
 def _huge_valuation_literal(tmp_path):
     (tmp_path / "huge.txt").write_text(f"group int\nval x = {NINES}\n")
     return ["membership", "--cond", "etog(huge.txt)", "--period", "x"]
 
 
-# Refusals owned by a constructor, the solver or parse_int, each with the end
-# of its stderr (argparse prints its usage lines first).  An argv may start
-# with NAME=value items, which set environment variables as in a shell.
+# Refusals owned by a constructor, the solver, parse_int or the ETOG_SEED
+# reader, each with the end of its stderr (argparse prints its usage lines
+# first).  An argv may start with NAME=value items, which set environment
+# variables as in a shell.
 PINNED_REFUSALS = {
     "duplicate-generator": (
         lambda tmp_path: ["compare", "free(a,a)", "e", "e"],
@@ -424,7 +430,15 @@ PINNED_REFUSALS = {
     ),
     "etog-seed-past-digit-limit": (
         lambda tmp_path: [f"ETOG_SEED={NINES}", "check", "--samples", "1", "--max-len", "1"],
-        f"error: {DIGIT_LIMIT}\n",
+        f"error: ETOG_SEED: {DIGIT_LIMIT}\n",
+    ),
+    "etog-seed-not-an-integer": (
+        lambda tmp_path: ["ETOG_SEED=abc", "check", "--samples", "1", "--max-len", "1"],
+        "error: ETOG_SEED: not an integer: 'abc'\n",
+    ),
+    "whitespace-in-color": (
+        _tab_in_color,
+        "error: bad color name 'a\\tb'\n",
     ),
 }
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -566,6 +568,10 @@ FULL_PAIR_CONDITIONS = pytest.mark.parametrize(
     ids=["int", "free", "parity", "inv-free", "zero-int"],
 )
 
+# Pairs one solve_energy_game call walks, summed over full_pair_arenas: a
+# scan that loses an early stop walks more and still answers right.
+PAIRS_WALKED = {"int": 4478, "free": 7428, "parity": 8329, "inv-free": 7573, "zero-int": 4042}
+
 
 class TestSolverAgainstFullPairWalk:
     @FULL_PAIR_CONDITIONS
@@ -601,6 +607,28 @@ class TestSolverAgainstFullPairWalk:
                 assert answer is uncached(cond, UPWord((), word.period))
             asked += len(calls)
         assert asked
+
+    @FULL_PAIR_CONDITIONS
+    def test_pairs_walked_stay_pinned(self, cond, request, monkeypatch):
+        # pair_mask is memoised by functools.cache, so each call that reaches
+        # its body walks one new pair
+        walks = 0
+
+        def counting_cache(fn):
+            if fn.__name__ != "pair_mask":
+                return functools.cache(fn)
+
+            def counted(*args):
+                nonlocal walks
+                walks += 1
+                return fn(*args)
+
+            return functools.cache(counted)
+
+        monkeypatch.setattr(games, "functools", types.SimpleNamespace(cache=counting_cache))
+        for arena in full_pair_arenas(cond):
+            solve_energy_game(arena, cond)
+        assert walks == PAIRS_WALKED[request.node.callspec.id]
 
 
 class TestUnionVerification:

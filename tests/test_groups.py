@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etog.conditions import Valuation
+from etog.conditions import UnionCondition, Valuation, parity_condition
 from etog.errors import (
     EtogError,
     FirstCoefficientMissingError,
@@ -50,21 +50,32 @@ def word(text: str) -> FreeWord:
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: FreeGroup(("a", "a")),
-        lambda: FreeGroup(()),
-        lambda: LexVectors(0),
-        lambda: Valuation((), Integers(), {}),
-        lambda: Valuation(("x", "y"), Integers(), {"x": 0}),
+        (lambda: FreeGroup(("a", "a")), "duplicate generator name"),
+        (lambda: FreeGroup(()), "free group needs at least one generator"),
+        (lambda: LexVectors(0), "zlex dimension must be >= 1"),
+        (lambda: Valuation((), Integers(), {}), "valuation defines no colors"),
+        (lambda: Valuation(("x", "y"), Integers(), {"x": 0}),
+         "valuation must assign exactly one image per color"),
+        (lambda: Valuation(("x", "a\tb"), Integers(), {"x": 0, "a\tb": 0}),
+         "bad color name 'a\\tb'"),
+        (lambda: Valuation(("x", ""), Integers(), {"x": 0, "": 0}), "bad color name ''"),
+        (lambda: UnionCondition(()), "union needs at least one member"),
+        (lambda: parity_condition(0), "need at least one priority"),
+        (lambda: reduce_word([("a", 2)]), "letter exponent must be +1 or -1, got 2"),
+        (lambda: MisorderedFreeGroup(("a",)), "the misorder fault needs at least two generators"),
     ],
-    ids=["duplicate-generator", "no-generator", "zero-dimension", "no-color", "missing-image"],
+    ids=["duplicate-generator", "no-generator", "zero-dimension", "no-color", "missing-image",
+         "whitespace-in-color", "empty-color", "empty-union", "no-priority", "letter-exponent",
+         "one-generator-fault"],
 )
-def test_constructors_refuse_malformed_arguments_with_notation_errors(build):
-    # the constructor owns the check: the CLI shows an EtogError, and callers
-    # that catch ValueError keep working
+def test_constructors_refuse_malformed_arguments_with_notation_errors(build, message):
+    # the constructor or function owns the check: the CLI shows an EtogError,
+    # and callers that catch ValueError keep working
     with pytest.raises(NotationError) as refused:
         build()
+    assert str(refused.value) == message
     assert isinstance(refused.value, EtogError) and isinstance(refused.value, ValueError)
 
 
