@@ -71,7 +71,7 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("ETOG_SEED")
     if env is not None:
         try:
-            return parse_int(env, f"not an integer: {env!r}")
+            return parse_int(env, "not an integer: {}")
         except NotationError as exc:
             raise NotationError(f"ETOG_SEED: {exc}") from None
     return DEFAULT_SEED
@@ -80,7 +80,7 @@ def _resolve_seed(args) -> int:
 def _int(text: str) -> int:
     """An integer option value; argparse prints the refusal after the option."""
     try:
-        return parse_int(text, f"not an integer: {text!r}")
+        return parse_int(text, "not an integer: {}")
     except NotationError as exc:  # argparse would replace a ValueError's message
         raise argparse.ArgumentTypeError(str(exc)) from None
 

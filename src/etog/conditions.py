@@ -57,9 +57,14 @@ class Valuation:
 
     def val_word(self, word: Sequence[str]):
         """Homomorphic extension; the empty word maps to the identity."""
+        compose, mapping = self.group.compose, self.mapping
         value = self.group.identity()
         for color in word:
-            value = self.group.compose(value, self.value_of(color))
+            try:
+                image = mapping[color]
+            except KeyError:
+                image = self.value_of(color)  # raises UnknownColorError
+            value = compose(value, image)
         return value
 
 

@@ -22,7 +22,8 @@ Each group implements ``sign(x)``, the order of ``x`` against the identity;
 ``compare(x, y)`` is derived from it as ``sign(x * y^-1)``.  Nearly every order
 query (membership, the oracle, the law checkers) is a sign test, so it never
 builds the quotient.  The free group alone overrides ``compare``, to strip the
-common prefix and the common suffix before taking the sign.
+common prefix and the common suffix, read degree 1 off the two stripped
+operands, and build their quotient only for the scan from degree 2.
 
 A free-group letter is a signed ``int``: ``letter(g, 1)`` is a positive code
 that spells the generator name ``g`` (its UTF-8 bytes after a leading 0x01
@@ -317,8 +318,10 @@ class FreeGroup(OrderedGroup):
     and the scan stops at the first non-zero one.  It skips every pure power
     g^d: killing the other generators maps w to (1 + g)^n_g, where n_g is g's
     exponent sum, so g^d's coefficient is C(n_g, d): 0 once degree 1 vanished.
-    ``compare(x, y)`` strips the common prefix and the common suffix, then
-    signs ``x * y^-1``.
+    ``compare(x, y)`` strips the common prefix and the common suffix, leaving
+    ``u`` of ``x`` and ``v`` of ``y``.  It reads degree 1 of ``u v^-1`` off the
+    two slices, as u's exponent sums less v's, and builds ``u v^-1`` only when
+    every sum vanishes and the scan from degree 2 must decide.
     """
 
     generators: tuple[str, ...]
@@ -334,11 +337,8 @@ class FreeGroup(OrderedGroup):
     def identity(self) -> FreeWord:
         return IDENTITY_WORD
 
-    def compose(self, x: FreeWord, y: FreeWord) -> FreeWord:
-        return multiply(x, y)
-
-    def invert(self, x: FreeWord) -> FreeWord:
-        return x.inverse()
+    compose = staticmethod(multiply)
+    invert = staticmethod(FreeWord.inverse)
 
     def validate(self, x) -> None:
         mismatch = f"not a word over {self.generators}"
@@ -358,7 +358,9 @@ class FreeGroup(OrderedGroup):
         # non-constant term, so under the degree-graded scan both share the
         # same leading coefficient.  Stripping the common prefix p and suffix s
         # keeps words short, and leaves u v^-1 reduced: u and v do not end in
-        # the same letter.
+        # the same letter.  Degree 1 of u v^-1 is u's exponent sums less v's,
+        # read off the two slices; u v^-1 is built only for the scan from
+        # degree 2, once every sum vanished.
         lx, ly = x.letters, y.letters
         k, i, j = 0, len(lx), len(ly)
         limit = min(i, j)
@@ -367,7 +369,14 @@ class FreeGroup(OrderedGroup):
         while i > k and j > k and lx[i - 1] == ly[j - 1]:
             i -= 1
             j -= 1
-        return self.sign(FreeWord(lx[k:i] + tuple([-c for c in reversed(ly[k:j])])))
+        u, v = lx[k:i], ly[k:j]
+        if not u and not v:
+            return Ordering.EQUAL
+        for c in self.codes:
+            total = u.count(c) - u.count(-c) - v.count(c) + v.count(-c)
+            if total:
+                return _sign_ordering(total)
+        return self._scan(FreeWord(u + tuple([-c for c in reversed(v)])))
 
     def sign(self, w: FreeWord) -> Ordering:
         letters = w.letters

@@ -228,17 +228,19 @@ def negative_word_predicate(valuation: Valuation) -> Callable[[Word], bool]:
     It remembers the last prefix ``word[:-1]`` it evaluated and that prefix's
     value.  Consecutive words of one length in ``itertools.product`` order
     share their prefix, so over them each word costs one ``compose``, plus one
-    ``val_word`` each time the prefix changes.
+    ``val_word`` each time the prefix changes.  The sign of each distinct
+    value is decided once.
     """
     group = valuation.group
     prefix_value = functools.lru_cache(maxsize=1)(valuation.val_word)
+    is_negative = functools.cache(group.is_negative)
 
     def predicate(word: Word) -> bool:
         word = tuple(word)
         if not word:
-            return group.is_negative(group.identity())
+            return is_negative(group.identity())
         value = prefix_value(word[:-1])
-        return group.is_negative(group.compose(value, valuation.value_of(word[-1])))
+        return is_negative(group.compose(value, valuation.value_of(word[-1])))
 
     return predicate
 
@@ -450,7 +452,10 @@ def check_invariant_subsemigroup(
         group = valuation.group
         identity = group.identity()
         mul, inv = group.compose, group.invert
-        images = {letter(color, 1): valuation.value_of(color) for color in colors}
+        images = {}  # letter code -> image, for each color and its inverse
+        for color in colors:
+            code, image = letter(color, 1), valuation.value_of(color)
+            images[code], images[-code] = image, inv(image)
 
         def in_s(value) -> bool:
             return group.sign(value) is not Ordering.LESS
@@ -458,8 +463,7 @@ def check_invariant_subsemigroup(
         def element(word: FreeWord):
             value = identity
             for code in word.letters:
-                image = images[abs(code)]
-                value = mul(value, image if code > 0 else inv(image))
+                value = mul(value, images[code])
             return value
     else:
         in_s, mul, inv = membership, multiply, FreeWord.inverse

@@ -74,13 +74,20 @@ def shipped_valuation_path() -> str:
     return _data_path("free_valuation.txt")
 
 
-def parse_int(text: str, refusal: str) -> int:
-    """The integer that ``text`` spells; a malformed literal raises
-    ``NotationError(refusal)``.
+# A refusal echoes a malformed literal up to this many characters.
+_ECHO_HEAD = 40
 
-    Decimal digits (those of ``str.isdecimal``) after at most one sign that
-    ``int`` still refuses are past Python's int-from-str digit limit: that
-    refusal names the limit and does not echo the literal.
+
+def parse_int(text: str, refusal: str, literal: str | None = None) -> int:
+    """The integer that ``text`` spells; a malformed literal raises
+    ``NotationError(refusal.format(shown))``.
+
+    ``shown`` is the repr of ``literal`` (``text`` when omitted); past
+    :data:`_ECHO_HEAD` characters it is the repr of that head, then ``…``,
+    then the literal's length, so a refusal stays short.  Decimal digits
+    (those of ``str.isdecimal``) after at most one sign that ``int`` still
+    refuses are past Python's int-from-str digit limit: that refusal names the
+    limit and does not echo the literal.
     """
     try:
         return int(text)
@@ -88,7 +95,11 @@ def parse_int(text: str, refusal: str) -> int:
         if re.fullmatch(r"\s*[+-]?\d+\s*", text):
             limit = sys.get_int_max_str_digits()
             raise NotationError(f"integer literal has more than {limit} digits") from None
-        raise NotationError(refusal) from None
+        literal = text if literal is None else literal
+        shown = repr(literal)
+        if len(literal) > _ECHO_HEAD:
+            shown = f"{literal[:_ECHO_HEAD]!r}… ({len(literal)} characters)"
+        raise NotationError(refusal.format(shown)) from None
 
 
 def _split_top(text: str, separator: str) -> list[str]:
@@ -122,7 +133,7 @@ def parse_group(text: str) -> OrderedGroup:
         return Integers()
     if text.startswith("zlex(") and text.endswith(")"):
         body = text[len("zlex(") : -1].strip()
-        dim = parse_int(body, f"zlex dimension is not an integer: {body!r}")
+        dim = parse_int(body, "zlex dimension is not an integer: {}")
         if dim > MAX_ZLEX_DIM:
             raise NotationError(f"zlex dimension must be <= {MAX_ZLEX_DIM}")
         return LexVectors(dim)
@@ -179,14 +190,13 @@ def parse_element(spec: OrderedGroup, text: str):
     if text == "e":
         return spec.identity()
     if isinstance(spec, Integers):
-        return parse_int(text, f"not an integer literal: {text!r}")
+        return parse_int(text, "not an integer literal: {}")
     if isinstance(spec, LexVectors):
         if not (text.startswith("(") and text.endswith(")")):
             raise NotationError(f"vector literal must look like (1,0,-1): {text!r}")
         body = text[1:-1].strip()
         entries = [p.strip() for p in body.split(",")] if body else []
-        refusal = f"non-integer vector entry in {text!r}"
-        values = tuple(parse_int(p, refusal) for p in entries)
+        values = tuple(parse_int(p, "non-integer vector entry in {}", text) for p in entries)
         if len(values) != spec.dim:
             raise NotationError(
                 f"vector has {len(values)} entries, spec needs {spec.dim}"

@@ -359,6 +359,8 @@ def _mismatched_union(tmp_path):
 
 
 NINES = "9" * 5000  # past Python's int-from-str digit limit, 4300 by default
+LETTERS = "a" * 5000  # as long, but no integer at all
+HEAD = repr("a" * 40)  # a refusal echoes the first 40 characters of a long literal
 DIGIT_LIMIT = f"integer literal has more than {sys.get_int_max_str_digits()} digits"
 
 
@@ -440,6 +442,18 @@ PINNED_REFUSALS = {
         _tab_in_color,
         "error: bad color name 'a\\tb'\n",
     ),
+    "long-int-literal": (
+        lambda tmp_path: ["compare", "int", LETTERS, "1"],
+        f"error: not an integer literal: {HEAD}… (5000 characters)\n",
+    ),
+    "etog-seed-long-literal": (
+        lambda tmp_path: [f"ETOG_SEED={LETTERS}", "check", "--samples", "1", "--max-len", "1"],
+        f"error: ETOG_SEED: not an integer: {HEAD}… (5000 characters)\n",
+    ),
+    "long-vector-entry": (
+        lambda tmp_path: ["compare", "zlex(2)", f"(1,{LETTERS})", "(0,0)"],
+        f"error: non-integer vector entry in {repr('(1,' + 'a' * 37)}… (5004 characters)\n",
+    ),
 }
 
 
@@ -499,10 +513,11 @@ def test_refusal_prints_one_pinned_error_line(capsys, tmp_path, monkeypatch, mak
     # the whole stderr, or argparse's usage lines and then the refusal
     assert err == refusal or (err.startswith("usage: etog ") and err.endswith(refusal))
     assert err.count("error: ") == 1
-    if DIGIT_LIMIT in refusal:
-        # the refusal names the limit and does not echo the 5000 digits; at
-        # 80 columns argparse's two usage lines alone take about 120 bytes
-        assert len(refusal) < 200 and len(err) < 400
+    if DIGIT_LIMIT in refusal or "…" in refusal:
+        # the refusal names the limit, or echoes only the head of a long
+        # literal, not its 5000 characters; at 80 columns argparse's two
+        # usage lines alone take about 120 bytes
+        assert len(refusal.encode()) < 200 and len(err.encode()) < 400
 
 
 def test_arena_error_does_not_depend_on_the_hash_seed(tmp_path):

@@ -45,8 +45,11 @@ class TestValuation:
         assert INT_XY.val_word(()) == 0
 
     def test_unknown_color(self):
-        with pytest.raises(UnknownColorError):
+        with pytest.raises(UnknownColorError, match=r"^unknown color 'q'$"):
             INT_XY.val_word(("x", "q"))
+        # the first unknown color is named, not a later one
+        with pytest.raises(UnknownColorError, match=r"^unknown color 'q'$"):
+            INT_XY.val_word(("x", "q", "r"))
 
     def test_requires_total_mapping(self):
         with pytest.raises(ValueError):
@@ -72,8 +75,10 @@ class TestMembership:
     def test_prefix_is_validated_but_ignored(self):
         cond = EtogCondition(INT_XY)
         assert cond.up_member(UPWord.make("y y y", "x"))
-        with pytest.raises(UnknownColorError):
+        with pytest.raises(UnknownColorError, match=r"^unknown color 'q'$"):
             cond.up_member(UPWord.make("q", "x"))
+        with pytest.raises(UnknownColorError, match=r"^unknown color 'r'$"):
+            cond.up_member(UPWord.make("y", "x r"))
 
     def test_union_members_share_alphabet(self):
         other = EtogCondition(INT_XY)

@@ -258,6 +258,19 @@ class TestNotation:
             with pytest.raises(NotationError, match=f"^integer literal has more than {limit} digits$"):
                 parse_int(text, "refused")
 
+    def test_parse_int_echoes_only_the_head_of_a_long_literal(self):
+        for text, shown in (
+            ("a" * 40, repr("a" * 40)),
+            ("a" * 41, repr("a" * 40) + "… (41 characters)"),
+            ("x" + "9" * 5000, repr("x" + "9" * 39) + "… (5001 characters)"),
+        ):
+            with pytest.raises(NotationError) as caught:
+                parse_int(text, "refused: {}")
+            assert str(caught.value) == f"refused: {shown}"
+        with pytest.raises(NotationError) as caught:
+            parse_int("q", "bad entry in {}", "(1,q)")
+        assert str(caught.value) == "bad entry in '(1,q)'"
+
     def test_zlex_dimension_capped(self):
         assert parse_group(f"zlex({MAX_ZLEX_DIM})") == LexVectors(MAX_ZLEX_DIM)
         for dim in (MAX_ZLEX_DIM + 1, 10**9):
@@ -351,6 +364,32 @@ def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
     raise AssertionError(f"no usable coefficient for {w!r}")
 
 
+def _commutator(rng, weight: int) -> FreeWord:
+    """A random non-trivial commutator bracket [x, y] = x y x^-1 y^-1 of this
+    weight over a, b and their inverses, split at a random point at every
+    level; a bracket that reduces to the identity is drawn again."""
+    if weight == 1:
+        return FreeWord((rng.choice([letter(g, e) for g in "ab" for e in (1, -1)]),))
+    while True:
+        split = rng.randint(1, weight - 1)
+        x, y = _commutator(rng, split), _commutator(rng, weight - split)
+        c = multiply(multiply(x, y), multiply(x.inverse(), y.inverse()))
+        if c.letters:
+            return c
+
+
+def _stripped(x: FreeWord, y: FreeWord) -> tuple[tuple, tuple]:
+    """x and y less their longest common prefix, then their longest common suffix."""
+    lx, ly = x.letters, y.letters
+    k = 0
+    while k < min(len(lx), len(ly)) and lx[k] == ly[k]:
+        k += 1
+    i, j = len(lx), len(ly)
+    while i > k and j > k and lx[i - 1] == ly[j - 1]:
+        i, j = i - 1, j - 1
+    return lx[k:i], ly[k:j]
+
+
 def test_optimised_compare_matches_literal_expansion():
     # the production compare strips common prefixes and suffixes,
     # short-circuits on the degree-1 counts and deepens lazily; all of that
@@ -387,6 +426,28 @@ def test_optimised_compare_matches_literal_expansion():
                 (multiply(u, suffix), suffix),
             ):
                 assert spec.compare(x, y) is _literal_compare(spec, x, y), (x, y)
+    # directed pairs x = w c, y = w for a commutator c of weight 2 to 4: every
+    # exponent sum of x y^-1 = w c w^-1 is 0, so degree 1 decides nothing.
+    # When w c cancels at the seam, both stripped slices are non-empty and v's
+    # sums are not 0: only the difference of the two slices' sums vanishes.
+    # Two words w in three are made to end in the inverse of c's first letter.
+    sample = element_sampler(AB, 3)
+    undecided = 0
+    for _ in range(120):
+        c = _commutator(rng, rng.choice((2, 2, 3, 3, 4)))  # weight 4 costs the most
+        w = sample(rng)
+        if rng.random() < 2 / 3:
+            w = multiply(w, FreeWord((-c.letters[0],)))
+        x = multiply(w, c)
+        expected = _literal_compare(AB, x, w)
+        assert AB.compare(x, w) is expected, (x, w)
+        assert AB.compare(w, x) is expected.flipped(), (w, x)
+        u, v = _stripped(x, w)
+        sums_vanish = all(
+            u.count(g) - u.count(-g) == v.count(g) - v.count(-g) for g in AB.codes
+        )
+        undecided += bool(u and v and sums_vanish)
+    assert undecided >= 40, undecided
 
 
 ABC = FreeGroup(("a", "b", "c"))
