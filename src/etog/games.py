@@ -6,15 +6,24 @@ node) or finite-memory Mealy machines updated on every observed edge.  A play
 of two finite-state strategies is eventually periodic, so it is returned as a
 lasso (stem + cycle) whose cycle decides membership.
 
-``solve_energy_game`` enumerates positional strategies, as one edge choice per
+``solve_energy_game`` decides positional strategies, as one edge choice per
 owned node, for both players, which is exact for single energy conditions:
 both the condition and its complement admit positional optimal strategies, so
-nothing is lost by the restriction, and Bob's half of the answer mirrors
-Alice's.  One walk of a strategy pair's successor graph plays it from every
-start.  One scan finds both witnesses: Alice's runs on the starts she wins
-under each pair, and Bob's on their complements with her region counted as
-his.  A pair is walked only while it can change the scanning player's region
-or witness, with the opponent that refuted the previous strategy tried first.
+nothing is lost by the restriction.  It decides each strategy against every
+reply at once, from the arena's simple cycles, listed once per call.  A
+positional sigma loses from v exactly when the arena cut to sigma's edges
+reaches from v a cycle outside the condition.  One way: the play of sigma
+against a positional reply ends in a simple cycle of the cut arena, perhaps
+entered at another node, and the rotated period is a conjugate with the same
+sign.  The other way: a shortest path to a losing cycle, followed by the
+cycle, is one positional reply.  Bob's strategies are decided the same way
+against the member cycles.  Only the side with fewer strategies is analysed
+in full, at most the square root of the pair count: the starts all of them
+lose are the other side's region, and the rest is theirs by positional
+determinacy.  Each witness is the first strategy in enumeration order that
+loses exactly the other player's region, so the larger side is scanned only
+up to its witness.  When a side has no such strategy, the solver raises
+``RuntimeError``.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
@@ -32,6 +41,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -236,17 +246,12 @@ def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lass
     return Lasso(tuple(path[:cut]), tuple(path[cut:]))
 
 
-def _edge_choices(arena: Arena, nodes: tuple[str, ...]) -> list[tuple[Edge, ...]]:
-    """Every choice of one outgoing edge per node, in lexicographic order over
-    (node order, edge declaration order)."""
-    return list(itertools.product(*(arena.out_edges(node) for node in nodes)))
-
-
 def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrategy]:
     """All positional strategies of one player, in lexicographic order over
     (node declaration order, edge declaration order)."""
     nodes = arena.alice_nodes if owner is Player.ALICE else arena.bob_nodes
-    return [PositionalStrategy(owner, dict(zip(nodes, c))) for c in _edge_choices(arena, nodes)]
+    choices = itertools.product(*(arena.out_edges(node) for node in nodes))
+    return [PositionalStrategy(owner, dict(zip(nodes, c))) for c in choices]
 
 
 @dataclass
@@ -262,23 +267,94 @@ def _check_alphabet(arena: Arena, cond) -> None:
         raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
 
 
+# One edge as the solver reads it: (1 << edge index, 1 << source, target).
+Arc = tuple[int, int, int]
+
+
+def _simple_cycles(arcs: list[list[Arc]]) -> Iterator[tuple[Arc, ...]]:
+    """Every simple cycle once, as its arcs from its least node, where
+    ``arcs[v]`` holds the arcs out of node v.  A depth-first search from each
+    node s follows arcs into nodes above s that are not on the current path,
+    and yields the path whenever an arc closes it back at s, so parallel edges
+    give distinct cycles.  The search keeps its path on an explicit stack."""
+    for least in range(len(arcs)):
+        path: list[Arc] = []
+        on_path = 1 << least
+        stack = [iter(arcs[least])]
+        while stack:
+            arc = next(stack[-1], None)
+            if arc is None:
+                stack.pop()
+                if path:
+                    on_path ^= 1 << path.pop()[2]
+                continue
+            target = arc[2]
+            if target == least:
+                yield (*path, arc)
+            elif target > least and not on_path >> target & 1:
+                path.append(arc)
+                on_path |= 1 << target
+                stack.append(iter(arcs[target]))
+
+
+def _lost_starts(choice: tuple[Arc, ...], cycles: Mapping[int, int], preds: list[int]) -> int:
+    """The starts from which one positional strategy loses, as a node mask.
+
+    ``choice`` holds the strategy's arcs, ``cycles`` maps its player's edges
+    on each cycle the opponent wins to the nodes of those cycles, and
+    ``preds[v]`` holds the opponent's nodes with an edge into v.  The
+    strategy loses from every start that can reach, in the arena cut to its
+    choices, a cycle the opponent wins: the backward closure of the nodes of
+    the cycles whose edges it chooses."""
+    preds = list(preds)
+    chosen = 0
+    for bit, source, target in choice:
+        chosen |= bit
+        preds[target] |= source
+    lost = 0
+    for edges, nodes in cycles.items():
+        if chosen & edges == edges:
+            lost |= nodes
+    frontier = lost
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = preds[low.bit_length() - 1] & ~lost
+        lost |= new
+        frontier |= new
+    return lost
+
+
 def solve_energy_game(arena: Arena, cond) -> Solution:
-    """Exact solver for a single energy condition by positional enumeration.
+    """Exact solver for a single energy condition over positional strategies.
 
     Alice wins from a node when some positional strategy of hers defeats every
-    positional reply.  One walk of a strategy pair's successor graph plays it
-    from every start node.  The returned witnesses are the first strategies in
+    positional reply.  The returned witnesses are the first strategies in
     enumeration order that win uniformly on their player's whole winning
     region (such uniform witnesses exist because the condition and its
-    complement are both positionally determined).  One scan finds both: it
-    folds a player's region over their strategies, and a strategy's scan of
-    its opponents stops once they cannot change that region or the witness,
-    with the opponent that stopped the previous scan tried first.  Bob's scan
-    is Alice's on the complemented pair masks, with her region counted as won
-    for him, so his region is every node from the start, and each of his
-    strategies stops at the first of hers that wins outside her region.
-    Fewer pairs are walked, none twice, and the answer is that of walking
-    them all.
+    complement are both positionally determined).
+
+    Each strategy is decided against every reply at once.  Let G_sigma be the
+    arena with each of Alice's nodes cut to sigma's edge.  Sigma loses from v
+    exactly when G_sigma reaches from v a simple cycle outside the condition.
+    One way: the play of (sigma, tau) from v ends in a cycle of G_sigma, and a
+    start that enters it at another node repeats a rotation of it, a
+    conjugate whose sign a bi-invariant order keeps.  The other way: a
+    shortest path to the cycle, followed by the cycle, is one positional tau.
+    A cycle lies in G_sigma when its Alice edges are sigma's, so the simple
+    cycles are listed once per call, each decided by one membership call per
+    distinct period, and sigma's lost starts are the backward closure of the
+    nodes of its losing cycles.  Bob's strategies are decided the same way
+    against the member cycles.
+
+    Only the side with fewer strategies is analysed in full: the starts that
+    all of its strategies lose are the other player's region, and by
+    positional determinacy the rest is its own.  Then Alice's strategies and
+    then Bob's are scanned in enumeration order for the first that loses
+    exactly the other player's region; the larger side stops at its witness.
+    Folding the smaller side keeps the full analysis to at most the square
+    root of the pair count.  A missing witness means the condition is not
+    positionally determined after all, and raises ``RuntimeError``.
     """
     if isinstance(cond, UnionCondition):
         raise EtogError(
@@ -289,95 +365,64 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
         raise TypeError(f"expected an energy condition, got {type(cond).__name__}")
     _check_alphabet(arena, cond)
 
-    sigmas = _edge_choices(arena, arena.alice_nodes)
-    taus = _edge_choices(arena, arena.bob_nodes)
-    nodes = arena.nodes  # Alice's nodes first, so a pair's edges concatenate
-    size = len(nodes)
+    nodes = arena.nodes  # Alice's nodes first
+    owned = (arena.alice_nodes, arena.bob_nodes)
     index = {node: i for i, node in enumerate(nodes)}
+    alices = len(arena.alice_nodes)
+    alice_mask = (1 << alices) - 1
     member = functools.cache(lambda cycle: cond.up_member(UPWord((), cycle)))
 
-    # Under a positional pair every node has one successor, so the play from
-    # any start runs into a cycle of the successor graph.  A start that enters
-    # a cycle at another node repeats a rotation of the same period; its value
-    # is a conjugate of the period's value, and a bi-invariant order keeps the
-    # sign under conjugation.  So one membership call per cycle decides every
-    # start that reaches it, and one walk per pair decides every start.
-    # mark[v] is -1 before v is reached, the start's index while v lies on
-    # the current walk, and LOST or WON once v's play is decided.
-    LOST, WON = size, size + 1
+    # arcs[v]: the arcs out of node v.  Per player (0 Alice, 1 Bob):
+    # preds[p][v] holds p's nodes with an edge into v, and lost_to[p] maps
+    # p's edges on a cycle p loses to the nodes of all such cycles.
+    arcs: list[list[Arc]] = [[] for _ in nodes]
+    preds = ([0] * len(nodes), [0] * len(nodes))
+    lost_to: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for edge in arena.edges:
+        source, target = index[edge.source], index[edge.target]
+        arcs[source].append((1 << edge.index, 1 << source, target))
+        preds[source >= alices][target] |= 1 << source
+    for cycle in _simple_cycles(arcs):
+        edges, on_cycle = [0, 0], 0
+        for bit, source, _ in cycle:
+            edges[source > alice_mask] |= bit
+            on_cycle |= source
+        colors = tuple(arena.edges[bit.bit_length() - 1].color for bit, _, _ in cycle)
+        loser = int(member(colors))
+        lost_to[loser][edges[loser]] = lost_to[loser].get(edges[loser], 0) | on_cycle
+    owned_arcs = (arcs[:alices], arcs[alices:])
 
-    @functools.cache
-    def pair_mask(i: int, j: int) -> int:
-        """The starts Alice wins under (sigmas[i], taus[j]), walked once."""
-        edges = sigmas[i] + taus[j]
-        succ = [index[e.target] for e in edges]
-        mark = [-1] * size
-        mask = 0
-        for start in range(size):
-            if mark[start] >= 0:
-                continue
-            path = []
-            node = start
-            while mark[node] < 0:
-                mark[node] = start
-                path.append(node)
-                node = succ[node]
-            outcome = mark[node]
-            if outcome == start:  # the walk closed a new cycle at node
-                cycle = tuple(edges[v].color for v in path[path.index(node) :])
-                outcome = WON if member(cycle) else LOST
-            for v in path:
-                mark[v] = outcome
-            if outcome == WON:
-                for v in path:
-                    mask |= 1 << v
-        return mask
+    def analyse(player: int) -> Iterator[tuple[tuple, int]]:
+        """The player's strategies in enumeration order, each with the
+        starts it loses."""
+        for choice in itertools.product(*owned_arcs[player]):
+            yield choice, _lost_starts(choice, lost_to[player], preds[1 - player])
 
-    everyone = (1 << size) - 1
-
-    def scan(strategies: int, opponents: int, mask, region: int):
-        """The union of ``region`` and the starts each strategy wins against
-        every opponent under ``mask``, and the index of the first strategy
-        that wins all of it, or None.  A strategy's scan stops once its wins
-        lie inside the region of the strategies before it and can neither
-        widen it nor make it the first to win all of it; the opponent that
-        stopped it is tried first for the next."""
-        witness = None
-        order = list(range(opponents))
-        for i in range(strategies):
-            if region == everyone and witness is not None:
-                break
-            wins = everyone
-            for k, j in enumerate(order):
-                wins &= mask(i, j)
-                if wins | region == region and (wins != region or witness is not None):
-                    order.insert(0, order.pop(k))
-                    break
-            else:
-                region |= wins
-                witness = i if wins == region else None
-        return region, witness
-
-    region, alice = scan(len(sigmas), len(taus), pair_mask, 0)
-    # Bob's scan runs on the starts Alice loses, with her region counted as
-    # his, so his region is every node before it starts.  Every sigma wins at
-    # least its own region against any tau, so a tau's lost starts cover
-    # Alice's region and are exactly it, making the tau a uniform witness,
-    # when no sigma wins outside it: each tau stops at the first sigma that
-    # does, and the scan at the first tau that none does.
-    _, bob = scan(
-        len(taus), len(sigmas), lambda j, i: ~pair_mask(i, j) & everyone | region, everyone
-    )
-    if alice is None or bob is None:
+    sizes = [math.prod(map(len, choices)) for choices in owned_arcs]
+    small = int(sizes[1] < sizes[0])
+    analysed = list(analyse(small))
+    # the starts that every strategy of the smaller side loses are the other
+    # side's region; a witness loses exactly the other player's region
+    regions = [(1 << len(nodes)) - 1] * 2
+    for _, lost in analysed:
+        regions[1 - small] &= lost
+    regions[small] ^= regions[1 - small]
+    witnesses = []
+    for player in (0, 1):
+        scanned = analysed if player == small else analyse(player)
+        witnesses.append(next((c for c, lost in scanned if lost == regions[1 - player]), None))
+    if None in witnesses:
         # cannot happen for an energy condition; means the condition is not
         # positionally determined after all
         raise RuntimeError("no uniform positional witness exists")
-    winners = {v: Player.ALICE if region >> i & 1 else Player.BOB for i, v in enumerate(nodes)}
-    return Solution(
-        winners,
-        PositionalStrategy(Player.ALICE, dict(zip(arena.alice_nodes, sigmas[alice]))),
-        PositionalStrategy(Player.BOB, dict(zip(arena.bob_nodes, taus[bob]))),
+    winners = {v: Player.ALICE if regions[0] >> i & 1 else Player.BOB for i, v in enumerate(nodes)}
+    alice, bob = (
+        PositionalStrategy(
+            owner, {v: arena.edges[arc[0].bit_length() - 1] for v, arc in zip(own, c)}
+        )
+        for owner, own, c in zip(Player, owned, witnesses)
     )
+    return Solution(winners, alice, bob)
 
 
 _MISSING = object()  # a machine entry not decided yet

@@ -560,6 +560,11 @@ GOLDEN = Path(__file__).parent / "golden"
           "--cond", f"etog({VAL})", "--machine"]),
         # CLI defaults: closure runs up to length 6
         ("check-seed0-defaults.txt", 0, ["check", "--seed", "0", "--machine"]),
+        # 2^24 positional pairs, and Alice has more positional strategies
+        # than Bob, so the solver analyses all of Bob's in full
+        ("solve-free-24x2.txt", 0,
+         ["solve", "--arena", str(GOLDEN / "solve-free-24x2.arena"),
+          "--cond", f"etog({VAL})", "--machine"]),
     ],
 )
 def test_machine_output_matches_golden_transcript(capsys, name, code, argv):

@@ -1,8 +1,6 @@
-import functools
 import itertools
 import math
 import random
-import types
 
 import pytest
 
@@ -568,9 +566,35 @@ FULL_PAIR_CONDITIONS = pytest.mark.parametrize(
     ids=["int", "free", "parity", "inv-free", "zero-int"],
 )
 
-# Pairs one solve_energy_game call walks, summed over full_pair_arenas: a
-# scan that loses an early stop walks more and still answers right.
-PAIRS_WALKED = {"int": 4478, "free": 7428, "parity": 8329, "inv-free": 7573, "zero-int": 4042}
+# Work the solver does, summed over full_pair_arenas: simple cycles listed
+# and positional strategies analysed.  A solver that folds the larger side or
+# scans past a witness analyses more and still answers right.
+SOLVER_WORK = {
+    "int": (463, 846),
+    "free": (431, 1485),
+    "parity": (506, 807),
+    "inv-free": (431, 1193),
+    "zero-int": (463, 289),
+}
+
+# 14-node arenas of out-degree 2, too many pairs for the other differential
+# tests: (condition, seed of random_two_out_arena).  Alice owns 8, 6 and 7
+# nodes, so the solver folds Bob's side, Alice's, and Alice's on a tie.
+TWO_OUT_ARENAS = [
+    (EtogCondition(SUITE["int"]), 5),
+    (EtogCondition(FREE_VAL), 6),
+    (parity_condition(3), 11),
+]
+
+
+def random_two_out_arena(seed, colors, size=14):
+    rng = random.Random(seed)
+    names = [f"n{i}" for i in range(size)]
+    lines = [f"node {x} {rng.choice('AB')}" for x in names]
+    for name in names:
+        for _ in range(2):
+            lines.append(f"edge {name} {rng.choice(colors)} {rng.choice(names)}")
+    return make_arena(lines)
 
 
 class TestSolverAgainstFullPairWalk:
@@ -610,25 +634,51 @@ class TestSolverAgainstFullPairWalk:
 
     @FULL_PAIR_CONDITIONS
     def test_pairs_walked_stay_pinned(self, cond, request, monkeypatch):
-        # pair_mask is memoised by functools.cache, so each call that reaches
-        # its body walks one new pair
-        walks = 0
+        # each strategy is decided against every reply at once, so the work
+        # is the simple cycles listed and the strategies analysed
+        cycles = analysed = 0
+        list_cycles, lost_starts = games._simple_cycles, games._lost_starts
 
-        def counting_cache(fn):
-            if fn.__name__ != "pair_mask":
-                return functools.cache(fn)
+        def counting_cycles(*args):
+            nonlocal cycles
+            for cycle in list_cycles(*args):
+                cycles += 1
+                yield cycle
 
-            def counted(*args):
-                nonlocal walks
-                walks += 1
-                return fn(*args)
+        def counting_analyses(*args):
+            nonlocal analysed
+            analysed += 1
+            return lost_starts(*args)
 
-            return functools.cache(counted)
-
-        monkeypatch.setattr(games, "functools", types.SimpleNamespace(cache=counting_cache))
+        monkeypatch.setattr(games, "_simple_cycles", counting_cycles)
+        monkeypatch.setattr(games, "_lost_starts", counting_analyses)
         for arena in full_pair_arenas(cond):
             solve_energy_game(arena, cond)
-        assert walks == PAIRS_WALKED[request.node.callspec.id]
+        assert (cycles, analysed) == SOLVER_WORK[request.node.callspec.id]
+
+    @FULL_PAIR_CONDITIONS
+    def test_both_sides_are_folded(self, cond):
+        # the solver analyses every strategy of the side with fewer of them
+        # (Alice's on a tie); the arenas make it fold each side
+        def strategies(nodes):
+            return math.prod(len(arena.out_edges(node)) for node in nodes)
+
+        folded = set()
+        for arena in full_pair_arenas(cond):
+            sigmas, taus = strategies(arena.alice_nodes), strategies(arena.bob_nodes)
+            folded.add(Player.ALICE if sigmas <= taus else Player.BOB)
+        assert folded == {Player.ALICE, Player.BOB}
+
+    @pytest.mark.parametrize("cond, seed", TWO_OUT_ARENAS, ids=["int", "free", "parity"])
+    def test_two_out_arenas_of_14_nodes(self, cond, seed):
+        arena = random_two_out_arena(seed, cond.colors)
+        expected = full_pair_solution(arena, cond)
+        solution = solve_energy_game(arena, cond)
+        assert solution.winners == expected.winners
+        assert solution.alice_strategy.choice == expected.alice_strategy.choice
+        assert solution.bob_strategy.choice == expected.bob_strategy.choice
+        # both players win somewhere, so neither region is trivial
+        assert set(solution.winners.values()) == {Player.ALICE, Player.BOB}
 
 
 class TestUnionVerification:
