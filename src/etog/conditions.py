@@ -20,6 +20,7 @@ from .groups import Integers, InverseOrder, LexProduct, LexVectors, OrderedGroup
 from .notation import (
     _check_nesting,
     _split_top,
+    echo,
     format_group,
     parse_element,
     parse_group,
@@ -53,7 +54,7 @@ class Valuation:
         try:
             return self.mapping[color]
         except KeyError:
-            raise UnknownColorError(f"unknown color {color!r}") from None
+            raise UnknownColorError(f"unknown color {echo(color)}") from None
 
     def val_word(self, word: Sequence[str]):
         """Homomorphic extension; the empty word maps to the identity."""

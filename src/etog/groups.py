@@ -21,9 +21,10 @@ trust their operands.
 Each group implements ``sign(x)``, the order of ``x`` against the identity;
 ``compare(x, y)`` is derived from it as ``sign(x * y^-1)``.  Nearly every order
 query (membership, the oracle, the law checkers) is a sign test, so it never
-builds the quotient.  The free group alone overrides ``compare``, to strip the
-common prefix and the common suffix, read degree 1 off the two stripped
-operands, and build their quotient only for the scan from degree 2.
+builds the quotient.  The free group alone overrides ``compare``: it reads
+degree 1 off the two whole operands, and only when every exponent sum
+vanishes does it strip the common prefix and the common suffix and build the
+quotient of what is left for the scan from degree 2.
 
 A free-group letter is a signed ``int``: ``letter(g, 1)`` is a positive code
 that spells the generator name ``g`` (its UTF-8 bytes after a leading 0x01
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -173,12 +175,18 @@ def reduce_word(
 
 
 def multiply(x: FreeWord, y: FreeWord) -> FreeWord:
-    """Concatenate two reduced words, cancelling at the seam only."""
+    """Concatenate two reduced words, cancelling at the seam only.
+
+    When the seam letters do not cancel, the result is one concatenation of
+    the two letter tuples; otherwise the cancelled letters are sliced off.
+    """
     lx, ly = x.letters, y.letters
     if not lx:
         return y
     if not ly:
         return x
+    if lx[-1] != -ly[0]:
+        return FreeWord(lx + ly)
     i, j, n = len(lx), 0, len(ly)
     while i > 0 and j < n and lx[i - 1] == -ly[j]:
         i -= 1
@@ -285,10 +293,10 @@ class LexVectors(OrderedGroup):
         return (0,) * self.dim
 
     def compose(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(map(operator.add, x, y))
 
     def invert(self, x):
-        return tuple(-a for a in x)
+        return tuple(map(operator.neg, x))
 
     def sign(self, x) -> Ordering:
         for a in x:
@@ -318,10 +326,11 @@ class FreeGroup(OrderedGroup):
     and the scan stops at the first non-zero one.  It skips every pure power
     g^d: killing the other generators maps w to (1 + g)^n_g, where n_g is g's
     exponent sum, so g^d's coefficient is C(n_g, d): 0 once degree 1 vanished.
-    ``compare(x, y)`` strips the common prefix and the common suffix, leaving
-    ``u`` of ``x`` and ``v`` of ``y``.  It reads degree 1 of ``u v^-1`` off the
-    two slices, as u's exponent sums less v's, and builds ``u v^-1`` only when
-    every sum vanishes and the scan from degree 2 must decide.
+    ``compare(x, y)`` reads degree 1 of ``x y^-1`` off the whole operands, as
+    x's exponent sums less y's.  Only when every sum vanishes does it strip
+    the common prefix and the common suffix, leaving ``u`` of ``x`` and ``v``
+    of ``y``, and build ``u v^-1`` for the scan from degree 2; equal words
+    end there, as two empty slices.
     """
 
     generators: tuple[str, ...]
@@ -356,12 +365,16 @@ class FreeGroup(OrderedGroup):
         # (p u s)(p v s)^-1 = p (u v^-1) p^-1, the conjugate by p of u v^-1.
         # Conjugation only adds terms of strictly higher degree than the lowest
         # non-constant term, so under the degree-graded scan both share the
-        # same leading coefficient.  Stripping the common prefix p and suffix s
-        # keeps words short, and leaves u v^-1 reduced: u and v do not end in
-        # the same letter.  Degree 1 of u v^-1 is u's exponent sums less v's,
-        # read off the two slices; u v^-1 is built only for the scan from
-        # degree 2, once every sum vanished.
+        # same leading coefficient.  The common prefix p and suffix s add the
+        # same counts to x and y, so degree 1 of u v^-1, u's exponent sums less
+        # v's, is x's sums less y's.  Stripping p and s keeps the word for the
+        # scan short, and leaves u v^-1 reduced: u and v do not end in the same
+        # letter.
         lx, ly = x.letters, y.letters
+        for c in self.codes:
+            total = lx.count(c) - lx.count(-c) - ly.count(c) + ly.count(-c)
+            if total:
+                return _sign_ordering(total)
         k, i, j = 0, len(lx), len(ly)
         limit = min(i, j)
         while k < limit and lx[k] == ly[k]:
@@ -369,14 +382,9 @@ class FreeGroup(OrderedGroup):
         while i > k and j > k and lx[i - 1] == ly[j - 1]:
             i -= 1
             j -= 1
-        u, v = lx[k:i], ly[k:j]
-        if not u and not v:
+        if k == i == j:
             return Ordering.EQUAL
-        for c in self.codes:
-            total = u.count(c) - u.count(-c) - v.count(c) + v.count(-c)
-            if total:
-                return _sign_ordering(total)
-        return self._scan(FreeWord(u + tuple([-c for c in reversed(v)])))
+        return self._scan(FreeWord(lx[k:i] + tuple([-c for c in reversed(ly[k:j])])))
 
     def sign(self, w: FreeWord) -> Ordering:
         letters = w.letters

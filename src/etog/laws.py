@@ -222,27 +222,30 @@ def standard_valuations() -> dict[str, Valuation]:
     }
 
 
-def negative_word_predicate(valuation: Valuation) -> Callable[[Word], bool]:
-    """The predicate 'this word's value is negative'.
+def negative_word_rows(valuation: Valuation, max_len: int) -> list[bytes]:
+    """Which words over the valuation's colors have a negative value, as one
+    ``bytes`` row per length 1..``max_len``: entry c of row L is 1 exactly
+    when the word with base-n code c, in ``itertools.product`` order, is
+    negative.
 
-    It remembers the last prefix ``word[:-1]`` it evaluated and that prefix's
-    value.  Consecutive words of one length in ``itertools.product`` order
-    share their prefix, so over them each word costs one ``compose``, plus one
-    ``val_word`` each time the prefix changes.  The sign of each distinct
-    value is decided once.
+    Row L is built from the values of the words of length L - 1, one
+    ``compose`` per word: each value times the image of its last color.  Only
+    one length's values are kept to build the next row, and those of length
+    ``max_len`` are not kept.  The sign of each distinct value is decided
+    once, in a cache that holds each distinct value once.
     """
     group = valuation.group
-    prefix_value = functools.lru_cache(maxsize=1)(valuation.val_word)
-    is_negative = functools.cache(group.is_negative)
-
-    def predicate(word: Word) -> bool:
-        word = tuple(word)
-        if not word:
-            return is_negative(group.identity())
-        value = prefix_value(word[:-1])
-        return is_negative(group.compose(value, valuation.value_of(word[-1])))
-
-    return predicate
+    compose = group.compose
+    images = [valuation.value_of(color) for color in valuation.colors]
+    negative = functools.cache(group.is_negative)
+    rows = []
+    values = [group.identity()]
+    for length in range(1, max_len + 1):
+        products = (compose(value, image) for value in values for image in images)
+        if length < max_len:
+            products = values = list(products)
+        rows.append(bytes(map(negative, products)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +253,24 @@ def negative_word_predicate(valuation: Valuation) -> Callable[[Word], bool]:
 
 
 def check_closure(
-    predicate: Callable[[Word], bool],
+    rows: Sequence[bytes],
     alphabet: Sequence[str],
     max_len: int,
     name: str = "closure",
 ) -> CheckResult:
     """Exhaustively verify concatenation and cyclic-shift closure.
 
-    For all non-empty u, v with |u|+|v| <= max_len the set defined by the
-    predicate and its complement must both be closed under concatenation, and
-    for every word up to max_len the predicate must be constant on its cyclic
+    ``rows`` holds one ``bytes`` row per length 1..``max_len``, as
+    :func:`negative_word_rows` builds them: entry c of row L is 1 when the
+    word with base-n code c, in ``itertools.product`` order, is in the set,
+    and 0 when it is not.  For all non-empty u, v with |u|+|v| <= max_len the
+    set and its complement must both be closed under concatenation, and for
+    every word up to max_len membership must be constant on its cyclic
     shifts.  Returns the first counterexample if any.
 
-    The predicate is asked once per word.  Its values on the words of length L
-    form one ``bytes`` row: entry c is the word with base-n code c, in
-    ``itertools.product`` order.  A predicate is constant on all cyclic shifts
-    exactly when it is constant under the shift by one letter, which takes the
-    word with code c1 n^(L-1) + r to the one with code r n + c1; so each row
+    Membership is constant on all cyclic shifts exactly when it is constant
+    under the shift by one letter, which takes the word with code
+    c1 n^(L-1) + r to the one with code r n + c1; so each row
     must equal its transpose.  For a fixed u, the words u v with |v| = L form
     a contiguous slice J of row |u| + L, so one test per u covers every v
     against row L read as an integer V: V & ~J must be 0 when u is in the set,
@@ -283,10 +287,7 @@ def check_closure(
             letters.append(alphabet[digit])
         return tuple(reversed(letters))
 
-    rows = [b""]
-    for length in range(1, max_len + 1):
-        rows.append(bytes(map(predicate, itertools.product(alphabet, repeat=length))))
-
+    rows = [b"", *rows]
     for length in range(2, max_len + 1):
         row = rows[length]
         m = len(row) // n
@@ -438,7 +439,8 @@ def check_invariant_subsemigroup(
     (the valuation extends to a homomorphism with val(c^-1) = val(c)^-1), so
     the scans run over distinct values.  A raw ``membership`` predicate scans
     the words themselves.  Either way counterexamples are reported as witness
-    words.
+    words.  The words are enumerated shortest first, and each word's value is
+    one product: its parent's value times its last letter's image.
     """
     if (valuation is None) == (membership is None):
         raise ValueError("pass exactly one of valuation / membership")
@@ -448,56 +450,63 @@ def check_invariant_subsemigroup(
         raise ValueError("need a color alphabet")
     detail = f"exhaustive up to length {max_len} over {len(colors)} colors"
 
+    codes = [letter(color, 1) for color in colors]
+    letters = codes + [-c for c in codes]
     if valuation is not None:
         group = valuation.group
         identity = group.identity()
         mul, inv = group.compose, group.invert
         images = {}  # letter code -> image, for each color and its inverse
-        for color in colors:
-            code, image = letter(color, 1), valuation.value_of(color)
+        for code, color in zip(codes, colors):
+            image = valuation.value_of(color)
             images[code], images[-code] = image, inv(image)
 
         def in_s(value) -> bool:
             return group.sign(value) is not Ordering.LESS
-
-        def element(word: FreeWord):
-            value = identity
-            for code in word.letters:
-                value = mul(value, images[code])
-            return value
     else:
         in_s, mul, inv = membership, multiply, FreeWord.inverse
+        identity = FreeWord()
+        images = {c: FreeWord((c,)) for c in letters}
 
-        def element(word: FreeWord):
-            return word
+    # element -> the letters of the first (shortest) word that represents it.
+    # Each reduced word's value is its parent's value times the image of its
+    # last letter; only the previous length's words and values are kept, and
+    # none of length max_len.
+    witness: dict = {identity: ()}
+    frontier = [((), identity)]
+    for length in range(1, max_len + 1):
+        children = (
+            (word + (c,), mul(value, images[c]))
+            for word, value in frontier
+            for c in letters
+            if not word or word[-1] != -c
+        )
+        if length < max_len:
+            children = frontier = list(children)
+        for word, value in children:
+            witness.setdefault(value, word)
 
-    # element -> the first (shortest) word that represents it
-    witness: dict = {}
-    for word in reduced_words(colors, max_len):
-        witness.setdefault(element(word), word)
+    def shown(g) -> str:
+        return format_word(FreeWord(witness[g]))
 
     def fail(message: str) -> CheckResult:
         return CheckResult(name, False, detail, message)
 
     members = []
-    for g, word in witness.items():
+    for g in witness:
         if in_s(g):
             members.append(g)
         elif not in_s(inv(g)):
-            return fail(f"neither {format_word(word)} nor its inverse is in S")
+            return fail(f"neither {shown(g)} nor its inverse is in S")
     for x in members:
         for y in members:
             if not in_s(mul(x, y)):
-                return fail(
-                    f"product escapes S: ({format_word(witness[x])}) ({format_word(witness[y])})"
-                )
-    for g, word in witness.items():
+                return fail(f"product escapes S: ({shown(x)}) ({shown(y)})")
+    for g in witness:
         g_inv = inv(g)
         for x in members:
             if not in_s(mul(mul(g, x), g_inv)):
-                return fail(
-                    f"conjugate escapes S: g={format_word(word)} x={format_word(witness[x])}"
-                )
+                return fail(f"conjugate escapes S: g={shown(g)} x={shown(x)}")
     return CheckResult(name, True, detail)
 
 
@@ -533,41 +542,44 @@ def order_axiom_battery(
             failures[check] = message
 
     sample = element_sampler(spec, max_word_len)
+    # looked up once: the loop below runs ``samples`` times
+    compare, compose, invert = spec.compare, spec.compose, spec.invert
+    LESS, EQUAL, GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
     for _ in range(samples):
         x, y, z, g = sample(rng), sample(rng), sample(rng), sample(rng)
 
-        c_xy = spec.compare(x, y)
-        c_yx = spec.compare(y, x)
+        c_xy = compare(x, y)
+        c_yx = compare(y, x)
         if not isinstance(c_xy, Ordering) or c_yx is not c_xy.flipped():
             note("totality", f"compare({x!r},{y!r})={c_xy} but swapped gives {c_yx}")
 
-        trivial = spec.compose(x, spec.invert(y)) == identity
-        if (c_xy is Ordering.EQUAL) != trivial:
+        trivial = compose(x, invert(y)) == identity
+        if (c_xy is EQUAL) != trivial:
             note("antisymmetry-identity", f"x={x!r} y={y!r} compare={c_xy}")
 
-        c_yz = spec.compare(y, z)
-        c_xz = spec.compare(x, z)
-        if c_xy is not Ordering.GREATER and c_yz is not Ordering.GREATER:
-            if c_xz is Ordering.GREATER:
+        c_yz = compare(y, z)
+        c_xz = compare(x, z)
+        if c_xy is not GREATER and c_yz is not GREATER:
+            if c_xz is GREATER:
                 note("transitivity", f"x={x!r} y={y!r} z={z!r}")
-        if c_xy is not Ordering.LESS and c_yz is not Ordering.LESS:
-            if c_xz is Ordering.LESS:
+        if c_xy is not LESS and c_yz is not LESS:
+            if c_xz is LESS:
                 note("transitivity", f"x={x!r} y={y!r} z={z!r}")
 
-        low, high = (x, y) if c_xy is not Ordering.GREATER else (y, x)
-        translated = spec.compare(
-            spec.compose(spec.compose(g, low), z),
-            spec.compose(spec.compose(g, high), z),
+        low, high = (x, y) if c_xy is not GREATER else (y, x)
+        translated = compare(
+            compose(compose(g, low), z),
+            compose(compose(g, high), z),
         )
-        if translated is Ordering.GREATER:
+        if translated is GREATER:
             note("bi-invariance", f"low={low!r} high={high!r} g={g!r} h={z!r}")
 
-        if spec.compare(x, identity) is Ordering.GREATER:
-            if spec.compare(y, identity) is Ordering.GREATER:
-                if spec.compare(spec.compose(x, y), identity) is not Ordering.GREATER:
+        if compare(x, identity) is GREATER:
+            if compare(y, identity) is GREATER:
+                if compare(compose(x, y), identity) is not GREATER:
                     note("cone-product", f"x={x!r} y={y!r}")
-            conj = spec.compose(spec.compose(g, x), spec.invert(g))
-            if spec.compare(conj, identity) is not Ordering.GREATER:
+            conj = compose(compose(g, x), invert(g))
+            if compare(conj, identity) is not GREATER:
                 note("cone-conjugation", f"x={x!r} g={g!r}")
 
     detail = f"samples={samples} max-word-len={max_word_len}"
@@ -644,11 +656,9 @@ def full_check_battery(
     results.append(magnus_soundness(free.generators, max_len=5))
 
     for label, valuation in suite.items():
-        predicate = negative_word_predicate(valuation)
+        rows = negative_word_rows(valuation, closure_max_len)
         results.append(
-            check_closure(
-                predicate, valuation.colors, closure_max_len, name=f"closure.{label}"
-            )
+            check_closure(rows, valuation.colors, closure_max_len, name=f"closure.{label}")
         )
 
     for label, valuation in suite.items():

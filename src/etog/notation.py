@@ -74,20 +74,27 @@ def shipped_valuation_path() -> str:
     return _data_path("free_valuation.txt")
 
 
-# A refusal echoes a malformed literal up to this many characters.
+# A refusal echoes user text up to this many characters.
 _ECHO_HEAD = 40
+
+
+def echo(text: str) -> str:
+    """``text`` as a refusal quotes it: its repr, or past :data:`_ECHO_HEAD`
+    characters the repr of that head, then ``…``, then the text's length, so
+    that a refusal stays short."""
+    if len(text) > _ECHO_HEAD:
+        return f"{text[:_ECHO_HEAD]!r}… ({len(text)} characters)"
+    return repr(text)
 
 
 def parse_int(text: str, refusal: str, literal: str | None = None) -> int:
     """The integer that ``text`` spells; a malformed literal raises
     ``NotationError(refusal.format(shown))``.
 
-    ``shown`` is the repr of ``literal`` (``text`` when omitted); past
-    :data:`_ECHO_HEAD` characters it is the repr of that head, then ``…``,
-    then the literal's length, so a refusal stays short.  Decimal digits
-    (those of ``str.isdecimal``) after at most one sign that ``int`` still
-    refuses are past Python's int-from-str digit limit: that refusal names the
-    limit and does not echo the literal.
+    ``shown`` is :func:`echo` of ``literal`` (``text`` when omitted).  Decimal
+    digits (those of ``str.isdecimal``) after at most one sign that ``int``
+    still refuses are past Python's int-from-str digit limit: that refusal
+    names the limit and does not echo the literal.
     """
     try:
         return int(text)
@@ -95,11 +102,7 @@ def parse_int(text: str, refusal: str, literal: str | None = None) -> int:
         if re.fullmatch(r"\s*[+-]?\d+\s*", text):
             limit = sys.get_int_max_str_digits()
             raise NotationError(f"integer literal has more than {limit} digits") from None
-        literal = text if literal is None else literal
-        shown = repr(literal)
-        if len(literal) > _ECHO_HEAD:
-            shown = f"{literal[:_ECHO_HEAD]!r}… ({len(literal)} characters)"
-        raise NotationError(refusal.format(shown)) from None
+        raise NotationError(refusal.format(echo(text if literal is None else literal))) from None
 
 
 def _split_top(text: str, separator: str) -> list[str]:
@@ -154,7 +157,7 @@ def parse_group(text: str) -> OrderedGroup:
         if len(parts) != 2:
             raise NotationError("prod(...) takes exactly two specs")
         return LexProduct(parse_group(parts[0]), parse_group(parts[1]))
-    raise NotationError(f"unrecognised group spec: {text!r}")
+    raise NotationError(f"unrecognised group spec: {echo(text)}")
 
 
 def format_group(spec: OrderedGroup) -> str:
@@ -178,7 +181,7 @@ def _parse_letter(token: str) -> tuple[str, int]:
     elif token.endswith("^1"):
         symbol = token[:-2]
     if not symbol or "^" in symbol:
-        raise NotationError(f"bad letter exponent in {token!r} (only ^-1 allowed)")
+        raise NotationError(f"bad letter exponent in {echo(token)} (only ^-1 allowed)")
     return symbol, exponent
 
 
@@ -193,7 +196,7 @@ def parse_element(spec: OrderedGroup, text: str):
         return parse_int(text, "not an integer literal: {}")
     if isinstance(spec, LexVectors):
         if not (text.startswith("(") and text.endswith(")")):
-            raise NotationError(f"vector literal must look like (1,0,-1): {text!r}")
+            raise NotationError(f"vector literal must look like (1,0,-1): {echo(text)}")
         body = text[1:-1].strip()
         entries = [p.strip() for p in body.split(",")] if body else []
         values = tuple(parse_int(p, "non-integer vector entry in {}", text) for p in entries)

@@ -32,7 +32,7 @@ from etog.laws import (
     check_closure,
     check_fairly_mixing,
     check_invariant_subsemigroup,
-    negative_word_predicate,
+    negative_word_rows,
     order_axiom_battery,
     standard_valuations,
     words_up_to,
@@ -102,7 +102,7 @@ def test_criterion_4_closure_laws():
     with _Budget("4 closure-laws", 60.0):
         for label, valuation in SUITE.items():
             result = check_closure(
-                negative_word_predicate(valuation),
+                negative_word_rows(valuation, 6),
                 valuation.colors,
                 max_len=6,
                 name=f"closure.{label}",

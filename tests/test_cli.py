@@ -454,6 +454,22 @@ PINNED_REFUSALS = {
         lambda tmp_path: ["compare", "zlex(2)", f"(1,{LETTERS})", "(0,0)"],
         f"error: non-integer vector entry in {repr('(1,' + 'a' * 37)}… (5004 characters)\n",
     ),
+    "long-vector-literal": (
+        lambda tmp_path: ["compare", "zlex(2)", LETTERS, "e"],
+        f"error: vector literal must look like (1,0,-1): {HEAD}… (5000 characters)\n",
+    ),
+    "long-group-spec": (
+        lambda tmp_path: ["compare", LETTERS, "e", "e"],
+        f"error: unrecognised group spec: {HEAD}… (5000 characters)\n",
+    ),
+    "long-letter-exponent": (
+        lambda tmp_path: ["compare", "free(a,b)", f"{LETTERS}^2", "e"],
+        f"error: bad letter exponent in {HEAD}… (5002 characters) (only ^-1 allowed)\n",
+    ),
+    "long-unknown-color": (
+        lambda tmp_path: ["membership", "--cond", f"etog({VAL})", "--period", LETTERS],
+        f"error: unknown color {HEAD}… (5000 characters)\n",
+    ),
 }
 
 

@@ -292,6 +292,21 @@ class TestNotation:
             format_element(parse_group(spec), element)
 
 
+@given(st.integers(1, 5), st.data())
+@settings(deadline=None)
+def test_lex_vectors_compose_and_invert_match_a_coordinate_loop(dim, data):
+    vector = st.tuples(*[st.integers(-(10**20), 10**20)] * dim)
+    x, y = data.draw(vector), data.draw(vector)
+    summed, negated = [], []
+    for i in range(dim):
+        summed.append(x[i] + y[i])
+        negated.append(-x[i])
+    spec = LexVectors(dim)
+    assert spec.compose(x, y) == tuple(summed)
+    assert spec.invert(x) == tuple(negated)
+    assert type(spec.compose(x, y)) is tuple and type(spec.invert(x)) is tuple
+
+
 letters = st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([1, -1]))
 raw_words = st.lists(letters, max_size=8)
 
@@ -350,10 +365,37 @@ def test_magnus_coefficient_matches_brute_force():
             assert magnus_coefficient(w, m) == _brute_coefficient(w, m), (w, m)
 
 
-def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
-    """The comparison spelled out with no shortcuts: reduce x*y^-1 and take
-    the first non-zero brute-force coefficient in degree-then-lex order."""
-    w = multiply(x, y.inverse())
+def _magnus_series(w: FreeWord, degree: int) -> dict[tuple[str, ...], int]:
+    """Every non-zero coefficient of degree <= ``degree`` in the expansion of
+    ``w``, from the definition: g -> 1 + X_g and g^-1 -> 1 - X_g + X_g^2 - ...,
+    each truncated at ``degree``, multiplied out letter by letter from the
+    left.  Keys are monomials as tuples of generator names; () is the
+    constant term."""
+    series = {(): 1}
+    for code in w.letters:
+        g, e = letter_parts(code)
+        if e > 0:
+            factor = {(): 1, (g,): 1}
+        else:
+            factor = {(g,) * k: (-1) ** k for k in range(degree + 1)}
+        product_series: dict[tuple[str, ...], int] = {}
+        for m, a in series.items():
+            for f, b in factor.items():
+                if len(m) + len(f) <= degree:
+                    product_series[m + f] = product_series.get(m + f, 0) + a * b
+        series = {m: c for m, c in product_series.items() if c}
+    return series
+
+
+def _quotient(x: FreeWord, y: FreeWord) -> FreeWord:
+    """x*y^-1, reduced letter by letter by ``reduce_word``, not by ``multiply``."""
+    return reduce_word(map(letter_parts, x.letters + tuple(-c for c in reversed(y.letters))))
+
+
+def _brute_literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
+    """The comparison with brute-force coefficients: reduce x*y^-1 and take the
+    first non-zero ``_brute_coefficient`` in degree-then-lex order."""
+    w = _quotient(x, y)
     if w.is_identity:
         return Ordering.EQUAL
     for degree in range(1, len(w.letters) + 1):
@@ -364,15 +406,62 @@ def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
     raise AssertionError(f"no usable coefficient for {w!r}")
 
 
-def _commutator(rng, weight: int) -> FreeWord:
+def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
+    """The comparison spelled out with no shortcuts: reduce x*y^-1, expand it
+    as a power series one degree deeper at a time, and take the first
+    non-zero coefficient in degree-then-lex order."""
+    w = _quotient(x, y)
+    if w.is_identity:
+        return Ordering.EQUAL
+    for degree in range(1, len(w.letters) + 1):
+        series = _magnus_series(w, degree)
+        for m in product(spec.generators, repeat=degree):
+            coefficient = series.get(m, 0)
+            if coefficient:
+                return Ordering.GREATER if coefficient > 0 else Ordering.LESS
+    raise AssertionError(f"no usable coefficient for {w!r}")
+
+
+def test_magnus_series_matches_brute_force():
+    # the two references share no code: the series multiplies truncated
+    # series, the brute force sums over letter positions
+    import random
+
+    from etog.laws import element_sampler
+
+    rng = random.Random(11)
+    generators = ("a", "b", "c")
+    monomials = [m for d in range(1, 5) for m in product(generators, repeat=d)]
+    sample = element_sampler(FreeGroup(generators), 7)
+    for _ in range(60):
+        w = sample(rng)
+        series = _magnus_series(w, 4)
+        assert set(series) <= {()} | set(monomials), w
+        assert series.get((), 0) == 1, w
+        for m in monomials:
+            assert series.get(m, 0) == _brute_coefficient(w, m), (w, m)
+    # words of the lower central series, decided past degree 1
+    for weight in (2, 3):
+        for _ in range(10):
+            w = _commutator(rng, weight, generators)
+            series = _magnus_series(w, 4)
+            for m in monomials:
+                assert series.get(m, 0) == _brute_coefficient(w, m), (w, m)
+    for _ in range(100):
+        x, y = sample(rng), sample(rng)
+        assert _literal_compare(ABC, x, y) is _brute_literal_compare(ABC, x, y), (x, y)
+
+
+def _commutator(rng, weight: int, generators: tuple[str, ...] = ("a", "b")) -> FreeWord:
     """A random non-trivial commutator bracket [x, y] = x y x^-1 y^-1 of this
-    weight over a, b and their inverses, split at a random point at every
-    level; a bracket that reduces to the identity is drawn again."""
+    weight over the generators and their inverses, split at a random point at
+    every level; a bracket that reduces to the identity is drawn again."""
     if weight == 1:
-        return FreeWord((rng.choice([letter(g, e) for g in "ab" for e in (1, -1)]),))
+        return FreeWord((rng.choice([letter(g, e) for g in generators for e in (1, -1)]),))
     while True:
         split = rng.randint(1, weight - 1)
-        x, y = _commutator(rng, split), _commutator(rng, weight - split)
+        x = _commutator(rng, split, generators)
+        y = _commutator(rng, weight - split, generators)
         c = multiply(multiply(x, y), multiply(x.inverse(), y.inverse()))
         if c.letters:
             return c
@@ -426,28 +515,33 @@ def test_optimised_compare_matches_literal_expansion():
                 (multiply(u, suffix), suffix),
             ):
                 assert spec.compare(x, y) is _literal_compare(spec, x, y), (x, y)
-    # directed pairs x = w c, y = w for a commutator c of weight 2 to 4: every
-    # exponent sum of x y^-1 = w c w^-1 is 0, so degree 1 decides nothing.
-    # When w c cancels at the seam, both stripped slices are non-empty and v's
+    # directed pairs x = w c, y = w for a commutator c of weight 2 to 6, over
+    # two and three generators: every exponent sum of x y^-1 = w c w^-1 is 0,
+    # so degree 1 decides nothing, and the scan reads degree 2 to 6.  When
+    # w c cancels at the seam, both stripped slices are non-empty and v's
     # sums are not 0: only the difference of the two slices' sums vanishes.
     # Two words w in three are made to end in the inverse of c's first letter.
-    sample = element_sampler(AB, 3)
-    undecided = 0
-    for _ in range(120):
-        c = _commutator(rng, rng.choice((2, 2, 3, 3, 4)))  # weight 4 costs the most
-        w = sample(rng)
-        if rng.random() < 2 / 3:
-            w = multiply(w, FreeWord((-c.letters[0],)))
-        x = multiply(w, c)
-        expected = _literal_compare(AB, x, w)
-        assert AB.compare(x, w) is expected, (x, w)
-        assert AB.compare(w, x) is expected.flipped(), (w, x)
-        u, v = _stripped(x, w)
-        sums_vanish = all(
-            u.count(g) - u.count(-g) == v.count(g) - v.count(-g) for g in AB.codes
-        )
-        undecided += bool(u and v and sums_vanish)
-    assert undecided >= 40, undecided
+    for spec, pairs, least_undecided in ((AB, 100, 30), (FreeGroup(("a", "b", "c")), 40, 12)):
+        sample = element_sampler(spec, 3)
+        undecided = 0
+        for _ in range(pairs):
+            c = _commutator(rng, rng.choice((2, 3, 4, 5, 6)), spec.generators)
+            w = sample(rng)
+            if rng.random() < 2 / 3:
+                w = multiply(w, FreeWord((-c.letters[0],)))
+            x = multiply(w, c)
+            # compare's operands must be reduced; an unreduced identity would
+            # make the scan run through every monomial up to its length
+            assert x == _quotient(x, E), x
+            expected = _literal_compare(spec, x, w)
+            assert spec.compare(x, w) is expected, (x, w)
+            assert spec.compare(w, x) is expected.flipped(), (w, x)
+            u, v = _stripped(x, w)
+            sums_vanish = all(
+                u.count(g) - u.count(-g) == v.count(g) - v.count(-g) for g in spec.codes
+            )
+            undecided += bool(u and v and sums_vanish)
+        assert undecided >= least_undecided, (spec, undecided)
 
 
 ABC = FreeGroup(("a", "b", "c"))

@@ -23,8 +23,10 @@ from etog.groups import (
     MisorderedFreeGroup,
     OrderedGroup,
     Ordering,
+    format_word,
     letter,
     letter_parts,
+    multiply,
 )
 from etog import laws
 from etog.laws import (
@@ -34,7 +36,7 @@ from etog.laws import (
     check_invariant_subsemigroup,
     element_sampler,
     full_check_battery,
-    negative_word_predicate,
+    negative_word_rows,
     order_axiom_battery,
     reduced_word_sampler,
     reduced_words,
@@ -48,6 +50,21 @@ SUITE = standard_valuations()
 INT_XY = Valuation(("x", "y"), Integers(), {"x": -1, "y": 1})
 
 
+def negative_word_predicate(valuation: Valuation):
+    """The per-word reference for ``negative_word_rows``: whether the word's
+    value, composed from scratch by ``val_word``, is negative."""
+    return lambda word: valuation.group.is_negative(valuation.val_word(word))
+
+
+def _rows(predicate, alphabet, max_len: int) -> list[bytes]:
+    """The closure rows of a per-word predicate: one row per length 1..max_len,
+    one entry per word in itertools.product order."""
+    return [
+        bytes(map(predicate, itertools.product(alphabet, repeat=length)))
+        for length in range(1, max_len + 1)
+    ]
+
+
 class TestStandardValuations:
     def test_free_is_the_shipped_valuation(self):
         assert SUITE["free"] == load_valuation(shipped_valuation_path())
@@ -59,22 +76,22 @@ class TestStandardValuations:
 
 class TestClosure:
     def test_int_negative_words_pass(self):
-        result = check_closure(negative_word_predicate(INT_XY), ("x", "y"), 6)
+        result = check_closure(negative_word_rows(INT_XY, 6), ("x", "y"), 6)
         assert result.passed, result.counterexample
 
     def test_prefix_defined_set_fails_on_shift(self):
-        result = check_closure(lambda w: w[0] == "x", ("x", "y"), 3)
+        result = check_closure(_rows(lambda w: w[0] == "x", ("x", "y"), 3), ("x", "y"), 3)
         assert not result.passed
         assert "cyclic shift" in result.counterexample
 
     def test_free_valuation_passes(self):
         valuation = SUITE["free"]
-        result = check_closure(negative_word_predicate(valuation), valuation.colors, 5)
+        result = check_closure(negative_word_rows(valuation, 5), valuation.colors, 5)
         assert result.passed, result.counterexample
 
     def test_non_closed_set_fails_on_concatenation(self):
         # words of length exactly 1: concatenation leaves the set
-        result = check_closure(lambda w: len(w) == 1, ("x", "y"), 3)
+        result = check_closure(_rows(lambda w: len(w) == 1, ("x", "y"), 3), ("x", "y"), 3)
         assert not result.passed
         assert "concatenation" in result.counterexample
 
@@ -218,6 +235,89 @@ class TestInvariantSubsemigroup:
             membership=non_negative, colors=valuation.colors, max_len=max_len
         )
         assert by_value.passed == by_word.passed == (label != "misordered-free")
+
+    @pytest.mark.parametrize(
+        "case",
+        ["free-3", "misordered-free-2", "first-letter-positive", "last-letter-inverse",
+         "even-length", "odd-length"],
+    )
+    def test_verdicts_and_witnesses_match_the_per_letter_scan(self, case):
+        # each word's value, taken from its parent's, names the same first
+        # counterexample as a value recomputed letter by letter
+        free = SUITE["free"]
+        valuations = {
+            "free-3": (free, 3),
+            "misordered-free-2": (
+                Valuation(free.colors, MisorderedFreeGroup(("a", "b")), free.mapping), 2
+            ),
+        }
+        predicates = {
+            "first-letter-positive": lambda w: not w.letters or w.letters[0] > 0,
+            "last-letter-inverse": lambda w: not w.letters or w.letters[-1] < 0,
+            "even-length": lambda w: len(w) % 2 == 0,
+            "odd-length": lambda w: len(w) % 2 == 1,
+        }
+        if case in valuations:
+            valuation, max_len = valuations[case]
+            kwargs = {"valuation": valuation, "max_len": max_len}
+        else:
+            kwargs = {"membership": predicates[case], "colors": ("a", "b", "c"), "max_len": 3}
+        result = check_invariant_subsemigroup(**kwargs)
+        expected = _per_letter_subsemigroup(**kwargs)
+        assert (result.passed, result.counterexample) == expected
+        assert result.passed == (case == "free-3")
+
+
+def _per_letter_subsemigroup(valuation=None, max_len=4, membership=None, colors=None):
+    """(passed, counterexample) of the check_invariant_subsemigroup scan that
+    took each word's value letter by letter from the identity, kept as the
+    reference for the values taken from each word's parent."""
+    if valuation is not None:
+        colors = valuation.colors
+        group = valuation.group
+        mul, inv = group.compose, group.invert
+        images = {}
+        for color in colors:
+            code, image = letter(color, 1), valuation.value_of(color)
+            images[code], images[-code] = image, inv(image)
+
+        def in_s(value) -> bool:
+            return group.sign(value) is not Ordering.LESS
+
+        def element(word: FreeWord):
+            value = group.identity()
+            for code in word.letters:
+                value = mul(value, images[code])
+            return value
+    else:
+        in_s, mul, inv = membership, multiply, FreeWord.inverse
+
+        def element(word: FreeWord):
+            return word
+
+    witness: dict = {}
+    for word in reduced_words(colors, max_len):
+        witness.setdefault(element(word), word)
+    members = []
+    for g, word in witness.items():
+        if in_s(g):
+            members.append(g)
+        elif not in_s(inv(g)):
+            return False, f"neither {format_word(word)} nor its inverse is in S"
+    for x in members:
+        for y in members:
+            if not in_s(mul(x, y)):
+                return False, (
+                    f"product escapes S: ({format_word(witness[x])}) ({format_word(witness[y])})"
+                )
+    for g, word in witness.items():
+        g_inv = inv(g)
+        for x in members:
+            if not in_s(mul(mul(g, x), g_inv)):
+                return False, (
+                    f"conjugate escapes S: g={format_word(word)} x={format_word(witness[x])}"
+                )
+    return True, None
 
 
 class TestReducedWords:
@@ -375,9 +475,10 @@ def _necklace(word: tuple) -> tuple:
 
 
 def _closure_tables(rng: random.Random, alphabet: tuple, max_len: int):
-    """Seeded word -> bool tables: random, shift-invariant, negative words of
-    each suite valuation over the alphabet's first colors, and each of those
-    with one word flipped or with one word's whole shift class flipped."""
+    """Seeded word -> bool tables: random, shift-invariant, the rows of
+    negative words of each suite valuation over the alphabet's first colors,
+    and each of those with one word flipped or with one word's whole shift
+    class flipped."""
     words = list(words_up_to(alphabet, max_len))
     necklaces = {w: _necklace(w) for w in words}
     tables = [{w: rng.random() < 0.5 for w in words}]
@@ -388,9 +489,9 @@ def _closure_tables(rng: random.Random, alphabet: tuple, max_len: int):
         suite = SUITE[label]
         colors = suite.colors[: len(alphabet)]
         valuation = Valuation(colors, suite.group, {c: suite.mapping[c] for c in colors})
-        rename = dict(zip(alphabet, colors))
-        negative = negative_word_predicate(valuation)
-        tables.append({w: negative(tuple(rename[c] for c in w)) for w in words})
+        # words lists each length in itertools.product order, as the rows do
+        entries = b"".join(negative_word_rows(valuation, max_len))
+        tables.append({w: bool(entry) for w, entry in zip(words, entries, strict=True)})
     for table in tables[:]:
         target = rng.choice(words)
         tables.append({**table, target: not table[target]})
@@ -406,42 +507,73 @@ def test_row_closure_matches_word_by_word_closure(colors, max_len):
     rng = random.Random(100 * colors + max_len)
     alphabet = ("p", "q", "r", "s")[:colors]
     for table in _closure_tables(rng, alphabet, max_len):
-        fast = check_closure(table.__getitem__, alphabet, max_len)
+        fast = check_closure(_rows(table.__getitem__, alphabet, max_len), alphabet, max_len)
         slow = _word_by_word_closure(table.__getitem__, alphabet, max_len)
         assert (fast.passed, fast.counterexample) == (slow.passed, slow.counterexample)
 
 
 @pytest.mark.parametrize("label", sorted(SUITE))
 def test_prefix_reuse_matches_val_word(label):
-    # the predicate remembers one prefix; asked out of order it must still
-    # give val_word's answer on every word
+    # each row entry, built from its prefix's value, is the per-word
+    # reference's answer from val_word
     valuation = SUITE[label]
-    predicate = negative_word_predicate(valuation)
-    words = list(words_up_to(valuation.colors, 3))
-    random.Random(7).shuffle(words)
-    for word in [()] + words:
-        expected = valuation.group.is_negative(valuation.val_word(word))
-        assert predicate(word) is expected, word
+    negative = negative_word_predicate(valuation)
+    max_len = 4
+    rows = negative_word_rows(valuation, max_len)
+    assert len(rows) == max_len
+    for length, row in enumerate(rows, 1):
+        words = itertools.product(valuation.colors, repeat=length)
+        assert len(row) == len(valuation.colors) ** length
+        for word, entry in zip(words, row):
+            assert entry == negative(word), word
+    assert negative_word_rows(valuation, 0) == []
+
+
+class _CountingGroup(OrderedGroup):
+    """Delegates to ``inner``, counting ``compose`` calls and recording the
+    argument of every ``sign`` call."""
+
+    def __init__(self, inner: OrderedGroup):
+        self.inner, self.composed, self.signed = inner, 0, []
+
+    def identity(self):
+        return self.inner.identity()
+
+    def compose(self, x, y):
+        self.composed += 1
+        return self.inner.compose(x, y)
+
+    def invert(self, x):
+        return self.inner.invert(x)
+
+    def sign(self, x):
+        self.signed.append(x)
+        return self.inner.sign(x)
+
+    def validate(self, x):
+        self.inner.validate(x)
 
 
 @pytest.mark.parametrize("label", sorted(SUITE))
 def test_negative_word_predicate_evaluates_each_prefix_once(label, monkeypatch):
-    # asked row by row in itertools.product order, the predicate evaluates a
-    # prefix only when it changes: n**(L - 1) prefixes in row L
+    # the rows that replaced the predicate compose each word once, from its
+    # prefix's value: sum of n**L compose calls, no val_word, and one sign
+    # per distinct value
     valuation = SUITE[label]
-    val_word = Valuation.val_word
-    calls = []
-
-    def counting(self, word):
-        calls.append(tuple(word))
-        return val_word(self, word)
-
-    monkeypatch.setattr(Valuation, "val_word", counting)
-    predicate = negative_word_predicate(valuation)
+    counting = _CountingGroup(valuation.group)
     n, max_len = len(valuation.colors), 4
-    for word in words_up_to(valuation.colors, max_len):
-        assert predicate(word) is valuation.group.is_negative(val_word(valuation, word)), word
-    assert len(calls) == sum(n ** (length - 1) for length in range(1, max_len + 1))
+    expected = _rows(negative_word_predicate(valuation), valuation.colors, max_len)
+    values = {valuation.val_word(word) for word in words_up_to(valuation.colors, max_len)}
+
+    def no_val_word(self, word):
+        raise AssertionError("negative_word_rows called val_word")
+
+    monkeypatch.setattr(Valuation, "val_word", no_val_word)
+    rows = negative_word_rows(replace(valuation, group=counting), max_len)
+    assert rows == expected
+    assert counting.composed == sum(n**length for length in range(1, max_len + 1))
+    assert len(counting.signed) == len(values)
+    assert set(counting.signed) == values
 
 
 def _random_word_before(rng, alphabet, max_len, min_len=0):
