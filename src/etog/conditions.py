@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .errors import NotationError, UnknownColorError
+from .errors import NotationError, UnknownColorError, echo
 from .groups import Integers, InverseOrder, LexProduct, LexVectors, OrderedGroup, Ordering
 from .notation import (
     _check_nesting,
     _split_top,
-    echo,
     format_group,
     parse_element,
     parse_group,
@@ -47,7 +46,7 @@ class Valuation:
             raise NotationError("valuation must assign exactly one image per color")
         for color in self.colors:
             if color.split() != [color]:  # words split on whitespace
-                raise NotationError(f"bad color name {color!r}")
+                raise NotationError(f"bad color name {echo(color)}")
             self.group.validate(self.mapping[color])
 
     def value_of(self, color: str):
@@ -151,7 +150,7 @@ def up_member_oracle(cond: EtogCondition, word: UPWord, horizon: int) -> bool:
     period = word.period
     p = len(period)
     if horizon < 2 * p:
-        raise ValueError("horizon must cover at least two full periods")
+        raise NotationError("horizon must cover at least two full periods")
     valuation = cond.valuation
     for color in word.prefix:
         valuation.value_of(color)
@@ -235,11 +234,11 @@ def parse_valuation(text: str) -> Valuation:
             color_part, literal = rest.split("=", 1)
             color = color_part.strip()
             if color in mapping:
-                raise NotationError(f"line {lineno}: duplicate color {color!r}")
+                raise NotationError(f"line {lineno}: duplicate color {echo(color)}")
             colors.append(color)
             mapping[color] = parse_element(group, literal)
             continue
-        raise NotationError(f"line {lineno}: unrecognised directive {tokens[0]!r}")
+        raise NotationError(f"line {lineno}: unrecognised directive {echo(tokens[0])}")
     if group is None:
         raise NotationError("valuation file has no 'group' line")
     return Valuation(tuple(colors), group, mapping)
@@ -274,7 +273,7 @@ def parse_condition(text: str):
             cond = parse_condition(part)
             members += (cond,) if isinstance(cond, EtogCondition) else cond.members
         return UnionCondition(members)
-    raise NotationError(f"unrecognised condition spec: {text!r}")
+    raise NotationError(f"unrecognised condition spec: {echo(text)}")
 
 
 def describe_condition(cond) -> str:

@@ -1,4 +1,21 @@
-"""Shared exception types."""
+"""Shared exception types, and the one owner of error text.
+
+Every refusal that quotes text from outside the library (a literal, a spec, a
+file line, a path, a color or a node name) quotes it through :func:`echo`, so
+that no refusal repeats a long input in full.
+"""
+
+# A refusal echoes user text up to this many characters.
+_ECHO_HEAD = 40
+
+
+def echo(text: str) -> str:
+    """``text`` as a refusal quotes it: its repr, or past :data:`_ECHO_HEAD`
+    characters the repr of that head, then ``…``, then the text's length, so
+    that a refusal stays short."""
+    if len(text) > _ECHO_HEAD:
+        return f"{text[:_ECHO_HEAD]!r}… ({len(text)} characters)"
+    return repr(text)
 
 
 class EtogError(Exception):
@@ -29,7 +46,8 @@ class NotationError(EtogError, ValueError):
     """Malformed group spec, element literal, valuation file or condition spec,
     or a malformed argument to the constructor or function that owns the
     invariant (``FreeGroup``, ``MisorderedFreeGroup``, ``LexVectors``,
-    ``reduce_word``, ``Valuation``, ``UnionCondition``, ``parity_condition``)."""
+    ``reduce_word``, ``Valuation``, ``UnionCondition``, ``parity_condition``,
+    ``up_member_oracle``, ``verify_union_strategy``)."""
 
 
 class UnknownGeneratorError(NotationError):
@@ -41,15 +59,9 @@ class ArenaError(EtogError, ValueError):
 
 
 class MissingMachineEntryError(ArenaError):
-    """A play needs the entry under ``key`` in ``table``, and it is not there.
-
-    ``table`` is the mapping of a finite-memory strategy's moves or of its
-    updates, or a positional strategy's ``choice``."""
-
-    def __init__(self, message: str, table, key) -> None:
-        super().__init__(message)
-        self.table = table
-        self.key = key
+    """A play needs a strategy entry that is not there: a finite-memory
+    strategy's move or update, or a positional strategy's choice.  The
+    message names the state, node or edge of the missing entry."""
 
 
 class MissingOutgoingEdgeError(ArenaError):

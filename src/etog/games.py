@@ -52,8 +52,10 @@ from .errors import (
     EtogError,
     MissingMachineEntryError,
     MissingOutgoingEdgeError,
+    NotationError,
     UnknownColorError,
     UnknownEndpointError,
+    echo,
 )
 from .groups import format_word, multiply, reduce_word
 from .notation import read_ascii
@@ -90,17 +92,17 @@ class Arena:
         seen: set[str] = set()
         for node in self.nodes:
             if node in seen:
-                raise DuplicateNodeError(f"node {node!r} declared twice")
+                raise DuplicateNodeError(f"node {echo(node)} declared twice")
             seen.add(node)
         for edge in self.edges:
             if edge.source not in seen:
-                raise UnknownEndpointError(f"edge source {edge.source!r} not declared")
+                raise UnknownEndpointError(f"edge source {echo(edge.source)} not declared")
             if edge.target not in seen:
-                raise UnknownEndpointError(f"edge target {edge.target!r} not declared")
+                raise UnknownEndpointError(f"edge target {echo(edge.target)} not declared")
         sources = {edge.source for edge in self.edges}
         for node in self.nodes:
             if node not in sources:
-                raise MissingOutgoingEdgeError(f"node {node!r} has no outgoing edge")
+                raise MissingOutgoingEdgeError(f"node {echo(node)} has no outgoing edge")
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -139,10 +141,10 @@ def parse_arena(text: str, alphabet: Iterable[str] | None = None) -> Arena:
                 raise ArenaError(f"line {lineno}: expected 'edge <src> <color> <dst>'")
             color = tokens[2]
             if known_colors is not None and color not in known_colors:
-                raise UnknownColorError(f"line {lineno}: unknown color {color!r}")
+                raise UnknownColorError(f"line {lineno}: unknown color {echo(color)}")
             edges.append(Edge(tokens[1], color, tokens[3], len(edges)))
         else:
-            raise ArenaError(f"line {lineno}: unrecognised directive {tokens[0]!r}")
+            raise ArenaError(f"line {lineno}: unrecognised directive {echo(tokens[0])}")
     return Arena(tuple(alice), tuple(bob), tuple(edges))
 
 
@@ -164,9 +166,9 @@ class PositionalStrategy:
         try:
             edge = self.choice[node]
         except KeyError:
-            raise MissingMachineEntryError(f"no move at node {node!r}", self.choice, node) from None
+            raise MissingMachineEntryError(f"no move at node {echo(node)}") from None
         if edge.source != node:
-            raise ArenaError(f"strategy picks an edge not leaving {node!r}")
+            raise ArenaError(f"strategy picks an edge not leaving {echo(node)}")
         return edge
 
     def advance(self, state, edge: Edge):
@@ -191,20 +193,18 @@ class MealyStrategy:
         try:
             edge = self.moves[(state, node)]
         except KeyError:
-            raise MissingMachineEntryError(
-                f"no move for state {state!r} at node {node!r}", self.moves, (state, node)
-            ) from None
+            missing = f"no move for state {state!r} at node {echo(node)}"
+            raise MissingMachineEntryError(missing) from None
         if edge.source != node:
-            raise ArenaError(f"strategy picks an edge not leaving {node!r}")
+            raise ArenaError(f"strategy picks an edge not leaving {echo(node)}")
         return edge
 
     def advance(self, state, edge: Edge):
         try:
             return self.updates[(state, edge)]
         except KeyError:
-            raise MissingMachineEntryError(
-                f"no update for state {state!r} on edge {edge.index}", self.updates, (state, edge)
-            ) from None
+            missing = f"no update for state {state!r} on edge {edge.index}"
+            raise MissingMachineEntryError(missing) from None
 
 
 Strategy = PositionalStrategy | MealyStrategy
@@ -231,7 +231,7 @@ def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lass
     Mealy machine raises :class:`MissingMachineEntryError` at the first step
     that needs an entry it lacks."""
     if start not in arena.nodes:
-        raise ArenaError(f"unknown start node {start!r}")
+        raise ArenaError(f"unknown start node {echo(start)}")
     alice_nodes = arena.alice_nodes
     joint = (start, alice.initial_state(), bob.initial_state())
     seen: dict[tuple, int] = {}  # joint state -> path index at which it was left
@@ -264,7 +264,8 @@ class Solution:
 def _check_alphabet(arena: Arena, cond) -> None:
     missing = arena.colors - set(cond.colors)
     if missing:
-        raise UnknownColorError(f"arena colors outside the condition alphabet: {sorted(missing)}")
+        shown = ", ".join(map(echo, sorted(missing)))
+        raise UnknownColorError(f"arena colors outside the condition alphabet: [{shown}]")
 
 
 # One edge as the solver reads it: (1 << edge index, 1 << source, target).
@@ -467,10 +468,10 @@ def verify_union_strategy(
     :class:`MissingMachineEntryError` where the play needs the entry.
     """
     if bob_memory_bound < 1:
-        raise ValueError("bob_memory_bound must be >= 1")
+        raise NotationError("bob_memory_bound must be >= 1")
     _check_alphabet(arena, cond)
     if start not in arena.nodes:
-        raise ArenaError(f"unknown start node {start!r}")
+        raise ArenaError(f"unknown start node {echo(start)}")
 
     alice_nodes = arena.alice_nodes
     out_edges = {node: arena.out_edges(node) for node in arena.bob_nodes}
@@ -553,10 +554,10 @@ def alternating_strategy(arena: Arena, node: str) -> MealyStrategy:
     """Two-state Alice strategy that alternates the first two edges of one
     node (her other nodes keep their first declared edge)."""
     if node not in arena.alice_nodes:
-        raise ArenaError(f"node {node!r} is not an Alice node")
+        raise ArenaError(f"node {echo(node)} is not an Alice node")
     options = arena.out_edges(node)
     if len(options) < 2:
-        raise ArenaError(f"node {node!r} needs two outgoing edges to alternate")
+        raise ArenaError(f"node {echo(node)} needs two outgoing edges to alternate")
     moves: dict[tuple[object, str], Edge] = {}
     updates: dict[tuple[object, Edge], object] = {}
     for state, pick, flipped in (("first", options[0], "second"), ("second", options[1], "first")):

@@ -52,6 +52,7 @@ from .errors import (
     NotationError,
     SpecMismatchError,
     UnknownGeneratorError,
+    echo,
 )
 
 Letter = int
@@ -163,7 +164,7 @@ def reduce_word(
     stack: list[Letter] = []
     for symbol, exponent in letters:
         if known is not None and symbol not in known:
-            raise UnknownGeneratorError(f"unknown generator {symbol!r}")
+            raise UnknownGeneratorError(f"unknown generator {echo(symbol)}")
         if exponent not in (1, -1):
             raise NotationError(f"letter exponent must be +1 or -1, got {exponent!r}")
         code = letter(symbol, exponent)

@@ -11,6 +11,9 @@ Element literal grammar::
     (1,0,-1)             lexicographic vector
     a b^-1 a             free word, space-separated letters
     [<elem>;<elem>]      product pair
+
+Refusals quote the text they reject through :func:`errors.echo`, which owns
+error text; ``parse_int`` is the one reader of integer literals.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 import sys
 from importlib import resources
 
-from .errors import InputFileError, NotationError
+from .errors import InputFileError, NotationError, echo
 from .groups import (
     FreeGroup,
     Integers,
@@ -59,7 +62,9 @@ def read_ascii(path: str) -> str:
         with open(path, "r", encoding="ascii") as handle:
             return handle.read()
     except (OSError, ValueError) as exc:  # ValueError: non-ASCII bytes, NUL in path
-        raise InputFileError(f"cannot read {path!r}: {exc}") from None
+        # an OSError's str() repeats the path; its strerror does not
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise InputFileError(f"cannot read {echo(path)}: {reason}") from None
 
 
 def _data_path(name: str) -> str:
@@ -72,19 +77,6 @@ def shipped_arena_path() -> str:
 
 def shipped_valuation_path() -> str:
     return _data_path("free_valuation.txt")
-
-
-# A refusal echoes user text up to this many characters.
-_ECHO_HEAD = 40
-
-
-def echo(text: str) -> str:
-    """``text`` as a refusal quotes it: its repr, or past :data:`_ECHO_HEAD`
-    characters the repr of that head, then ``…``, then the text's length, so
-    that a refusal stays short."""
-    if len(text) > _ECHO_HEAD:
-        return f"{text[:_ECHO_HEAD]!r}… ({len(text)} characters)"
-    return repr(text)
 
 
 def parse_int(text: str, refusal: str, literal: str | None = None) -> int:
@@ -116,14 +108,14 @@ def _split_top(text: str, separator: str) -> list[str]:
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise NotationError(f"unbalanced brackets in {text!r}")
+                break
         if ch == separator and depth == 0:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise NotationError(f"unbalanced brackets in {text!r}")
+        raise NotationError(f"unbalanced brackets in {echo(text)}")
     parts.append("".join(current))
     return parts
 
@@ -146,7 +138,7 @@ def parse_group(text: str) -> OrderedGroup:
             raise NotationError("free group needs at least one generator")
         for name in names:
             if not _NAME_RE.match(name):
-                raise NotationError(f"bad generator name: {name!r}")
+                raise NotationError(f"bad generator name: {echo(name)}")
             if name == "e":
                 raise NotationError("generator name 'e' collides with the identity literal")
         return FreeGroup(tuple(names))
@@ -217,7 +209,7 @@ def parse_element(spec: OrderedGroup, text: str):
         return parse_element(spec.inner, text)
     if isinstance(spec, LexProduct):
         if not (text.startswith("[") and text.endswith("]")):
-            raise NotationError(f"product literal must look like [x;y]: {text!r}")
+            raise NotationError(f"product literal must look like [x;y]: {echo(text)}")
         parts = _split_top(text[1:-1], ";")
         if len(parts) != 2:
             raise NotationError("product literal takes exactly two components")

@@ -346,12 +346,6 @@ def _huge_value_membership(tmp_path):
     return ["membership", "--cond", f"etog({path})", "--period", " ".join(["x"] * 12)]
 
 
-def _empty_arena(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("# no nodes\n")
-    return ["solve", "--arena", str(path), "--cond", f"etog({VAL})"]
-
-
 def _mismatched_union(tmp_path):
     (tmp_path / "i.txt").write_text("group int\nval x = 1\n")
     (tmp_path / "j.txt").write_text("group int\nval y = 1\n")
@@ -364,25 +358,31 @@ HEAD = repr("a" * 40)  # a refusal echoes the first 40 characters of a long lite
 DIGIT_LIMIT = f"integer literal has more than {sys.get_int_max_str_digits()} digits"
 
 
-def _valuation_without_colors(tmp_path):
-    (tmp_path / "none.txt").write_text("group int\n")
-    return ["membership", "--cond", "etog(none.txt)", "--period", "x"]
+def _valuation_file(text):
+    """The argv maker of a membership run whose valuation file holds ``text``."""
+
+    def make_argv(tmp_path):
+        (tmp_path / "v.txt").write_text(text)
+        return ["membership", "--cond", "etog(v.txt)", "--period", "x"]
+
+    return make_argv
 
 
-def _tab_in_color(tmp_path):
-    (tmp_path / "tab.txt").write_text("group int\nval x = 1\nval a\tb = -1\n")
-    return ["membership", "--cond", "etog(tab.txt)", "--period", "x"]
+def _arena_file(text):
+    """The argv maker of a solve run, under the shipped valuation, whose arena
+    file holds ``text``."""
+
+    def make_argv(tmp_path):
+        (tmp_path / "arena.txt").write_text(text)
+        return ["solve", "--arena", "arena.txt", "--cond", f"etog({VAL})"]
+
+    return make_argv
 
 
-def _huge_valuation_literal(tmp_path):
-    (tmp_path / "huge.txt").write_text(f"group int\nval x = {NINES}\n")
-    return ["membership", "--cond", "etog(huge.txt)", "--period", "x"]
-
-
-# Refusals owned by a constructor, the solver, parse_int or the ETOG_SEED
-# reader, each with the end of its stderr (argparse prints its usage lines
-# first).  An argv may start with NAME=value items, which set environment
-# variables as in a shell.
+# Refusals owned by a constructor, a parser, the file reader, the solver,
+# parse_int or the ETOG_SEED reader, each with the end of its stderr (argparse
+# prints its usage lines first).  An argv may start with NAME=value items,
+# which set environment variables as in a shell.
 PINNED_REFUSALS = {
     "duplicate-generator": (
         lambda tmp_path: ["compare", "free(a,a)", "e", "e"],
@@ -397,7 +397,7 @@ PINNED_REFUSALS = {
         "error: unknown generator 'c'\n",
     ),
     "valuation-without-colors": (
-        _valuation_without_colors,
+        _valuation_file("group int\n"),
         "error: valuation defines no colors\n",
     ),
     "solve-union": (
@@ -419,7 +419,7 @@ PINNED_REFUSALS = {
         f"error: {DIGIT_LIMIT}\n",
     ),
     "valuation-literal-past-digit-limit": (
-        _huge_valuation_literal,
+        _valuation_file(f"group int\nval x = {NINES}\n"),
         f"error: {DIGIT_LIMIT}\n",
     ),
     "check-samples-past-digit-limit": (
@@ -439,7 +439,7 @@ PINNED_REFUSALS = {
         "error: ETOG_SEED: not an integer: 'abc'\n",
     ),
     "whitespace-in-color": (
-        _tab_in_color,
+        _valuation_file("group int\nval x = 1\nval a\tb = -1\n"),
         "error: bad color name 'a\\tb'\n",
     ),
     "long-int-literal": (
@@ -469,6 +469,71 @@ PINNED_REFUSALS = {
     "long-unknown-color": (
         lambda tmp_path: ["membership", "--cond", f"etog({VAL})", "--period", LETTERS],
         f"error: unknown color {HEAD}… (5000 characters)\n",
+    ),
+    "long-condition-spec": (
+        lambda tmp_path: ["membership", "--cond", LETTERS, "--period", "a"],
+        f"error: unrecognised condition spec: {HEAD}… (5000 characters)\n",
+    ),
+    "long-valuation-directive": (
+        _valuation_file(f"group int\n{LETTERS}\n"),
+        f"error: line 2: unrecognised directive {HEAD}… (5000 characters)\n",
+    ),
+    "long-duplicate-color": (
+        _valuation_file(f"group int\nval {LETTERS} = 1\nval {LETTERS} = 2\n"),
+        f"error: line 3: duplicate color {HEAD}… (5000 characters)\n",
+    ),
+    "long-bad-color-name": (
+        _valuation_file(f"group int\nval x = 1\nval {LETTERS}\tb = -1\n"),
+        f"error: bad color name {HEAD}… (5002 characters)\n",
+    ),
+    "long-arena-directive": (
+        _arena_file(f"{LETTERS}\n"),
+        f"error: line 1: unrecognised directive {HEAD}… (5000 characters)\n",
+    ),
+    "long-arena-color": (
+        _arena_file(f"node s A\nedge s {LETTERS} s\n"),
+        f"error: line 2: unknown color {HEAD}… (5000 characters)\n",
+    ),
+    "long-edge-source": (
+        _arena_file(f"node s A\nedge s eps s\nedge {LETTERS} eps s\n"),
+        f"error: edge source {HEAD}… (5000 characters) not declared\n",
+    ),
+    "long-edge-target": (
+        _arena_file(f"node s A\nedge s eps {LETTERS}\n"),
+        f"error: edge target {HEAD}… (5000 characters) not declared\n",
+    ),
+    "long-node-declared-twice": (
+        _arena_file(f"node {LETTERS} A\nnode {LETTERS} B\n"),
+        f"error: node {HEAD}… (5000 characters) declared twice\n",
+    ),
+    "long-sink-node": (
+        _arena_file(f"node s A\nnode {LETTERS} B\nedge s eps s\n"),
+        f"error: node {HEAD}… (5000 characters) has no outgoing edge\n",
+    ),
+    "long-generator-name": (
+        lambda tmp_path: ["compare", f"free(a,{LETTERS}-)", "e", "e"],
+        f"error: bad generator name: {HEAD}… (5001 characters)\n",
+    ),
+    "long-unknown-generator": (
+        lambda tmp_path: ["compare", "free(a,b)", LETTERS, "e"],
+        f"error: unknown generator {HEAD}… (5000 characters)\n",
+    ),
+    "long-product-literal": (
+        lambda tmp_path: ["compare", "prod(int,int)", LETTERS, "e"],
+        f"error: product literal must look like [x;y]: {HEAD}… (5000 characters)\n",
+    ),
+    "long-unbalanced-brackets": (
+        lambda tmp_path: ["compare", "prod(int,int)", f"[{LETTERS})]", "e"],
+        f"error: unbalanced brackets in {HEAD}… (5001 characters)\n",
+    ),
+    # an OSError's own text would repeat the path; the refusal names it once
+    "long-unreadable-path": (
+        lambda tmp_path: ["membership", "--cond", f"etog({LETTERS})", "--period", "a"],
+        f"error: cannot read {HEAD}… (5000 characters): File name too long\n",
+    ),
+    "missing-valuation-file": (
+        lambda tmp_path: ["membership", "--cond", "etog(missing.txt)", "--period", "a"],
+        "error: cannot read 'missing.txt': No such file or directory\n",
     ),
 }
 
@@ -503,7 +568,7 @@ def _run_refusal(capsys, monkeypatch, argv):
         lambda tmp_path: ["check", "--max-len", "0"],
         lambda tmp_path: ["membership", "--cond", f"etog({VAL})", "--period", ""],
         _mismatched_union,
-        _empty_arena,
+        _arena_file("# no nodes\n"),
         _huge_value_membership,
         *(make_argv for make_argv, _ in PINNED_REFUSALS.values()),
     ],

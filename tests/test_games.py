@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,7 @@ from etog.conditions import (
     UPWord,
     Valuation,
     parity_condition,
+    parse_valuation,
     up_member_oracle,
 )
 from etog.errors import (
@@ -175,7 +178,8 @@ class TestPlayLasso:
     @pytest.mark.parametrize("table", ["moves", "updates"])
     def test_missing_entry_names_its_table_and_key(self, refutation_arena, table):
         # take out each entry of one table in turn; a play that needs it
-        # raises with that table and key, and one that does not is unchanged
+        # raises a message that names the table and the key, and holds
+        # nothing else; a play that does not need it is unchanged
         sigma = alternating_strategy(refutation_arena, "sq")
         full = bob_alternator(refutation_arena, "lc", "a", "a^-1")
         expected = play_lasso(refutation_arena, "sq", sigma, full)
@@ -187,7 +191,13 @@ class TestPlayLasso:
             try:
                 lasso = play_lasso(refutation_arena, "sq", sigma, bob)
             except MissingMachineEntryError as missing:
-                assert missing.table is partial[table] and missing.key == key
+                state, entry = key
+                named = (
+                    f"no move for state {state!r} at node {entry!r}"
+                    if table == "moves"
+                    else f"no update for state {state!r} on edge {entry.index}"
+                )
+                assert str(missing) == named and vars(missing) == {}
                 stops += 1
             else:
                 assert lasso == expected  # the play never needs this entry
@@ -200,8 +210,7 @@ class TestPlayLasso:
         bob = PositionalStrategy(Player.BOB, {})
         with pytest.raises(MissingMachineEntryError, match=r"^no move at node 's'$") as raised:
             play_lasso(arena, "s", alice, bob)
-        owned = alice if owner == "A" else bob
-        assert raised.value.table is owned.choice and raised.value.key == "s"
+        assert vars(raised.value) == {}
 
     def test_unknown_start_node(self, refutation_arena):
         sigma = alternating_strategy(refutation_arena, "sq")
@@ -212,6 +221,44 @@ class TestPlayLasso:
 
 def make_arena(lines):
     return parse_arena("\n".join(lines))
+
+
+LONG = "a" * 5000  # a node and color name
+OTHER = "a" * 4999 + "b"  # no node of LONG_ARENA
+SHOWN = f"{'a' * 40!r}… (5000 characters)"  # how a refusal quotes either
+LONG_ARENA = make_arena(
+    [f"node {LONG} A", "node s B", f"edge {LONG} {LONG} {LONG}", f"edge s {LONG} {LONG}"]
+)
+LONG_COND = EtogCondition(Valuation((LONG,), Integers(), {LONG: 1}))
+NOBODY = (PositionalStrategy(Player.ALICE, {}), PositionalStrategy(Player.BOB, {}))
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: play_lasso(LONG_ARENA, OTHER, *NOBODY), f"unknown start node {SHOWN}"),
+        (lambda: verify_union_strategy(LONG_ARENA, LONG_COND, OTHER, NOBODY[0], 1),
+         f"unknown start node {SHOWN}"),
+        (lambda: alternating_strategy(LONG_ARENA, OTHER), f"node {SHOWN} is not an Alice node"),
+        (lambda: alternating_strategy(LONG_ARENA, LONG),
+         f"node {SHOWN} needs two outgoing edges to alternate"),
+        (lambda: play_lasso(LONG_ARENA, LONG, *NOBODY), f"no move at node {SHOWN}"),
+        (lambda: MealyStrategy(Player.ALICE, (0,), 0, {}, {}).move(0, LONG),
+         f"no move for state 0 at node {SHOWN}"),
+        (lambda: PositionalStrategy(Player.ALICE, {LONG: LONG_ARENA.edges[1]}).move(None, LONG),
+         f"strategy picks an edge not leaving {SHOWN}"),
+        (lambda: MealyStrategy(Player.ALICE, (0,), 0, {(0, LONG): LONG_ARENA.edges[1]}, {})
+         .move(0, LONG), f"strategy picks an edge not leaving {SHOWN}"),
+        (lambda: solve_energy_game(LONG_ARENA, EtogCondition(FREE_VAL)),
+         f"arena colors outside the condition alphabet: [{SHOWN}]"),
+    ],
+    ids=["play-start", "verify-start", "not-alice", "one-edge", "no-choice", "no-move",
+         "edge-elsewhere", "mealy-edge-elsewhere", "alphabet"],
+)
+def test_refusals_quote_long_names_by_head_and_length(refuse, message):
+    with pytest.raises(EtogError) as refused:
+        refuse()
+    assert str(refused.value) == message and len(message) < 200
 
 
 def random_arena(rng, max_nodes, max_out, colors):
@@ -940,9 +987,8 @@ class TestUnionVerifierCharacterisation:
             Player.ALICE, alternating.states, "first", moves, alternating.updates
         )
         message = r"^no move for state 'second' at node 'sq'$"
-        with pytest.raises(MissingMachineEntryError, match=message) as raised:
+        with pytest.raises(MissingMachineEntryError, match=message):
             verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
-        assert raised.value.table is moves and raised.value.key == ("second", "sq")
         with pytest.raises(MissingMachineEntryError, match=message):
             replay_union_verdict(refutation_arena, UNION, "sq", alice, 2)
 
@@ -951,20 +997,33 @@ class TestUnionVerifierCharacterisation:
     ):
         alice = PositionalStrategy(Player.ALICE, {})
         message = r"^no move at node 'sq'$"
-        with pytest.raises(MissingMachineEntryError, match=message) as raised:
+        with pytest.raises(MissingMachineEntryError, match=message):
             verify_union_strategy(refutation_arena, UNION, "sq", alice, 2)
-        assert raised.value.table is alice.choice and raised.value.key == "sq"
         with pytest.raises(MissingMachineEntryError, match=message):
             replay_union_verdict(refutation_arena, UNION, "sq", alice, 2)
+
+
+class Undecided(Exception):
+    """A Bob entry that a play needs and the reference has not decided yet;
+    its arguments are the table and the key."""
+
+
+class BobTable(dict):
+    """One table of the reference's Bob machine; a lookup of a key it lacks
+    raises :class:`Undecided`."""
+
+    def __missing__(self, key):
+        raise Undecided(self, key)
 
 
 def replay_union_verdict(arena, cond, start, alice, bound, completed=None):
     """Reference verifier: the enumeration of ``verify_union_strategy`` with
     every play run again from the start node by ``play_lasso`` after each
-    missing entry, and every completed play judged without a cache.  Returns
-    (wins, machines, beating tables, beating lasso), and appends each
-    completed play's lasso to ``completed`` when it is given."""
-    moves, updates = {}, {}
+    undecided Bob entry, and every completed play judged without a cache.
+    Returns (wins, machines, beating tables, beating lasso), and appends each
+    completed play's lasso to ``completed`` when it is given.  A missing entry
+    of Alice's strategy raises the library's ``MissingMachineEntryError``."""
+    moves, updates = BobTable(), BobTable()
     bob = MealyStrategy(Player.BOB, tuple(range(bound)), 0, moves, updates)
     machines = 0
 
@@ -972,20 +1031,19 @@ def replay_union_verdict(arena, cond, start, alice, bound, completed=None):
         nonlocal machines
         try:
             lasso = play_lasso(arena, start, alice, bob)
-        except MissingMachineEntryError as missing:
-            if missing.table is moves:
-                options = arena.out_edges(missing.key[1])
-            elif missing.table is updates:
+        except Undecided as undecided:
+            table, key = undecided.args
+            if table is moves:
+                options = arena.out_edges(key[1])
+            else:
                 used = 1 + max(updates.values(), default=0)
                 options = range(min(used + 1, bound))
-            else:
-                raise
             for option in options:
-                missing.table[missing.key] = option
+                table[key] = option
                 lasso = explore()
                 if lasso is not None:
                     return lasso
-                del missing.table[missing.key]
+                del table[key]
             return None
         machines += 1
         if completed is not None:
@@ -1001,7 +1059,7 @@ def replay_union_verdict(arena, cond, start, alice, bound, completed=None):
             moves.setdefault((state, node), arena.out_edges(node)[0])
         for edge in arena.edges:
             updates.setdefault((state, edge), state)
-    return False, machines, (states, moves, updates), lasso
+    return False, machines, (states, dict(moves), dict(updates)), lasso
 
 
 def union_verdict_tables(verdict):
@@ -1016,6 +1074,21 @@ def random_alice_machine(rng, arena):
     moves = {(s, n): rng.choice(arena.out_edges(n)) for s in states for n in arena.alice_nodes}
     updates = {(s, e): rng.choice(states) for s in states for e in arena.edges}
     return MealyStrategy(Player.ALICE, states, 0, moves, updates)
+
+
+# (seed, draws, max_nodes, max_out) of the random Alice machine draws; at
+# most 3 nodes at out-degree 3: at 4, one draw of seed 1500 checks 261,483
+# machines
+ALICE_MACHINE_DRAWS = {"out-degree-three": (1500, 100, 3, 3), "out-degree-two": (2026, 200, 4, 2)}
+
+
+def random_alice_machine_draws(seed, draws, max_nodes, max_out):
+    """(arena, random Alice machine, start, memory bound 1..3) per draw."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        arena = random_arena(rng, max_nodes, max_out, colors=FREE_VAL.colors)
+        alice = random_alice_machine(rng, arena)
+        yield arena, alice, rng.choice(arena.nodes), rng.randint(1, 3)
 
 
 class TestUnionVerifierAgainstReplay:
@@ -1052,27 +1125,235 @@ class TestUnionVerifierAgainstReplay:
         assert [v.machines_checked for v in verdicts] == [11, 11, 84404]
 
     def test_random_alice_machines_out_degree_three(self):
-        rng = random.Random(1500)
         outcomes = set()
-        for _ in range(100):
-            # at most 3 nodes: at 4, one draw of this seed checks 261,483 machines
-            arena = random_arena(rng, max_nodes=3, max_out=3, colors=FREE_VAL.colors)
-            alice = random_alice_machine(rng, arena)
-            start = rng.choice(arena.nodes)
-            verdict = self.check(arena, alice, start, rng.randint(1, 3))
+        draws = ALICE_MACHINE_DRAWS["out-degree-three"]
+        for arena, alice, start, memory in random_alice_machine_draws(*draws):
+            verdict = self.check(arena, alice, start, memory)
             outcomes.add(verdict.wins_within_bound)
         assert outcomes == {True, False}
 
     def test_random_alice_machines(self):
-        rng = random.Random(2026)
         outcomes = set()
-        for _ in range(200):
-            arena = random_arena(rng, max_nodes=4, max_out=2, colors=FREE_VAL.colors)
-            alice = random_alice_machine(rng, arena)
-            start = rng.choice(arena.nodes)
-            verdict = self.check(arena, alice, start, rng.randint(1, 3))
+        draws = ALICE_MACHINE_DRAWS["out-degree-two"]
+        for arena, alice, start, memory in random_alice_machine_draws(*draws):
+            verdict = self.check(arena, alice, start, memory)
             outcomes.add(verdict.wins_within_bound)
         assert outcomes == {True, False}
+
+
+def benois_beating_walk(arena, valuation, start, alice):
+    """Exact reference decider for the union of the free-group energy
+    condition over ``valuation`` and its inverse-order twin, against Bob
+    strategies of any memory.  Returns ``None`` when Alice's finite-memory
+    strategy wins from ``start``, or the stem and the cycle of a beating
+    play, as arena edges.
+
+    A lasso lies outside the union exactly when its cycle has value e, so
+    Bob beats Alice exactly when the product of the arena and her machine
+    has a non-empty closed walk of value e, reachable from the start: Bob
+    walks to it and repeats it, with one state per step.  Each product edge
+    becomes one letter edge per letter of its colour's image (an e-edge for
+    e), and the relation "a walk from p to q of value e" is saturated, after
+    Benois (*Parties rationnelles du groupe libre*, 1969), under four rules:
+    the diagonal; an e-edge extends a pair; pairs compose; an edge labelled
+    x, then a pair, then an edge labelled x^-1, gives a pair.  A witness is
+    a letter edge out of a product vertex q labelled l, followed by a walk
+    back to q of value l^-1: a pair for an e-edge, and for a letter x a
+    pair, an edge labelled x^-1 and a pair.
+    """
+    # the product vertices reachable from the start, each with a shortest
+    # stem of arena edges, and the product edges between them
+    root = (start, alice.initial_state())
+    stems = {root: ()}
+    product = []
+    queue = [root]
+    for vertex in queue:
+        node, state = vertex
+        options = [alice.move(state, node)] if node in arena.alice_nodes else arena.out_edges(node)
+        for edge in options:
+            target = (edge.target, alice.advance(state, edge))
+            product.append((vertex, edge, target))
+            if target not in stems:
+                stems[target] = stems[vertex] + (edge,)
+                queue.append(target)
+    # letter edges (source, letter or None for e, target, the arena edge a
+    # product edge's last letter edge completes, else None)
+    letter_edges = []
+    for i, (source, edge, target) in enumerate(product):
+        labels = valuation.mapping[edge.color].letters or (None,)
+        hops = [source, *(("via", i, k) for k in range(1, len(labels))), target]
+        for k, label in enumerate(labels):
+            done = edge if k == len(labels) - 1 else None
+            letter_edges.append((hops[k], label, hops[k + 1], done))
+    leaving = {}
+    for letter_edge in letter_edges:
+        leaving.setdefault(letter_edge[0], []).append(letter_edge)
+
+    # pair -> how it was derived; each derivation names pairs found earlier
+    pairs = {(v, v): () for v in leaving}  # the diagonal: the empty walk
+    while True:
+        ends = {}
+        for p, q in pairs:
+            ends.setdefault(p, []).append(q)
+        found = {}
+        for p, q in pairs:
+            for e in leaving[q]:  # an e-edge extends a pair
+                if e[1] is None:
+                    found.setdefault((p, e[2]), ("extend", (p, q), e))
+            for r in ends.get(q, ()):  # pairs compose
+                found.setdefault((p, r), ("compose", (p, q), (q, r)))
+        for x in letter_edges:  # x, then a pair, then x^-1
+            if x[1] is not None:
+                for q in ends.get(x[2], ()):
+                    for y in leaving[q]:
+                        if y[1] == -x[1]:
+                            found.setdefault((x[0], y[2]), ("wrap", x, (x[2], q), y))
+        new = {pair: how for pair, how in found.items() if pair not in pairs}
+        if not new:
+            break
+        pairs.update(new)
+
+    def walk(pair):
+        """The letter edges of the walk that ``pair`` was derived from."""
+        rule, *parts = pairs[pair] or ("diagonal",)
+        if rule == "extend":
+            return walk(parts[0]) + [parts[1]]
+        if rule == "compose":
+            return walk(parts[0]) + walk(parts[1])
+        if rule == "wrap":
+            return [parts[0], *walk(parts[1]), parts[2]]
+        return []
+
+    def back(x, q):
+        """A walk from the target of letter edge x to q whose value is the
+        inverse of x's label, or None."""
+        if x[1] is None:
+            return walk((x[2], q)) if (x[2], q) in pairs else None
+        for y in letter_edges:
+            if y[1] == -x[1] and (x[2], y[0]) in pairs and (y[2], q) in pairs:
+                return [*walk((x[2], y[0])), y, *walk((y[2], q))]
+        return None
+
+    for q in stems:
+        for x in leaving[q]:
+            rest = back(x, q)
+            if rest is not None:
+                closed = [x, *rest]
+                return stems[q], tuple(e[3] for e in closed if e[3] is not None)
+    return None
+
+
+def walk_machine(arena, stem, cycle):
+    """Bob's Mealy machine that plays ``stem`` and then repeats ``cycle``,
+    with one state per step."""
+    steps = stem + cycle
+    moves, updates = {}, {}
+    for i, edge in enumerate(steps):
+        if edge.source in arena.bob_nodes:
+            moves[(i, edge.source)] = edge
+        updates[(i, edge)] = i + 1 if i + 1 < len(steps) else len(stem)
+    return MealyStrategy(Player.BOB, tuple(range(len(steps))), 0, moves, updates)
+
+
+# a valuation with multi-letter images, so that product edges become paths of
+# letter edges, and its union with its inverse-order twin
+MULTI_VAL = parse_valuation(
+    "group free(a,b)\nval p = a b\nval q = b^-1 a^-1\nval r = a b^-1\nval s = e\n"
+)
+MULTI_UNION = UnionCondition(
+    (
+        EtogCondition(MULTI_VAL),
+        EtogCondition(replace(MULTI_VAL, group=InverseOrder(MULTI_VAL.group))),
+    )
+)
+
+
+class TestBenoisDeciderAgainstEnumerator:
+    """The exact decider and the bounded enumerator must agree where both
+    speak: a strategy that the enumerator beats with at most three Bob
+    states is beaten for the decider too, so a strategy the decider proves
+    winning survives every such machine; and every closed walk the decider
+    returns has value e and beats Alice in replay."""
+
+    def check(self, arena, alice, start, valuation=FREE_VAL, union=UNION):
+        """(decider says Alice wins, enumerator at memory 3 says she wins)."""
+        walk = benois_beating_walk(arena, valuation, start, alice)
+        verdict = verify_union_strategy(arena, union, start, alice, 3)
+        assert walk is not None or verdict.wins_within_bound
+        if walk is not None:
+            stem, cycle = walk
+            assert cycle and valuation.val_word([e.color for e in cycle]).is_identity
+            lasso = play_lasso(arena, start, alice, walk_machine(arena, stem, cycle))
+            assert lasso == Lasso(stem, cycle)
+            assert not union.up_member(lasso.up_word())
+        return walk is None, verdict.wins_within_bound
+
+    def test_shipped_arena(self):
+        arena = games.load_arena(shipped_arena_path(), FREE_VAL.colors)
+        alices = [
+            *positional_strategies(arena, Player.ALICE),
+            alternating_strategy(arena, "sq"),
+        ]
+        walks = [benois_beating_walk(arena, FREE_VAL, "sq", alice) for alice in alices]
+        # both positional strategies are beaten by criterion 1's cycles, and
+        # the alternating strategy wins against every Bob strategy
+        cycles = [None if w is None else tuple(e.color for e in w[1]) for w in walks]
+        assert cycles == [("eps", "a", "eps", "a^-1"), ("eps", "b", "eps", "b^-1"), None]
+        for memory in (1, 2):
+            for alice, walk in zip(alices, walks):
+                verdict = verify_union_strategy(arena, UNION, "sq", alice, memory)
+                assert walk is not None or verdict.wins_within_bound
+        # memory 3, and the replay of both walks
+        assert [self.check(arena, alice, "sq") for alice in alices] == [
+            (False, False), (False, False), (True, True)
+        ]
+
+    def test_random_union_draws(self):
+        outcomes = [
+            self.check(arena, sigma, start) for arena, sigma, start, _ in random_union_draws()
+        ]
+        assert Counter(outcomes) == {(True, True): 24, (False, False): 6}
+
+    # (decider says Alice wins, enumerator at memory 3 says she wins) -> draws.
+    # In the one draw of out-degree three where they differ, the draw at
+    # index 37, Alice owns no node, the decider's cycle has 12 steps, and the
+    # enumerator finds no beating machine at memory 4 either (7,419,242
+    # machines).
+    @pytest.mark.parametrize(
+        "draws, expected",
+        [
+            ("out-degree-three", {(True, True): 57, (False, False): 42, (False, True): 1}),
+            ("out-degree-two", {(True, True): 156, (False, False): 44}),
+        ],
+    )
+    def test_random_alice_machine_draws(self, draws, expected):
+        outcomes = [
+            self.check(arena, alice, start)
+            for arena, alice, start, _ in random_alice_machine_draws(*ALICE_MACHINE_DRAWS[draws])
+        ]
+        assert Counter(outcomes) == expected
+
+    def test_multi_letter_images(self):
+        rng = random.Random(29)
+        outcomes = []
+        for _ in range(100):
+            arena = random_arena(rng, max_nodes=4, max_out=2, colors=MULTI_VAL.colors)
+            alice = random_alice_machine(rng, arena)
+            start = rng.choice(arena.nodes)
+            outcomes.append(self.check(arena, alice, start, MULTI_VAL, MULTI_UNION))
+        assert Counter(outcomes) == {(True, True): 72, (False, False): 28}
+
+    def test_walk_that_needs_composition(self):
+        # the only cycle reads a (b b^-1)(a a^-1) a^-1, and every rotation
+        # of it needs two pairs composed; no random draw above needs that
+        colors = ["a", "b", "b^-1", "a", "a^-1", "a^-1"]
+        size = len(colors)
+        arena = make_arena(
+            [f"node v{i} B" for i in range(size)]
+            + [f"edge v{i} {c} v{(i + 1) % size}" for i, c in enumerate(colors)]
+        )
+        alice = PositionalStrategy(Player.ALICE, {})
+        assert self.check(arena, alice, "v0") == (False, False)
 
 
 def enumerate_prefix_products(depth):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etog.conditions import UnionCondition, Valuation, parity_condition
+from etog.conditions import (
+    EtogCondition,
+    UnionCondition,
+    UPWord,
+    Valuation,
+    parity_condition,
+    up_member_oracle,
+)
 from etog.errors import (
     EtogError,
     FirstCoefficientMissingError,
@@ -14,6 +21,7 @@ from etog.errors import (
     SpecMismatchError,
     UnknownGeneratorError,
 )
+from etog.games import Player, PositionalStrategy, parse_arena, verify_union_strategy
 from etog.groups import (
     FreeGroup,
     FreeWord,
@@ -43,6 +51,10 @@ AB = FreeGroup(("a", "b"))
 E = AB.identity()
 # one digit more than Python prints
 HUGE = 10 ** sys.get_int_max_str_digits()
+# a condition, an arena and a strategy for the functions that own an invariant
+INT_X = EtogCondition(Valuation(("x",), Integers(), {"x": 1}))
+LOOP = parse_arena("node s A\nedge s x s\n")
+LOOP_ALICE = PositionalStrategy(Player.ALICE, {"s": LOOP.edges[0]})
 
 
 def word(text: str) -> FreeWord:
@@ -65,10 +77,14 @@ def word(text: str) -> FreeWord:
         (lambda: parity_condition(0), "need at least one priority"),
         (lambda: reduce_word([("a", 2)]), "letter exponent must be +1 or -1, got 2"),
         (lambda: MisorderedFreeGroup(("a",)), "the misorder fault needs at least two generators"),
+        (lambda: up_member_oracle(INT_X, UPWord.make("", "x x"), 3),
+         "horizon must cover at least two full periods"),
+        (lambda: verify_union_strategy(LOOP, INT_X, "s", LOOP_ALICE, 0),
+         "bob_memory_bound must be >= 1"),
     ],
     ids=["duplicate-generator", "no-generator", "zero-dimension", "no-color", "missing-image",
          "whitespace-in-color", "empty-color", "empty-union", "no-priority", "letter-exponent",
-         "one-generator-fault"],
+         "one-generator-fault", "short-oracle-horizon", "zero-bob-memory"],
 )
 def test_constructors_refuse_malformed_arguments_with_notation_errors(build, message):
     # the constructor or function owns the check: the CLI shows an EtogError,

@@ -3,7 +3,8 @@ gate for group elements.
 
 ``compose``, ``invert`` and ``compare`` trust their operands, so whatever the
 parsers accept must be a valid element, and whatever they refuse must be
-refused with an ``EtogError`` (the CLI turns those into exit code 2).
+refused with an ``EtogError`` (the CLI turns those into exit code 2) whose
+message stays short however long the input.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -26,8 +27,9 @@ FRAGMENTS = [
     "=", "#", " ", "\n", "a", "b", "x", "e", "A", "B", "^-1", "^1", "^", "-",
     "0", "1", "2", "9", "\x00",
     "9" * 4301,  # one digit past Python's default int-from-str limit
+    "a" * 5000,  # a name, color, path or literal far past what a refusal echoes
 ]
-PAST_LIMIT = FRAGMENTS[-1]
+PAST_LIMIT = FRAGMENTS[-2]
 
 # no "/" in the text, so that a condition spec cannot name a file outside the
 # test's own directory
@@ -38,12 +40,17 @@ arbitrary_text = st.text(
 grammar_text = st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join)
 
 
+# the longest refusal message; a long input is echoed by its head and length
+MAX_REFUSAL = 200
+
+
 def _parsed_or_refused(parse, *args):
-    """The parse result, or ``None`` when the input is refused with an
+    """The parse result, or ``None`` when the input is refused with a short
     ``EtogError``; any other exception escapes and fails the test."""
     try:
         return parse(*args)
-    except EtogError:
+    except EtogError as exc:
+        assert len(str(exc)) <= MAX_REFUSAL, str(exc)[:MAX_REFUSAL]
         return None
 
 
