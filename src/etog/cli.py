@@ -24,7 +24,7 @@ from .conditions import (
     describe_condition,
     parse_condition,
 )
-from .errors import EtogError, NotationError
+from .errors import EtogError, NotationError, echo
 from .groups import Ordering
 from .laws import CheckResult
 from .notation import (
@@ -264,8 +264,32 @@ def cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose own refusals quote argument text through
+    :func:`echo`.  argparse's refusals repeat an argument (an invalid choice,
+    an unrecognized argument, an ambiguous option) or its tail after an option
+    name (an ignored explicit argument), raw or as its repr.  The longest tail
+    of each argument that a refusal repeats is quoted through ``echo`` instead;
+    text of up to 40 characters, which ``echo`` quotes as its repr, prints
+    unchanged."""
+
+    _argv: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(self._argv, namespace)
+
+    def error(self, message):
+        for text in self._argv:
+            tail = next((text[i:] for i in range(len(text)) if text[i:] in message), "")
+            quoted = echo(tail)
+            if quoted != repr(tail):
+                message = message.replace(repr(tail), quoted).replace(tail, quoted)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="etog",
         description=(
             "energy conditions over totally ordered groups: compare group "

@@ -255,18 +255,17 @@ def negative_word_rows(valuation: Valuation, max_len: int) -> list[bytes]:
 def check_closure(
     rows: Sequence[bytes],
     alphabet: Sequence[str],
-    max_len: int,
     name: str = "closure",
 ) -> CheckResult:
     """Exhaustively verify concatenation and cyclic-shift closure.
 
-    ``rows`` holds one ``bytes`` row per length 1..``max_len``, as
-    :func:`negative_word_rows` builds them: entry c of row L is 1 when the
-    word with base-n code c, in ``itertools.product`` order, is in the set,
-    and 0 when it is not.  For all non-empty u, v with |u|+|v| <= max_len the
-    set and its complement must both be closed under concatenation, and for
-    every word up to max_len membership must be constant on its cyclic
-    shifts.  Returns the first counterexample if any.
+    ``rows`` holds one ``bytes`` row per length 1..``max_len``, where max_len
+    is ``len(rows)``, as :func:`negative_word_rows` builds them: entry c of
+    row L is 1 when the word with base-n code c, in ``itertools.product``
+    order, is in the set, and 0 when it is not.  For all non-empty u, v with
+    |u|+|v| <= max_len the set and its complement must both be closed under
+    concatenation, and for every word up to max_len membership must be
+    constant on its cyclic shifts.  Returns the first counterexample if any.
 
     Membership is constant on all cyclic shifts exactly when it is constant
     under the shift by one letter, which takes the word with code
@@ -277,6 +276,7 @@ def check_closure(
     ~V & J when it is not.  Only a failing row is searched word by word, for
     the first counterexample in word order.
     """
+    max_len = len(rows)
     detail = f"exhaustive up to length {max_len} over {len(alphabet)} colors"
     n = len(alphabet)
 
@@ -657,9 +657,7 @@ def full_check_battery(
 
     for label, valuation in suite.items():
         rows = negative_word_rows(valuation, closure_max_len)
-        results.append(
-            check_closure(rows, valuation.colors, closure_max_len, name=f"closure.{label}")
-        )
+        results.append(check_closure(rows, valuation.colors, name=f"closure.{label}"))
 
     for label, valuation in suite.items():
         cond = EtogCondition(valuation)

@@ -104,7 +104,6 @@ def test_criterion_4_closure_laws():
             result = check_closure(
                 negative_word_rows(valuation, 6),
                 valuation.colors,
-                max_len=6,
                 name=f"closure.{label}",
             )
             assert result.passed, result.line()

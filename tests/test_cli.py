@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -50,6 +52,25 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "free(a,b)", token, "e")
         assert code == 2
         assert err == f"error: bad letter exponent in {token!r} (only ^-1 allowed)\n"
+
+    @pytest.mark.parametrize(
+        "spec, left, right, expected",
+        [
+            # equal exponent sums: degree 1 cannot decide these pairs
+            ("free(a,b)", "a b", "b a", "Greater"),
+            ("free(a,b)", "a b a", "a a b", "Less"),
+            # a common prefix a b b and suffix b a a, equal whole-word sums:
+            # degree 2 decides
+            ("free(a,b)", "a b b a b b a a", "a b b b a b a a", "Greater"),
+            ("free(a,b)", "a b b b a b a a", "a b b a b b a a", "Less"),
+            ("inv(zlex(2))", "(0,1)", "(0,0)", "Less"),
+            ("zlex(3)", "(0,0,-1)", "(0,0,1)", "Less"),
+            ("inv(zlex(3))", "(1,-5,0)", "(1,-4,9)", "Greater"),
+        ],
+    )
+    def test_free_group_and_lexicographic_signs(self, capsys, spec, left, right, expected):
+        code, out, _ = run(capsys, "compare", spec, left, right)
+        assert (code, out) == (0, f"{expected}\n")
 
 
 class TestMembership:
@@ -213,6 +234,25 @@ class TestSolve:
         assert "counterexample" in err
         assert err.startswith("error: ")
 
+    def test_two_node_int_arena_machine_output(self, capsys, tmp_path):
+        arena = tmp_path / "arena.txt"
+        arena.write_text(
+            "node m A\nnode n B\nedge m x n\nedge m y m\nedge n x m\nedge n y n\n"
+        )
+        valfile = tmp_path / "int.txt"
+        valfile.write_text("group int\nval x = -1\nval y = 1\n")
+        code, out, _ = run(
+            capsys, "solve", "--arena", str(arena), "--cond", f"etog({valfile})", "--machine"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "RESULT solve.method positional-pairs exact",
+            "RESULT solve.winner m Bob",
+            "RESULT solve.winner n Bob",
+            "RESULT solve.witness Alice m 0",
+            "RESULT solve.witness Bob n 3",
+        ]
+
 
 class TestCounterexample:
     def test_default_bounds_reproduce(self, capsys):
@@ -292,6 +332,20 @@ class TestCounterexample:
         assert exc.value.code == 2
         assert f"must be <= {MAX_RAMSEY_DEPTH}" in capsys.readouterr().err
 
+    def test_ramsey_depth_cap_prints_under_the_lowest_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)  # 640
+        try:
+            code, out, _ = run(capsys, "counterexample", "--ramsey-depth", "1000", "--machine")
+            assert code == 0
+            assert "CHECK counterexample.distinct-prefix-products PASS " \
+                f"depth=1000 paths={4**1000}\n" in out
+            with pytest.raises(SystemExit) as exc:
+                main(["counterexample", "--ramsey-depth", "1001", "--machine"])
+            assert exc.value.code == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestCheck:
     def test_small_budget_passes(self, capsys):
@@ -331,6 +385,21 @@ class TestCheck:
             l.split()[1:3] for l in text.splitlines() if l.startswith("CHECK")
         ]
         assert strip(first) == strip(second)
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_seeds_the_goldens_do_not_pin(self, capsys, seed):
+        # the battery passes at CLI defaults, and the injected fault stays
+        # visible through the samplers
+        code, out, _ = run(capsys, "check", "--seed", seed, "--machine")
+        assert code == 0, out
+        code, out, _ = run(
+            capsys, "check", "--inject-fault", "--seed", seed, "--samples", "2000",
+            "--max-len", "4", "--machine",
+        )
+        assert code == 1
+        assert any(
+            line.startswith("CHECK order-axioms.bi-invariance FAIL") for line in out.splitlines()
+        )
 
 
 def _bad_bytes_valuation(tmp_path):
@@ -377,6 +446,18 @@ def _arena_file(text):
         return ["solve", "--arena", "arena.txt", "--cond", f"etog({VAL})"]
 
     return make_argv
+
+
+def _argparse_refusal(argv):
+    """The last line of argparse's refusal of ``argv``.  How it lists the
+    choices of an invalid one depends on the Python version."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    return err.getvalue().splitlines(keepends=True)[-1]
 
 
 # Refusals owned by a constructor, a parser, the file reader, the solver,
@@ -535,6 +616,19 @@ PINNED_REFUSALS = {
         lambda tmp_path: ["membership", "--cond", "etog(missing.txt)", "--period", "a"],
         "error: cannot read 'missing.txt': No such file or directory\n",
     ),
+    # argparse's own refusals, whose arguments the parser quotes through echo
+    "long-unknown-command": (
+        lambda tmp_path: [LETTERS],
+        _argparse_refusal(["x"]).replace("'x'", f"{HEAD}… (5000 characters)", 1),
+    ),
+    "long-unrecognized-option": (
+        lambda tmp_path: ["check", f"--{LETTERS}"],
+        f"etog: error: unrecognized arguments: {repr('--' + 'a' * 38)}… (5002 characters)\n",
+    ),
+    "long-unrecognized-argument": (
+        lambda tmp_path: ["check", "--seed", "1", LETTERS],
+        f"etog: error: unrecognized arguments: {HEAD}… (5000 characters)\n",
+    ),
 }
 
 
@@ -599,6 +693,18 @@ def test_refusal_prints_one_pinned_error_line(capsys, tmp_path, monkeypatch, mak
         # literal, not its 5000 characters; at 80 columns argparse's two
         # usage lines alone take about 120 bytes
         assert len(refusal.encode()) < 200 and len(err.encode()) < 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", f"--s={LETTERS}"], ["check", f"--machine={LETTERS}"], ["check", f"-h{LETTERS}"]],
+    ids=["ambiguous-option", "ignored-explicit-argument", "ignored-short-explicit-argument"],
+)
+def test_argparse_quotes_an_argument_or_its_tail_through_echo(capsys, monkeypatch, argv):
+    code, err = _run_refusal(capsys, monkeypatch, argv)
+    assert code == 2
+    assert "'… (50" in err
+    assert len(err.encode()) < 400
 
 
 def test_arena_error_does_not_depend_on_the_hash_seed(tmp_path):

@@ -76,24 +76,33 @@ class TestStandardValuations:
 
 class TestClosure:
     def test_int_negative_words_pass(self):
-        result = check_closure(negative_word_rows(INT_XY, 6), ("x", "y"), 6)
+        result = check_closure(negative_word_rows(INT_XY, 6), ("x", "y"))
         assert result.passed, result.counterexample
 
     def test_prefix_defined_set_fails_on_shift(self):
-        result = check_closure(_rows(lambda w: w[0] == "x", ("x", "y"), 3), ("x", "y"), 3)
+        result = check_closure(_rows(lambda w: w[0] == "x", ("x", "y"), 3), ("x", "y"))
         assert not result.passed
         assert "cyclic shift" in result.counterexample
 
     def test_free_valuation_passes(self):
         valuation = SUITE["free"]
-        result = check_closure(negative_word_rows(valuation, 5), valuation.colors, 5)
+        result = check_closure(negative_word_rows(valuation, 5), valuation.colors)
         assert result.passed, result.counterexample
 
     def test_non_closed_set_fails_on_concatenation(self):
         # words of length exactly 1: concatenation leaves the set
-        result = check_closure(_rows(lambda w: len(w) == 1, ("x", "y"), 3), ("x", "y"), 3)
+        result = check_closure(_rows(lambda w: len(w) == 1, ("x", "y"), 3), ("x", "y"))
         assert not result.passed
         assert "concatenation" in result.counterexample
+
+    def test_bound_is_the_number_of_rows(self):
+        valuation = SUITE["free"]
+        result = check_closure(negative_word_rows(valuation, 3), valuation.colors)
+        assert result.passed
+        assert result.detail == f"exhaustive up to length 3 over {len(valuation.colors)} colors"
+        # a set that breaks closure only at length 3 is caught by its rows
+        result = check_closure(_rows(lambda w: len(w) != 3, ("x", "y"), 3), ("x", "y"))
+        assert result.counterexample == "set not closed under concatenation: x | x x"
 
 
 class TestFairlyMixing:
@@ -507,7 +516,7 @@ def test_row_closure_matches_word_by_word_closure(colors, max_len):
     rng = random.Random(100 * colors + max_len)
     alphabet = ("p", "q", "r", "s")[:colors]
     for table in _closure_tables(rng, alphabet, max_len):
-        fast = check_closure(_rows(table.__getitem__, alphabet, max_len), alphabet, max_len)
+        fast = check_closure(_rows(table.__getitem__, alphabet, max_len), alphabet)
         slow = _word_by_word_closure(table.__getitem__, alphabet, max_len)
         assert (fast.passed, fast.counterexample) == (slow.passed, slow.counterexample)
 
