@@ -136,7 +136,7 @@ def cmd_solve(args) -> int:
     solution = games.solve_energy_game(arena, cond)
     witnesses = (solution.alice_strategy, solution.bob_strategy)
     if args.machine:
-        print("RESULT solve.method positional-pairs exact")
+        print("RESULT solve.method first-cycle exact")
         for node in arena.nodes:
             print(f"RESULT solve.winner {node} {solution.winners[node]}")
         for strategy in witnesses:

@@ -6,24 +6,21 @@ node) or finite-memory Mealy machines updated on every observed edge.  A play
 of two finite-state strategies is eventually periodic, so it is returned as a
 lasso (stem + cycle) whose cycle decides membership.
 
-``solve_energy_game`` decides positional strategies, as one edge choice per
-owned node, for both players, which is exact for single energy conditions:
-both the condition and its complement admit positional optimal strategies, so
-nothing is lost by the restriction.  It decides each strategy against every
-reply at once, from the arena's simple cycles, listed once per call.  A
-positional sigma loses from v exactly when the arena cut to sigma's edges
-reaches from v a cycle outside the condition.  One way: the play of sigma
-against a positional reply ends in a simple cycle of the cut arena, perhaps
-entered at another node, and the rotated period is a conjugate with the same
-sign.  The other way: a shortest path to a losing cycle, followed by the
-cycle, is one positional reply.  Bob's strategies are decided the same way
-against the member cycles.  Only the side with fewer strategies is analysed
-in full, at most the square root of the pair count: the starts all of them
-lose are the other side's region, and the rest is theirs by positional
-determinacy.  Each witness is the first strategy in enumeration order that
-loses exactly the other player's region, so the larger side is scanned only
-up to its witness.  When a side has no such strategy, the solver raises
-``RuntimeError``.
+``solve_energy_game`` plays the first-cycle game (Ehrenfeucht & Mycielski,
+IJGT 1979): from a start the players move until the play returns to a node on
+its path, and the cycle it closes, read from that node, decides the winner.
+When both players' sets of winning cycles are closed under joining and
+splitting at a shared node, the infinite game is positionally determined and
+each node's winner is its first-cycle winner (Bjorklund, Sandberg & Vorobyov,
+TCS 2004).  Energy conditions over a bi-ordered group meet that condition: a
+closed walk's value is a product of conjugates of the values of the cycles it
+splits into, a bi-invariant order keeps the sign of a conjugate, and negative
+values are closed under products, as are non-negative ones.  The starts are
+decided in declaration order, each one then ending the later searches as a
+sink with its winner.  Each witness is built greedily, node by node, as the
+first strategy in enumeration order that wins its player's whole region.
+When a node of a player's region has no edge into that region, the condition
+broke the theorem's hypothesis and the solver raises ``RuntimeError``.
 For unions of energy conditions no such restriction holds (that failure is the
 point of the refutation experiment), so ``verify_union_strategy`` only offers
 an honestly bounded verdict against all opponent machines up to a given
@@ -41,7 +38,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -268,93 +264,70 @@ def _check_alphabet(arena: Arena, cond) -> None:
         raise UnknownColorError(f"arena colors outside the condition alphabet: [{shown}]")
 
 
-# One edge as the solver reads it: (1 << edge index, 1 << source, target).
-Arc = tuple[int, int, int]
+def _alice_wins(start: int, arcs: list, alices: int, member, known: Mapping[int, bool]) -> bool:
+    """Whether Alice wins the first-cycle game from node ``start``.
 
-
-def _simple_cycles(arcs: list[list[Arc]]) -> Iterator[tuple[Arc, ...]]:
-    """Every simple cycle once, as its arcs from its least node, where
-    ``arcs[v]`` holds the arcs out of node v.  A depth-first search from each
-    node s follows arcs into nodes above s that are not on the current path,
-    and yields the path whenever an arc closes it back at s, so parallel edges
-    give distinct cycles.  The search keeps its path on an explicit stack."""
-    for least in range(len(arcs)):
-        path: list[Arc] = []
-        on_path = 1 << least
-        stack = [iter(arcs[least])]
-        while stack:
-            arc = next(stack[-1], None)
-            if arc is None:
-                stack.pop()
-                if path:
-                    on_path ^= 1 << path.pop()[2]
+    ``arcs[v]`` holds the (colour, target) pairs out of node v, nodes below
+    ``alices`` are Alice's, and ``known`` maps decided nodes to whether Alice
+    wins from them.  A play that enters a node of ``known`` ends with its
+    winner; one that returns to a node on its path closes a cycle, whose
+    colours are read from that node and decided by ``member``.  A minimax
+    over the simple paths from the start: Alice needs one winning move and
+    Bob one refutation.  The path sits on an explicit stack, so Python's
+    recursion limit does not bound it.
+    """
+    path, colors, options = [start], [], [iter(arcs[start])]
+    at = {start: 0}  # node -> its position on the path
+    won = None  # the outcome of the move just tried at the end of the path
+    while True:
+        node = path[-1]
+        mover = node < alices
+        if won is not mover:
+            arc = next(options[-1], None)
+            if arc is not None:
+                color, target = arc
+                if target in at:
+                    won = member((*colors[at[target]:], color))
+                elif target in known:
+                    won = known[target]
+                else:
+                    at[target] = len(path)
+                    path.append(target)
+                    colors.append(color)
+                    options.append(iter(arcs[target]))
+                    won = None
                 continue
-            target = arc[2]
-            if target == least:
-                yield (*path, arc)
-            elif target > least and not on_path >> target & 1:
-                path.append(arc)
-                on_path |= 1 << target
-                stack.append(iter(arcs[target]))
-
-
-def _lost_starts(choice: tuple[Arc, ...], cycles: Mapping[int, int], preds: list[int]) -> int:
-    """The starts from which one positional strategy loses, as a node mask.
-
-    ``choice`` holds the strategy's arcs, ``cycles`` maps its player's edges
-    on each cycle the opponent wins to the nodes of those cycles, and
-    ``preds[v]`` holds the opponent's nodes with an edge into v.  The
-    strategy loses from every start that can reach, in the arena cut to its
-    choices, a cycle the opponent wins: the backward closure of the nodes of
-    the cycles whose edges it chooses."""
-    preds = list(preds)
-    chosen = 0
-    for bit, source, target in choice:
-        chosen |= bit
-        preds[target] |= source
-    lost = 0
-    for edges, nodes in cycles.items():
-        if chosen & edges == edges:
-            lost |= nodes
-    frontier = lost
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = preds[low.bit_length() - 1] & ~lost
-        lost |= new
-        frontier |= new
-    return lost
+            won = not mover
+        # the node is decided: hand its outcome to the move that reached it
+        del at[path.pop()]
+        options.pop()
+        if not path:
+            return won
+        colors.pop()
 
 
 def solve_energy_game(arena: Arena, cond) -> Solution:
-    """Exact solver for a single energy condition over positional strategies.
+    """Exact solver for a single energy condition, by the first-cycle game.
 
-    Alice wins from a node when some positional strategy of hers defeats every
-    positional reply.  The returned witnesses are the first strategies in
-    enumeration order that win uniformly on their player's whole winning
-    region (such uniform witnesses exist because the condition and its
-    complement are both positionally determined).
+    Alice wins from a node when some positional strategy of hers defeats
+    every reply; by the first-cycle theorem (module docstring) that is when
+    she wins the first-cycle game from it.  The starts are searched in
+    declaration order.  A decided start then ends every later search at once
+    with its winner: a node whose winner is known acts as an absorbing sink,
+    which prefix-independence and determinacy make sound.
 
-    Each strategy is decided against every reply at once.  Let G_sigma be the
-    arena with each of Alice's nodes cut to sigma's edge.  Sigma loses from v
-    exactly when G_sigma reaches from v a simple cycle outside the condition.
-    One way: the play of (sigma, tau) from v ends in a cycle of G_sigma, and a
-    start that enters it at another node repeats a rotation of it, a
-    conjugate whose sign a bi-invariant order keeps.  The other way: a
-    shortest path to the cycle, followed by the cycle, is one positional tau.
-    A cycle lies in G_sigma when its Alice edges are sigma's, so the simple
-    cycles are listed once per call, each decided by one membership call per
-    distinct period, and sigma's lost starts are the backward closure of the
-    nodes of its losing cycles.  Bob's strategies are decided the same way
-    against the member cycles.
-
-    Only the side with fewer strategies is analysed in full: the starts that
-    all of its strategies lose are the other player's region, and by
-    positional determinacy the rest is its own.  Then Alice's strategies and
-    then Bob's are scanned in enumeration order for the first that loses
-    exactly the other player's region; the larger side stops at its witness.
-    Folding the smaller side keeps the full analysis to at most the square
-    root of the pair count.  A missing witness means the condition is not
+    The returned witnesses are the first strategies in enumeration order that
+    win uniformly on their player's whole region.  Each player's nodes are
+    fixed in declaration order, keeping every edge fixed so far.  A node in
+    the opponent's region takes its first edge, which no play of a uniform
+    winner reaches.  A node v of the player's own region takes the first edge
+    into that region after which the player still wins the first-cycle game
+    from v, searched with the opponent's region as decided; the last such
+    edge needs no search.  Testing v alone is enough: if the player wins from
+    v, then from any node x of the region, the uniform strategy played until
+    the play reaches v and the winning one from v on wins, by
+    prefix-independence, so the whole region is kept.  A node of the
+    player's region without an edge into it means the condition is not
     positionally determined after all, and raises ``RuntimeError``.
     """
     if isinstance(cond, UnionCondition):
@@ -367,63 +340,35 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     _check_alphabet(arena, cond)
 
     nodes = arena.nodes  # Alice's nodes first
-    owned = (arena.alice_nodes, arena.bob_nodes)
     index = {node: i for i, node in enumerate(nodes)}
     alices = len(arena.alice_nodes)
-    alice_mask = (1 << alices) - 1
     member = functools.cache(lambda cycle: cond.up_member(UPWord((), cycle)))
-
-    # arcs[v]: the arcs out of node v.  Per player (0 Alice, 1 Bob):
-    # preds[p][v] holds p's nodes with an edge into v, and lost_to[p] maps
-    # p's edges on a cycle p loses to the nodes of all such cycles.
-    arcs: list[list[Arc]] = [[] for _ in nodes]
-    preds = ([0] * len(nodes), [0] * len(nodes))
-    lost_to: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    # out_edges[v]: the edges out of node v; arcs[v]: their (colour, target)
+    out_edges: list[list[Edge]] = [[] for _ in nodes]
     for edge in arena.edges:
-        source, target = index[edge.source], index[edge.target]
-        arcs[source].append((1 << edge.index, 1 << source, target))
-        preds[source >= alices][target] |= 1 << source
-    for cycle in _simple_cycles(arcs):
-        edges, on_cycle = [0, 0], 0
-        for bit, source, _ in cycle:
-            edges[source > alice_mask] |= bit
-            on_cycle |= source
-        colors = tuple(arena.edges[bit.bit_length() - 1].color for bit, _, _ in cycle)
-        loser = int(member(colors))
-        lost_to[loser][edges[loser]] = lost_to[loser].get(edges[loser], 0) | on_cycle
-    owned_arcs = (arcs[:alices], arcs[alices:])
-
-    def analyse(player: int) -> Iterator[tuple[tuple, int]]:
-        """The player's strategies in enumeration order, each with the
-        starts it loses."""
-        for choice in itertools.product(*owned_arcs[player]):
-            yield choice, _lost_starts(choice, lost_to[player], preds[1 - player])
-
-    sizes = [math.prod(map(len, choices)) for choices in owned_arcs]
-    small = int(sizes[1] < sizes[0])
-    analysed = list(analyse(small))
-    # the starts that every strategy of the smaller side loses are the other
-    # side's region; a witness loses exactly the other player's region
-    regions = [(1 << len(nodes)) - 1] * 2
-    for _, lost in analysed:
-        regions[1 - small] &= lost
-    regions[small] ^= regions[1 - small]
+        out_edges[index[edge.source]].append(edge)
+    arcs = [[(edge.color, index[edge.target]) for edge in edges] for edges in out_edges]
+    wins: dict[int, bool] = {}  # decided node -> whether Alice wins from it
+    for start in range(len(nodes)):
+        wins[start] = _alice_wins(start, arcs, alices, member, wins)
     witnesses = []
-    for player in (0, 1):
-        scanned = analysed if player == small else analyse(player)
-        witnesses.append(next((c for c, lost in scanned if lost == regions[1 - player]), None))
-    if None in witnesses:
-        # cannot happen for an energy condition; means the condition is not
-        # positionally determined after all
-        raise RuntimeError("no uniform positional witness exists")
-    winners = {v: Player.ALICE if regions[0] >> i & 1 else Player.BOB for i, v in enumerate(nodes)}
-    alice, bob = (
-        PositionalStrategy(
-            owner, {v: arena.edges[arc[0].bit_length() - 1] for v, arc in zip(own, c)}
-        )
-        for owner, own, c in zip(Player, owned, witnesses)
-    )
-    return Solution(winners, alice, bob)
+    for owner, own in zip(Player, (range(alices), range(alices, len(nodes)))):
+        alice = owner is Player.ALICE
+        lost = {v: won for v, won in wins.items() if won is not alice}
+        fixed = list(arcs)
+        choice = {}
+        for v in own:
+            options = [0] if v in lost else [i for i, (_, t) in enumerate(arcs[v]) if t not in lost]
+            if not options:
+                raise RuntimeError("no uniform positional witness exists")
+            for i in options:
+                fixed[v] = [arcs[v][i]]
+                if i == options[-1] or _alice_wins(v, fixed, alices, member, lost) is alice:
+                    break
+            choice[nodes[v]] = out_edges[v][i]
+        witnesses.append(PositionalStrategy(owner, choice))
+    winners = {v: Player.ALICE if wins[i] else Player.BOB for i, v in enumerate(nodes)}
+    return Solution(winners, *witnesses)
 
 
 _MISSING = object()  # a machine entry not decided yet

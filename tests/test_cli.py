@@ -199,7 +199,7 @@ class TestSolve:
         code, out, _ = run(capsys, *argv, "--machine")
         assert code == 0
         assert out.splitlines() == [
-            "RESULT solve.method positional-pairs exact",
+            "RESULT solve.method first-cycle exact",
             "RESULT solve.winner w1 Alice",
             "RESULT solve.winner w2 Bob",
             "RESULT solve.winner s Bob",
@@ -246,7 +246,7 @@ class TestSolve:
         )
         assert code == 0
         assert out.splitlines() == [
-            "RESULT solve.method positional-pairs exact",
+            "RESULT solve.method first-cycle exact",
             "RESULT solve.winner m Bob",
             "RESULT solve.winner n Bob",
             "RESULT solve.witness Alice m 0",
@@ -747,10 +747,14 @@ GOLDEN = Path(__file__).parent / "golden"
           "--cond", f"etog({VAL})", "--machine"]),
         # CLI defaults: closure runs up to length 6
         ("check-seed0-defaults.txt", 0, ["check", "--seed", "0", "--machine"]),
-        # 2^24 positional pairs, and Alice has more positional strategies
-        # than Bob, so the solver analyses all of Bob's in full
+        # 2^24 positional pairs
         ("solve-free-24x2.txt", 0,
          ["solve", "--arena", str(GOLDEN / "solve-free-24x2.arena"),
+          "--cond", f"etog({VAL})", "--machine"]),
+        # 2^40 positional pairs; recorded with the strategy-enumerating
+        # solver, which took about 12 s on it
+        ("solve-free-40x2.txt", 0,
+         ["solve", "--arena", str(GOLDEN / "solve-free-40x2.arena"),
           "--cond", f"etog({VAL})", "--machine"]),
     ],
 )

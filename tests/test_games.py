@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -40,7 +41,7 @@ from etog.games import (
     solve_energy_game,
     verify_union_strategy,
 )
-from etog.groups import FreeWord, Integers, InverseOrder, reduce_word
+from etog.groups import FreeWord, Integers, InverseOrder, MisorderedFreeGroup, reduce_word
 from etog.laws import standard_valuations
 
 REFUTATION_ARENA = """
@@ -320,6 +321,35 @@ class TestSolver:
         with pytest.raises(UnknownColorError):
             solve_energy_game(arena, cond)
 
+    def test_misordered_group_is_a_named_failure(self):
+        # under the broken order t p is not negative but its rotation p t is,
+        # so n1 and n2 get different winners on one cycle and n2 has no edge
+        # into its own region: the theorem's hypothesis fails
+        arena = make_arena(
+            ["node n0 A", "node n1 A", "node n2 A",
+             "edge n0 p n2", "edge n1 t n2", "edge n2 p n1"]
+        )
+        p, t = reduce_word([("a", 1)]), reduce_word([("a", -1), ("b", -1)])
+        misordered = MisorderedFreeGroup(("a", "b"))
+        cond = EtogCondition(Valuation(("p", "t"), misordered, {"p": p, "t": t}))
+        assert not cond.up_member(UPWord((), ("t", "p")))
+        assert cond.up_member(UPWord((), ("p", "t")))
+        with pytest.raises(RuntimeError, match="^no uniform positional witness exists$"):
+            solve_energy_game(arena, cond)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # the first start walks the whole cycle before it closes
+        size = 1500
+        assert size > sys.getrecursionlimit()
+        arena = make_arena(
+            [f"node n{i} {'AB'[i % 2]}" for i in range(size)]
+            + [f"edge n{i} x n{(i + 1) % size}" for i in range(size)]
+        )
+        cond = EtogCondition(Valuation(("x",), Integers(), {"x": -1}))
+        solution = solve_energy_game(arena, cond)
+        assert set(solution.winners.values()) == {Player.ALICE}
+        assert len(solution.alice_strategy.choice) + len(solution.bob_strategy.choice) == size
+
     def test_refutation_arena_single_condition_is_positional(self, refutation_arena):
         # sanity control: each member of the union alone admits a positional
         # winner (here the opponent) from every node
@@ -590,6 +620,113 @@ def full_pair_solution(arena, cond):
     return Solution(winners, alice_witness, bob_witness)
 
 
+def simple_cycles(arcs):
+    """Every simple cycle once, as its arcs from its least node, where
+    ``arcs[v]`` holds the arcs out of node v: a depth-first search from each
+    node s follows arcs into nodes above s that are not on the current path
+    and yields the path whenever an arc closes it back at s."""
+    for least in range(len(arcs)):
+        path = []
+        on_path = 1 << least
+        stack = [iter(arcs[least])]
+        while stack:
+            arc = next(stack[-1], None)
+            if arc is None:
+                stack.pop()
+                if path:
+                    on_path ^= 1 << path.pop()[2]
+                continue
+            target = arc[2]
+            if target == least:
+                yield (*path, arc)
+            elif target > least and not on_path >> target & 1:
+                path.append(arc)
+                on_path |= 1 << target
+                stack.append(iter(arcs[target]))
+
+
+def lost_starts(choice, cycles, preds):
+    """The starts one positional strategy loses, as a node mask: the
+    backward closure, in the arena cut to ``choice``, of the nodes of the
+    cycles the opponent wins whose edges it chooses.  ``cycles`` maps the
+    strategy's player's edges on such cycles to their nodes, and
+    ``preds[v]`` holds the opponent's nodes with an edge into v."""
+    preds = list(preds)
+    chosen = 0
+    for bit, source, target in choice:
+        chosen |= bit
+        preds[target] |= source
+    lost = 0
+    for edges, nodes in cycles.items():
+        if chosen & edges == edges:
+            lost |= nodes
+    frontier = lost
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = preds[low.bit_length() - 1] & ~lost
+        lost |= new
+        frontier |= new
+    return lost
+
+
+def cycle_fold_solution(arena, cond):
+    """Reference solver: ``solve_energy_game`` as it was before the
+    first-cycle search.  A positional strategy loses from v exactly when the
+    arena cut to its edges reaches from v a simple cycle its player loses, so
+    the simple cycles are listed once, each strategy's lost starts are a
+    backward closure, and the smaller side is folded in full: the starts all
+    of its strategies lose are the other side's region.  Each witness is the
+    first strategy in enumeration order that loses exactly the other
+    player's region.  An arc is (1 << edge index, 1 << source, target)."""
+    nodes = arena.nodes  # Alice's nodes first
+    index = {node: i for i, node in enumerate(nodes)}
+    alices = len(arena.alice_nodes)
+    arcs = [[] for _ in nodes]
+    preds = ([0] * len(nodes), [0] * len(nodes))
+    lost_to = ({}, {})  # per player: its edges on a cycle it loses -> the cycles' nodes
+    for edge in arena.edges:
+        source, target = index[edge.source], index[edge.target]
+        arcs[source].append((1 << edge.index, 1 << source, target))
+        preds[source >= alices][target] |= 1 << source
+    member = {}
+    for cycle in simple_cycles(arcs):
+        edges, on_cycle = [0, 0], 0
+        for bit, source, _ in cycle:
+            edges[source >= 1 << alices] |= bit
+            on_cycle |= source
+        colors = tuple(arena.edges[bit.bit_length() - 1].color for bit, _, _ in cycle)
+        if colors not in member:
+            member[colors] = cond.up_member(UPWord((), colors))
+        loser = int(member[colors])
+        lost_to[loser][edges[loser]] = lost_to[loser].get(edges[loser], 0) | on_cycle
+    owned_arcs = (arcs[:alices], arcs[alices:])
+
+    def analyse(player):
+        for choice in itertools.product(*owned_arcs[player]):
+            yield choice, lost_starts(choice, lost_to[player], preds[1 - player])
+
+    sizes = [math.prod(map(len, choices)) for choices in owned_arcs]
+    small = int(sizes[1] < sizes[0])
+    analysed = list(analyse(small))
+    regions = [(1 << len(nodes)) - 1] * 2
+    for _, lost in analysed:
+        regions[1 - small] &= lost
+    regions[small] ^= regions[1 - small]
+    witnesses = []
+    for player in (0, 1):
+        scanned = analysed if player == small else analyse(player)
+        witnesses.append(next(c for c, lost in scanned if lost == regions[1 - player]))
+    winners = {v: Player.ALICE if regions[0] >> i & 1 else Player.BOB for i, v in enumerate(nodes)}
+    alice, bob = (
+        PositionalStrategy(
+            owner, {v: arena.edges[arc[0].bit_length() - 1] for v, arc in zip(own, c)}
+        )
+        for owner, own, c in zip(Player, (arena.alice_nodes, arena.bob_nodes), witnesses)
+    )
+    return Solution(winners, alice, bob)
+
+
 ZERO_INT = Valuation(("x", "y"), Integers(), {"x": 0, "y": 0})
 
 
@@ -613,25 +750,31 @@ FULL_PAIR_CONDITIONS = pytest.mark.parametrize(
     ids=["int", "free", "parity", "inv-free", "zero-int"],
 )
 
-# Work the solver does, summed over full_pair_arenas: simple cycles listed
-# and positional strategies analysed.  A solver that folds the larger side or
-# scans past a witness analyses more and still answers right.
+# Work the solver does, summed over full_pair_arenas: first-cycle searches run
+# (one per start and one per tested witness edge) and membership calls made.
+# A solver that tests every candidate edge, or that re-solves more than the
+# fixed node, searches more and still answers right.
 SOLVER_WORK = {
-    "int": (463, 846),
-    "free": (431, 1485),
-    "parity": (506, 807),
-    "inv-free": (431, 1193),
-    "zero-int": (463, 289),
+    "int": (574, 289),
+    "free": (548, 264),
+    "parity": (589, 247),
+    "inv-free": (565, 272),
+    "zero-int": (523, 239),
 }
 
 # 14-node arenas of out-degree 2, too many pairs for the other differential
 # tests: (condition, seed of random_two_out_arena).  Alice owns 8, 6 and 7
-# nodes, so the solver folds Bob's side, Alice's, and Alice's on a tie.
+# nodes.
 TWO_OUT_ARENAS = [
     (EtogCondition(SUITE["int"]), 5),
     (EtogCondition(FREE_VAL), 6),
     (parity_condition(3), 11),
 ]
+
+# 2-out arenas of 14 to 24 nodes, too many pairs for the full pair walk:
+# (condition, seed and size of random_two_out_arena)
+FOLD_CONDITIONS = [EtogCondition(SUITE["int"]), EtogCondition(FREE_VAL), parity_condition(3)]
+FOLD_ARENAS = [(FOLD_CONDITIONS[seed % 3], seed, 14 + seed % 11) for seed in range(36)]
 
 
 def random_two_out_arena(seed, colors, size=14):
@@ -644,15 +787,17 @@ def random_two_out_arena(seed, colors, size=14):
     return make_arena(lines)
 
 
+def assert_same_solution(solution, expected):
+    assert solution.winners == expected.winners
+    assert solution.alice_strategy.choice == expected.alice_strategy.choice
+    assert solution.bob_strategy.choice == expected.bob_strategy.choice
+
+
 class TestSolverAgainstFullPairWalk:
     @FULL_PAIR_CONDITIONS
     def test_winners_and_witnesses_match(self, cond):
         for arena in full_pair_arenas(cond):
-            expected = full_pair_solution(arena, cond)
-            solution = solve_energy_game(arena, cond)
-            assert solution.winners == expected.winners
-            assert solution.alice_strategy.choice == expected.alice_strategy.choice
-            assert solution.bob_strategy.choice == expected.bob_strategy.choice
+            assert_same_solution(solve_energy_game(arena, cond), full_pair_solution(arena, cond))
 
     @FULL_PAIR_CONDITIONS
     def test_each_cycle_decided_once_per_call(self, cond, monkeypatch):
@@ -681,51 +826,71 @@ class TestSolverAgainstFullPairWalk:
 
     @FULL_PAIR_CONDITIONS
     def test_pairs_walked_stay_pinned(self, cond, request, monkeypatch):
-        # each strategy is decided against every reply at once, so the work
-        # is the simple cycles listed and the strategies analysed
-        cycles = analysed = 0
-        list_cycles, lost_starts = games._simple_cycles, games._lost_starts
+        # no strategy is enumerated, so the work is the first-cycle searches
+        # and the membership calls they make
+        searches = calls = 0
+        search, uncached = games._alice_wins, EtogCondition.up_member
 
-        def counting_cycles(*args):
-            nonlocal cycles
-            for cycle in list_cycles(*args):
-                cycles += 1
-                yield cycle
+        def counting_search(*args):
+            nonlocal searches
+            searches += 1
+            return search(*args)
 
-        def counting_analyses(*args):
-            nonlocal analysed
-            analysed += 1
-            return lost_starts(*args)
+        def counting_member(self, word):
+            nonlocal calls
+            calls += 1
+            return uncached(self, word)
 
-        monkeypatch.setattr(games, "_simple_cycles", counting_cycles)
-        monkeypatch.setattr(games, "_lost_starts", counting_analyses)
+        monkeypatch.setattr(games, "_alice_wins", counting_search)
+        monkeypatch.setattr(EtogCondition, "up_member", counting_member)
         for arena in full_pair_arenas(cond):
             solve_energy_game(arena, cond)
-        assert (cycles, analysed) == SOLVER_WORK[request.node.callspec.id]
+        assert (searches, calls) == SOLVER_WORK[request.node.callspec.id]
 
     @FULL_PAIR_CONDITIONS
-    def test_both_sides_are_folded(self, cond):
-        # the solver analyses every strategy of the side with fewer of them
-        # (Alice's on a tie); the arenas make it fold each side
-        def strategies(nodes):
-            return math.prod(len(arena.out_edges(node)) for node in nodes)
-
-        folded = set()
+    def test_a_first_candidate_edge_fails_its_test(self, cond):
+        # a witness node of its player's region takes a later edge into the
+        # region only when the first one failed its search, so the greedy
+        # witness search is exercised for both players; under ZERO_INT Alice
+        # loses every cycle and every edge keeps Bob's region
+        refused = set()
         for arena in full_pair_arenas(cond):
-            sigmas, taus = strategies(arena.alice_nodes), strategies(arena.bob_nodes)
-            folded.add(Player.ALICE if sigmas <= taus else Player.BOB)
-        assert folded == {Player.ALICE, Player.BOB}
+            solution = solve_energy_game(arena, cond)
+            for strategy in (solution.alice_strategy, solution.bob_strategy):
+                owner = strategy.owner
+                for node, edge in strategy.choice.items():
+                    into_region = [
+                        e for e in arena.out_edges(node) if solution.winners[e.target] is owner
+                    ]
+                    if solution.winners[node] is owner and edge is not into_region[0]:
+                        refused.add(owner)
+        assert refused == (set() if cond.valuation is ZERO_INT else {Player.ALICE, Player.BOB})
 
     @pytest.mark.parametrize("cond, seed", TWO_OUT_ARENAS, ids=["int", "free", "parity"])
     def test_two_out_arenas_of_14_nodes(self, cond, seed):
         arena = random_two_out_arena(seed, cond.colors)
-        expected = full_pair_solution(arena, cond)
         solution = solve_energy_game(arena, cond)
-        assert solution.winners == expected.winners
-        assert solution.alice_strategy.choice == expected.alice_strategy.choice
-        assert solution.bob_strategy.choice == expected.bob_strategy.choice
+        assert_same_solution(solution, full_pair_solution(arena, cond))
         # both players win somewhere, so neither region is trivial
         assert set(solution.winners.values()) == {Player.ALICE, Player.BOB}
+
+
+class TestSolverAgainstCycleFold:
+    def test_two_out_arenas_of_14_to_24_nodes(self):
+        shapes = Counter()
+        for cond, seed, size in FOLD_ARENAS:
+            arena = random_two_out_arena(seed, cond.colors, size)
+            solution = solve_energy_game(arena, cond)
+            assert_same_solution(solution, cycle_fold_solution(arena, cond))
+            shapes[len(set(solution.winners.values()))] += 1
+        # some arenas are won by one player throughout, some are split
+        assert set(shapes) == {1, 2}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_out_free_arenas_of_30_nodes(self, seed):
+        arena = random_two_out_arena(seed, FREE_VAL.colors, 30)
+        cond = EtogCondition(FREE_VAL)
+        assert_same_solution(solve_energy_game(arena, cond), cycle_fold_solution(arena, cond))
 
 
 class TestUnionVerification:
