@@ -55,48 +55,3 @@ from .groups import (
 from .notation import format_element, format_group, parse_element, parse_group
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Arena",
-    "Edge",
-    "EtogCondition",
-    "EtogError",
-    "FreeGroup",
-    "FreeWord",
-    "Integers",
-    "InverseOrder",
-    "Lasso",
-    "LexProduct",
-    "LexVectors",
-    "MealyStrategy",
-    "OrderedGroup",
-    "Ordering",
-    "Player",
-    "PositionalStrategy",
-    "UPWord",
-    "UnionCondition",
-    "Valuation",
-    "alternating_strategy",
-    "format_element",
-    "format_group",
-    "letter",
-    "letter_parts",
-    "load_arena",
-    "load_valuation",
-    "magnus_coefficient",
-    "multiply",
-    "parity_condition",
-    "parse_arena",
-    "parse_condition",
-    "parse_element",
-    "parse_group",
-    "parse_valuation",
-    "play_lasso",
-    "positional_strategies",
-    "ramsey_distinct_check",
-    "reduce_word",
-    "solve_energy_game",
-    "strictify",
-    "up_member_oracle",
-    "verify_union_strategy",
-]

@@ -66,7 +66,7 @@ class RunReport:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("ETOG_SEED")
     if env is not None:

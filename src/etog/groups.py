@@ -23,8 +23,7 @@ Each group implements ``sign(x)``, the order of ``x`` against the identity;
 query (membership, the oracle, the law checkers) is a sign test, so it never
 builds the quotient.  The free group alone overrides ``compare``: it reads
 degree 1 off the two whole operands, and only when every exponent sum
-vanishes does it strip the common prefix and the common suffix and build the
-quotient of what is left for the scan from degree 2.
+vanishes does it build the quotient for the scan from degree 2.
 
 A free-group letter is a signed ``int``: ``letter(g, 1)`` is a positive code
 that spells the generator name ``g`` (its UTF-8 bytes after a leading 0x01
@@ -129,9 +128,6 @@ class FreeWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return multiply(self, other)
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple([-c for c in reversed(self.letters)]))
@@ -328,10 +324,9 @@ class FreeGroup(OrderedGroup):
     g^d: killing the other generators maps w to (1 + g)^n_g, where n_g is g's
     exponent sum, so g^d's coefficient is C(n_g, d): 0 once degree 1 vanished.
     ``compare(x, y)`` reads degree 1 of ``x y^-1`` off the whole operands, as
-    x's exponent sums less y's.  Only when every sum vanishes does it strip
-    the common prefix and the common suffix, leaving ``u`` of ``x`` and ``v``
-    of ``y``, and build ``u v^-1`` for the scan from degree 2; equal words
-    end there, as two empty slices.
+    x's exponent sums less y's.  Only when every sum vanishes does it build
+    ``x y^-1`` for the scan from degree 2; equal words end there, as the
+    empty word.
     """
 
     generators: tuple[str, ...]
@@ -363,29 +358,16 @@ class FreeGroup(OrderedGroup):
             raise SpecMismatchError(f"{mismatch}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
-        # (p u s)(p v s)^-1 = p (u v^-1) p^-1, the conjugate by p of u v^-1.
-        # Conjugation only adds terms of strictly higher degree than the lowest
-        # non-constant term, so under the degree-graded scan both share the
-        # same leading coefficient.  The common prefix p and suffix s add the
-        # same counts to x and y, so degree 1 of u v^-1, u's exponent sums less
-        # v's, is x's sums less y's.  Stripping p and s keeps the word for the
-        # scan short, and leaves u v^-1 reduced: u and v do not end in the same
-        # letter.
+        # Degree 1 of x y^-1 is x's exponent sums less y's.  For x = p u s and
+        # y = p v s, multiply cancels s and leaves p (u v^-1) p^-1; conjugation
+        # keeps the lowest-degree terms, so the scan stops where u v^-1's would.
         lx, ly = x.letters, y.letters
         for c in self.codes:
             total = lx.count(c) - lx.count(-c) - ly.count(c) + ly.count(-c)
             if total:
                 return _sign_ordering(total)
-        k, i, j = 0, len(lx), len(ly)
-        limit = min(i, j)
-        while k < limit and lx[k] == ly[k]:
-            k += 1
-        while i > k and j > k and lx[i - 1] == ly[j - 1]:
-            i -= 1
-            j -= 1
-        if k == i == j:
-            return Ordering.EQUAL
-        return self._scan(FreeWord(lx[k:i] + tuple([-c for c in reversed(ly[k:j])])))
+        w = multiply(x, y.inverse())
+        return self._scan(w) if w.letters else Ordering.EQUAL
 
     def sign(self, w: FreeWord) -> Ordering:
         letters = w.letters
@@ -418,9 +400,9 @@ class MisorderedFreeGroup(FreeGroup):
     """A deliberately broken free-group order; test instrumentation only.
 
     It swaps the scan positions of the two monomials ``(g0, g1)`` and
-    ``(g1,)`` in ``sign`` and compares without stripping a common prefix or
-    suffix, so that the law checkers can demonstrate their sensitivity
-    (``etog check --inject-fault``).
+    ``(g1,)`` in ``sign`` and compares as ``sign(x y^-1)``, without the free
+    group's degree-1 shortcut, so that the law checkers can demonstrate their
+    sensitivity (``etog check --inject-fault``).
     """
 
     def __post_init__(self) -> None:

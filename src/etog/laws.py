@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .conditions import EtogCondition, UPWord, Valuation, load_valuation, up_member_oracle
+from .conditions import EtogCondition, UPWord, Valuation, Word, load_valuation, up_member_oracle
 from .groups import (
     FreeGroup,
     FreeWord,
@@ -32,8 +32,6 @@ from .groups import (
     multiply,
 )
 from .notation import shipped_valuation_path
-
-Word = tuple[str, ...]
 
 
 @dataclass
