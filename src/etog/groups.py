@@ -19,11 +19,15 @@ checks before rendering.  ``compose``, ``invert``, ``sign`` and ``compare``
 trust their operands.
 
 Each group implements ``sign(x)``, the order of ``x`` against the identity;
-``compare(x, y)`` is derived from it as ``sign(x * y^-1)``.  Nearly every order
-query (membership, the oracle, the law checkers) is a sign test, so it never
-builds the quotient.  The free group alone overrides ``compare``: it reads
-degree 1 off the two whole operands, and only when every exponent sum
-vanishes does it build the quotient for the scan from degree 2.
+``compare(x, y)`` is ``sign(x * y^-1)``, which is how the base class derives
+it.  Nearly every order query (membership, the oracle, the law checkers) is a
+sign test, so it never builds the quotient.  Three groups compare without
+building it first.  The free group reads degree 1 off the two whole operands,
+and only when every exponent sum vanishes does it build the quotient for the
+scan from degree 2.  The reversed order flips its inner group's ``compare``,
+and the lexicographic product takes its left part's ``compare``, or its right
+part's when the left parts are equal.  Both forward exactly, because the
+quotient of two pairs is the pair of the parts' quotients.
 
 A free-group letter is a signed ``int``: ``letter(g, 1)`` is a positive code
 that spells the generator name ``g`` (its UTF-8 bytes after a leading 0x01
@@ -32,7 +36,9 @@ inversion, seam cancellation and the degree-1 counts compare plain integers,
 and a word still carries its generator names without a group to look them up
 in: ``validate`` can reject a word over foreign generators and
 ``format_word`` can print any word.  :func:`letter` and :func:`letter_parts`
-are the only functions that know the encoding.
+are the only functions that know the encoding.  A :class:`FreeWord` is the
+tuple of its letter codes, so building, hashing and counting letters run in
+C; it never equals a plain tuple and has no Python order.
 
 All values are immutable and every operation is a pure function, so the whole
 module is safe for concurrent use.
@@ -106,31 +112,51 @@ def _sign_ordering(value: int) -> Ordering:
     return Ordering.EQUAL
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(tuple):
     """A reduced word over formal generators; the empty word is the identity.
 
-    ``letters`` holds one signed-integer code per letter (see :func:`letter`),
-    so the inverse of a letter is its negation.  Instances must stay reduced
-    (no adjacent ``g g^-1`` pair, that is no adjacent codes ``c, -c``).
-    Construct them through :func:`reduce_word`, :func:`multiply` or
-    :meth:`inverse`, which preserve the invariant; the constructor itself
-    trusts its input so the hot composition path stays cheap.  Membership in
-    a particular free group is checked by :meth:`FreeGroup.validate` where a
-    word enters the library, not by the word itself.
+    The word is its tuple of signed-integer letter codes (see :func:`letter`),
+    so the inverse of a letter is its negation, and construction and hashing
+    run in C.  Instances must stay reduced (no adjacent ``g g^-1`` pair, that
+    is no adjacent codes ``c, -c``).  Construct them through
+    :func:`reduce_word`, :func:`multiply` or :meth:`inverse`, which preserve
+    the invariant; the constructor itself trusts its input so the hot
+    composition path stays cheap.  Membership in a particular free group is
+    checked by :meth:`FreeGroup.validate` where a word enters the library, not
+    by the word itself.
+
+    The tuple is how a word is stored, not what it means.  ``+``, ``*`` and
+    slicing are tuple operations that return plain tuples, not words; the
+    group product is :func:`multiply`.  A word equals only a word with the
+    same letters, never a plain tuple, and words have no Python order:
+    ``<``, ``<=``, ``>`` and ``>=`` raise :class:`TypeError` (the group's
+    order is :meth:`FreeGroup.compare`).  ``letters`` is a plain-tuple copy.
     """
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ()
+
+    letters = property(tuple)
 
     @property
     def is_identity(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
+        return not self
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple([-c for c in reversed(self.letters)]))
+        return FreeWord([-c for c in reversed(self)])
+
+    def __eq__(self, other):
+        if type(other) is FreeWord:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    # delegates to __eq__ and inverts it, instead of tuple's letter-wise !=
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("free words have no Python order; use FreeGroup.compare")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __repr__(self) -> str:
         return f"FreeWord({format_word(self)})"
@@ -141,9 +167,9 @@ IDENTITY_WORD = FreeWord()
 
 def format_word(word: FreeWord) -> str:
     """Space-separated letters, inverse letters as ``g^-1``; ``e`` if empty."""
-    if not word.letters:
+    if not word:
         return "e"
-    parts = map(letter_parts, word.letters)
+    parts = map(letter_parts, word)
     return " ".join(s if e > 0 else f"{s}^-1" for s, e in parts)
 
 
@@ -168,7 +194,7 @@ def reduce_word(
             stack.pop()
         else:
             stack.append(code)
-    return FreeWord(tuple(stack))
+    return FreeWord(stack)
 
 
 def multiply(x: FreeWord, y: FreeWord) -> FreeWord:
@@ -177,18 +203,17 @@ def multiply(x: FreeWord, y: FreeWord) -> FreeWord:
     When the seam letters do not cancel, the result is one concatenation of
     the two letter tuples; otherwise the cancelled letters are sliced off.
     """
-    lx, ly = x.letters, y.letters
-    if not lx:
+    if not x:
         return y
-    if not ly:
+    if not y:
         return x
-    if lx[-1] != -ly[0]:
-        return FreeWord(lx + ly)
-    i, j, n = len(lx), 0, len(ly)
-    while i > 0 and j < n and lx[i - 1] == -ly[j]:
+    if x[-1] != -y[0]:
+        return FreeWord(x + y)
+    i, j, n = len(x), 0, len(y)
+    while i > 0 and j < n and x[i - 1] == -y[j]:
         i -= 1
         j += 1
-    return FreeWord(lx[:i] + ly[j:])
+    return FreeWord(x[:i] + y[j:])
 
 
 def magnus_coefficient(word: FreeWord, monomial: tuple[str, ...]) -> int:
@@ -205,7 +230,7 @@ def magnus_coefficient(word: FreeWord, monomial: tuple[str, ...]) -> int:
     for j, symbol in enumerate(monomial, 1):
         slots.setdefault(letter(symbol, 1), []).append(j)
     c = [1] + [0] * len(monomial)
-    for code in word.letters:
+    for code in word:
         if code > 0:
             for j in reversed(slots.get(code, ())):
                 c[j] += c[j - 1]
@@ -219,7 +244,8 @@ class OrderedGroup:
     """Base class for computable totally ordered groups.
 
     Subclasses provide ``identity``, ``compose``, ``invert``, ``sign`` and
-    ``validate``; ``compare(x, y)`` is derived as ``sign(x * y^-1)``.
+    ``validate``; ``compare(x, y)`` is derived as ``sign(x * y^-1)``, and a
+    subclass that overrides it must return exactly that.
     Elements are plain immutable Python values tagged only by the spec they
     were created under.  ``validate`` raises :class:`SpecMismatchError` for an
     element of another spec; it runs where elements enter the library
@@ -303,7 +329,7 @@ class LexVectors(OrderedGroup):
 
     def validate(self, x) -> None:
         if (
-            not isinstance(x, tuple)
+            type(x) is not tuple  # a FreeWord is a tuple too, but never a vector
             or len(x) != self.dim
             or not all(isinstance(a, int) and not isinstance(a, bool) for a in x)
         ):
@@ -317,7 +343,7 @@ class FreeGroup(OrderedGroup):
     ``sign(w)`` is the sign of the first non-zero non-constant coefficient
     of ``w``, scanning monomials by degree and then lexicographically with
     generators ranked in declaration order.  Degree 1 is each generator's
-    exponent sum, ``letters.count(c) - letters.count(-c)`` for its code ``c``
+    exponent sum, ``w.count(c) - w.count(-c)`` for its code ``c``
     in ``codes``, which construction derives from ``generators``; from degree
     2 on, each coefficient is read on its own with :func:`magnus_coefficient`,
     and the scan stops at the first non-zero one.  It skips every pure power
@@ -349,34 +375,32 @@ class FreeGroup(OrderedGroup):
         mismatch = f"not a word over {self.generators}"
         if not isinstance(x, FreeWord):
             raise SpecMismatchError(f"{mismatch}: {x!r}")
-        for c in x.letters:
+        for c in x:
             try:
                 letter_parts(c)
             except ValueError:  # such a word has no repr: name the letter
                 raise SpecMismatchError(f"{mismatch}: letter {c!r} is not a letter code") from None
-        if not all(abs(c) in self.codes for c in x.letters):
+        if not all(abs(c) in self.codes for c in x):
             raise SpecMismatchError(f"{mismatch}: {x!r}")
 
     def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
         # Degree 1 of x y^-1 is x's exponent sums less y's.  For x = p u s and
         # y = p v s, multiply cancels s and leaves p (u v^-1) p^-1; conjugation
         # keeps the lowest-degree terms, so the scan stops where u v^-1's would.
-        lx, ly = x.letters, y.letters
         for c in self.codes:
-            total = lx.count(c) - lx.count(-c) - ly.count(c) + ly.count(-c)
+            total = x.count(c) - x.count(-c) - y.count(c) + y.count(-c)
             if total:
-                return _sign_ordering(total)
+                return Ordering.GREATER if total > 0 else Ordering.LESS
         w = multiply(x, y.inverse())
-        return self._scan(w) if w.letters else Ordering.EQUAL
+        return self._scan(w) if w else Ordering.EQUAL
 
     def sign(self, w: FreeWord) -> Ordering:
-        letters = w.letters
-        if not letters:
+        if not w:
             return Ordering.EQUAL
         for c in self.codes:
-            total = letters.count(c) - letters.count(-c)
+            total = w.count(c) - w.count(-c)
             if total:
-                return _sign_ordering(total)
+                return Ordering.GREATER if total > 0 else Ordering.LESS
         return self._scan(w)  # degree-1 part vanished entirely
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
@@ -387,12 +411,12 @@ class FreeGroup(OrderedGroup):
 
     def _scan(self, w: FreeWord) -> Ordering:
         """Sign of the first non-zero coefficient in :meth:`_monomials` order."""
-        for mono in self._monomials(len(w.letters)):
+        for mono in self._monomials(len(w)):
             c = magnus_coefficient(w, mono)
             if c:
                 return _sign_ordering(c)
         raise FirstCoefficientMissingError(
-            f"no non-constant coefficient up to degree {len(w.letters)} for {w!r}"
+            f"no non-constant coefficient up to degree {len(w)} for {w!r}"
         )
 
 
@@ -442,6 +466,9 @@ class InverseOrder(OrderedGroup):
     def sign(self, x) -> Ordering:
         return self.inner.sign(x).flipped()
 
+    def compare(self, x, y) -> Ordering:
+        return self.inner.compare(x, y).flipped()
+
     def validate(self, x) -> None:
         self.inner.validate(x)
 
@@ -468,8 +495,15 @@ class LexProduct(OrderedGroup):
             return first
         return self.right.sign(x[1])
 
+    def compare(self, x, y) -> Ordering:
+        first = self.left.compare(x[0], y[0])
+        if first is not Ordering.EQUAL:
+            return first
+        return self.right.compare(x[1], y[1])
+
     def validate(self, x) -> None:
-        if not isinstance(x, tuple) or len(x) != 2:
+        # a FreeWord is a tuple too, but never a product pair
+        if type(x) is not tuple or len(x) != 2:
             raise SpecMismatchError(f"not a product pair: {x!r}")
         self.left.validate(x[0])
         self.right.validate(x[1])

@@ -66,10 +66,10 @@ def reduced_words(generators: Sequence[str], max_len: int) -> Iterator[FreeWord]
     yield from frontier
     for _ in range(max_len):
         frontier = [
-            FreeWord(word.letters + (c,))
+            FreeWord(word + (c,))
             for word in frontier
             for c in letters
-            if not word.letters or word.letters[-1] != -c
+            if not word or word[-1] != -c
         ]
         yield from frontier
 
@@ -163,7 +163,7 @@ def reduced_word_sampler(codes: Sequence[int], max_len: int) -> Callable[[random
             code, digit = divmod(code, k - 1)
             c = letters[digit]
             word.append(letters[-1] if c == -word[-1] else c)
-        return FreeWord(tuple(word))
+        return FreeWord(word)
 
     words_of_length = [1] + [k * (k - 1) ** (length - 1) for length in range(1, span)]
     bound = span * k * (k - 1) ** max(max_len - 1, 0)
@@ -595,11 +595,11 @@ def magnus_soundness(generators: Sequence[str], max_len: int) -> CheckResult:
         if word.is_identity:
             continue
         checked += 1
-        codes = dict.fromkeys(abs(c) for c in word.letters)
+        codes = dict.fromkeys(abs(c) for c in word)
         symbols = tuple(letter_parts(c)[0] for c in codes)
         monomials = (
             mono
-            for degree in range(1, len(word.letters) + 1)
+            for degree in range(1, len(word) + 1)
             for mono in itertools.product(symbols, repeat=degree)
         )
         if not any(magnus_coefficient(word, mono) for mono in monomials):
