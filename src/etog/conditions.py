@@ -104,7 +104,7 @@ class EtogCondition:
         """
         for color in word.prefix:
             self.valuation.value_of(color)
-        return self.valuation.group.is_negative(self.valuation.val_word(word.period))
+        return self.valuation.group.sign(self.valuation.val_word(word.period)) is Ordering.LESS
 
 
 @dataclass(frozen=True)

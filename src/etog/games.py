@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .conditions import EtogCondition, UnionCondition, UPWord
@@ -78,27 +78,38 @@ class Edge:
 
 @dataclass(frozen=True)
 class Arena:
+    """A finite two-player arena; :func:`parse_arena` is its only builder.
+
+    ``out_edges`` maps each declared node to the tuple of its outgoing edges.
+    The constructor builds it while checking that every node has one: nodes
+    come in declaration order, Alice's first (the order of ``nodes``), and
+    each node's edges in declaration order (``Edge.index``).
+    """
+
     alice_nodes: tuple[str, ...]
     bob_nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
+    out_edges: Mapping[str, tuple[Edge, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.alice_nodes and not self.bob_nodes:
             raise ArenaError("arena declares no nodes")
-        seen: set[str] = set()
+        out_edges: dict[str, list[Edge]] = {}
         for node in self.nodes:
-            if node in seen:
+            if node in out_edges:
                 raise DuplicateNodeError(f"node {echo(node)} declared twice")
-            seen.add(node)
+            out_edges[node] = []
         for edge in self.edges:
-            if edge.source not in seen:
+            if edge.source not in out_edges:
                 raise UnknownEndpointError(f"edge source {echo(edge.source)} not declared")
-            if edge.target not in seen:
+            if edge.target not in out_edges:
                 raise UnknownEndpointError(f"edge target {echo(edge.target)} not declared")
-        sources = {edge.source for edge in self.edges}
-        for node in self.nodes:
-            if node not in sources:
+            out_edges[edge.source].append(edge)
+        for node, edges in out_edges.items():
+            if not edges:
                 raise MissingOutgoingEdgeError(f"node {echo(node)} has no outgoing edge")
+            out_edges[node] = tuple(edges)
+        object.__setattr__(self, "out_edges", out_edges)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -107,9 +118,6 @@ class Arena:
     @property
     def colors(self) -> frozenset[str]:
         return frozenset(edge.color for edge in self.edges)
-
-    def out_edges(self, node: str) -> tuple[Edge, ...]:
-        return tuple(edge for edge in self.edges if edge.source == node)
 
 
 def parse_arena(text: str, alphabet: Iterable[str] | None = None) -> Arena:
@@ -226,7 +234,7 @@ def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lass
     (node, Alice state, Bob state) repeats; deterministic.  An incomplete
     Mealy machine raises :class:`MissingMachineEntryError` at the first step
     that needs an entry it lacks."""
-    if start not in arena.nodes:
+    if start not in arena.out_edges:
         raise ArenaError(f"unknown start node {echo(start)}")
     alice_nodes = arena.alice_nodes
     joint = (start, alice.initial_state(), bob.initial_state())
@@ -246,7 +254,7 @@ def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrateg
     """All positional strategies of one player, in lexicographic order over
     (node declaration order, edge declaration order)."""
     nodes = arena.alice_nodes if owner is Player.ALICE else arena.bob_nodes
-    choices = itertools.product(*(arena.out_edges(node) for node in nodes))
+    choices = itertools.product(*(arena.out_edges[node] for node in nodes))
     return [PositionalStrategy(owner, dict(zip(nodes, c))) for c in choices]
 
 
@@ -343,11 +351,8 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
     index = {node: i for i, node in enumerate(nodes)}
     alices = len(arena.alice_nodes)
     member = functools.cache(lambda cycle: cond.up_member(UPWord((), cycle)))
-    # out_edges[v]: the edges out of node v; arcs[v]: their (colour, target)
-    out_edges: list[list[Edge]] = [[] for _ in nodes]
-    for edge in arena.edges:
-        out_edges[index[edge.source]].append(edge)
-    arcs = [[(edge.color, index[edge.target]) for edge in edges] for edges in out_edges]
+    # arcs[v]: the (colour, target) pairs of the edges out of node v
+    arcs = [[(edge.color, index[edge.target]) for edge in arena.out_edges[node]] for node in nodes]
     wins: dict[int, bool] = {}  # decided node -> whether Alice wins from it
     for start in range(len(nodes)):
         wins[start] = _alice_wins(start, arcs, alices, member, wins)
@@ -365,7 +370,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
                 fixed[v] = [arcs[v][i]]
                 if i == options[-1] or _alice_wins(v, fixed, alices, member, lost) is alice:
                     break
-            choice[nodes[v]] = out_edges[v][i]
+            choice[nodes[v]] = arena.out_edges[nodes[v]][i]
         witnesses.append(PositionalStrategy(owner, choice))
     winners = {v: Player.ALICE if wins[i] else Player.BOB for i, v in enumerate(nodes)}
     return Solution(winners, *witnesses)
@@ -415,11 +420,11 @@ def verify_union_strategy(
     if bob_memory_bound < 1:
         raise NotationError("bob_memory_bound must be >= 1")
     _check_alphabet(arena, cond)
-    if start not in arena.nodes:
+    if start not in arena.out_edges:
         raise ArenaError(f"unknown start node {echo(start)}")
 
     alice_nodes = arena.alice_nodes
-    out_edges = {node: arena.out_edges(node) for node in arena.bob_nodes}
+    out_edges = arena.out_edges
     moves: dict[tuple[int, str], Edge] = {}
     updates: dict[tuple[int, Edge], int] = {}
     machines = 0
@@ -500,14 +505,14 @@ def alternating_strategy(arena: Arena, node: str) -> MealyStrategy:
     node (her other nodes keep their first declared edge)."""
     if node not in arena.alice_nodes:
         raise ArenaError(f"node {echo(node)} is not an Alice node")
-    options = arena.out_edges(node)
+    options = arena.out_edges[node]
     if len(options) < 2:
         raise ArenaError(f"node {echo(node)} needs two outgoing edges to alternate")
     moves: dict[tuple[object, str], Edge] = {}
     updates: dict[tuple[object, Edge], object] = {}
     for state, pick, flipped in (("first", options[0], "second"), ("second", options[1], "first")):
         for other in arena.alice_nodes:
-            moves[(state, other)] = pick if other == node else arena.out_edges(other)[0]
+            moves[(state, other)] = pick if other == node else arena.out_edges[other][0]
         for edge in arena.edges:
             updates[(state, edge)] = flipped if edge.source == node else state
     return MealyStrategy(Player.ALICE, ("first", "second"), "first", moves, updates)

@@ -137,10 +137,6 @@ class FreeWord(tuple):
 
     letters = property(tuple)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self
-
     def inverse(self) -> "FreeWord":
         return FreeWord([-c for c in reversed(self)])
 
@@ -272,10 +268,6 @@ class OrderedGroup:
 
     def compare(self, x, y) -> Ordering:
         return self.sign(self.compose(x, self.invert(y)))
-
-    # convenience predicates used all over the condition layer
-    def is_negative(self, x) -> bool:
-        return self.sign(x) is Ordering.LESS
 
 
 @dataclass(frozen=True)
@@ -437,7 +429,7 @@ class MisorderedFreeGroup(FreeGroup):
     compare = OrderedGroup.compare
 
     def sign(self, w: FreeWord) -> Ordering:
-        return Ordering.EQUAL if w.is_identity else self._scan(w)
+        return self._scan(w) if w else Ordering.EQUAL
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
         # degree 1 too, and at least through degree 2, where (g0, g1) lives

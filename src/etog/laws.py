@@ -235,7 +235,7 @@ def negative_word_rows(valuation: Valuation, max_len: int) -> list[bytes]:
     group = valuation.group
     compose = group.compose
     images = [valuation.value_of(color) for color in valuation.colors]
-    negative = functools.cache(group.is_negative)
+    negative = functools.cache(lambda value: group.sign(value) is Ordering.LESS)
     rows = []
     values = [group.identity()]
     for length in range(1, max_len + 1):
@@ -592,7 +592,7 @@ def magnus_soundness(generators: Sequence[str], max_len: int) -> CheckResult:
     non-zero coefficient of some degree from 1 to its own length."""
     checked = 0
     for word in reduced_words(generators, max_len):
-        if word.is_identity:
+        if not word:
             continue
         checked += 1
         codes = dict.fromkeys(abs(c) for c in word)

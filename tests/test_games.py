@@ -75,14 +75,14 @@ def refutation_arena():
 
 def bob_alternator(arena, node, first_color, second_color):
     """Two-state Bob machine alternating two colors out of one node."""
-    first = next(e for e in arena.out_edges(node) if e.color == first_color)
-    second = next(e for e in arena.out_edges(node) if e.color == second_color)
+    first = next(e for e in arena.out_edges[node] if e.color == first_color)
+    second = next(e for e in arena.out_edges[node] if e.color == second_color)
     moves, updates = {}, {}
     for state, pick in ((0, first), (1, second)):
         moves[(state, node)] = pick
         for other in arena.bob_nodes:
             if other != node:
-                moves[(state, other)] = arena.out_edges(other)[0]
+                moves[(state, other)] = arena.out_edges[other][0]
         for edge in arena.edges:
             if edge.source == node:
                 updates[(state, edge)] = 1 - state
@@ -124,6 +124,31 @@ class TestArenaParsing:
         with pytest.raises(ArenaError):
             parse_arena("nonsense\n")
 
+    def test_refusals_come_duplicate_then_endpoint_then_sink(self):
+        # b is declared twice, an edge leads to the undeclared ghost, c is a sink
+        lines = ["node a A", "node b B", "node c A", "node b A",
+                 "edge a x b", "edge b x ghost", "edge b y a"]
+        with pytest.raises(DuplicateNodeError, match=r"^node 'b' declared twice$"):
+            make_arena(lines)
+        lines.remove("node b A")
+        with pytest.raises(UnknownEndpointError, match=r"^edge target 'ghost' not declared$"):
+            make_arena(lines)
+        lines.remove("edge b x ghost")
+        with pytest.raises(MissingOutgoingEdgeError, match=r"^node 'c' has no outgoing edge$"):
+            make_arena(lines)
+
+    def test_out_edges_maps_each_node_to_its_edges_in_order(self):
+        rng = random.Random(34)
+        arenas = [differential_arena(rng, "xyz", owners) for owners in ["AB"] * 40 + ["A", "B"] * 5]
+        arenas += [random_two_out_arena(seed, "xyz", 14 + seed % 11) for seed in range(10)]
+        for arena in arenas:
+            assert tuple(arena.out_edges) == arena.nodes
+            for node, edges in arena.out_edges.items():
+                assert type(edges) is tuple
+                assert edges == tuple(edge for edge in arena.edges if edge.source == node)
+            joined = [edge for edges in arena.out_edges.values() for edge in edges]
+            assert tuple(sorted(joined, key=lambda edge: edge.index)) == arena.edges
+
 
 class TestAlternatingStrategy:
     def test_bob_node_rejected(self, refutation_arena):
@@ -137,7 +162,7 @@ class TestAlternatingStrategy:
 
 class TestPlayLasso:
     def test_positional_alice_vs_alternating_bob(self, refutation_arena):
-        left = next(e for e in refutation_arena.out_edges("sq") if e.target == "lc")
+        left = next(e for e in refutation_arena.out_edges["sq"] if e.target == "lc")
         sigma = PositionalStrategy(Player.ALICE, {"sq": left})
         tau = bob_alternator(refutation_arena, "lc", "a", "a^-1")
         lasso = play_lasso(refutation_arena, "sq", sigma, tau)
@@ -148,8 +173,8 @@ class TestPlayLasso:
         tau = PositionalStrategy(
             Player.BOB,
             {
-                "lc": next(e for e in refutation_arena.out_edges("lc") if e.color == "a"),
-                "rc": next(e for e in refutation_arena.out_edges("rc") if e.color == "b"),
+                "lc": next(e for e in refutation_arena.out_edges["lc"] if e.color == "a"),
+                "rc": next(e for e in refutation_arena.out_edges["rc"] if e.color == "b"),
             },
         )
         lasso = play_lasso(refutation_arena, "sq", sigma, tau)
@@ -860,7 +885,7 @@ class TestSolverAgainstFullPairWalk:
                 owner = strategy.owner
                 for node, edge in strategy.choice.items():
                     into_region = [
-                        e for e in arena.out_edges(node) if solution.winners[e.target] is owner
+                        e for e in arena.out_edges[node] if solution.winners[e.target] is owner
                     ]
                     if solution.winners[node] is owner and edge is not into_region[0]:
                         refused.add(owner)
@@ -895,18 +920,18 @@ class TestSolverAgainstCycleFold:
 
 class TestUnionVerification:
     def test_positional_left_beaten_by_memory_two(self, refutation_arena):
-        left = next(e for e in refutation_arena.out_edges("sq") if e.target == "lc")
+        left = next(e for e in refutation_arena.out_edges["sq"] if e.target == "lc")
         sigma = PositionalStrategy(Player.ALICE, {"sq": left})
         verdict = verify_union_strategy(refutation_arena, UNION, "sq", sigma, 2)
         assert not verdict.wins_within_bound
         assert verdict.beating_lasso.cycle_colors == ("eps", "a", "eps", "a^-1")
-        assert FREE_VAL.val_word(verdict.beating_lasso.cycle_colors).is_identity
+        assert FREE_VAL.val_word(verdict.beating_lasso.cycle_colors) == FreeWord()
         # the returned machine must reproduce the beating play exactly
         replay = play_lasso(refutation_arena, "sq", sigma, verdict.beating_strategy)
         assert replay.cycle_colors == verdict.beating_lasso.cycle_colors
 
     def test_positional_right_beaten_by_memory_two(self, refutation_arena):
-        right = next(e for e in refutation_arena.out_edges("sq") if e.target == "rc")
+        right = next(e for e in refutation_arena.out_edges["sq"] if e.target == "rc")
         sigma = PositionalStrategy(Player.ALICE, {"sq": right})
         verdict = verify_union_strategy(refutation_arena, UNION, "sq", sigma, 2)
         assert not verdict.wins_within_bound
@@ -940,8 +965,8 @@ class TestUnionVerification:
         good = PositionalStrategy(
             Player.ALICE,
             {
-                "s": arena.out_edges("s")[0],
-                "t": next(e for e in arena.out_edges("t") if e.color == "a"),
+                "s": arena.out_edges["s"][0],
+                "t": next(e for e in arena.out_edges["t"] if e.color == "a"),
             },
         )
         verdict = verify_union_strategy(arena, UNION, "s", good, 3)
@@ -1124,7 +1149,7 @@ class TestUnionVerifierCharacterisation:
         assert verdict.beating_lasso.cycle_colors == ("eps",) * size
 
     def test_missing_machine_entry_is_an_arena_error(self, refutation_arena):
-        lc_a = refutation_arena.out_edges("lc")[0]
+        lc_a = refutation_arena.out_edges["lc"][0]
         bob = MealyStrategy(Player.BOB, (0,), 0, {(0, "lc"): lc_a}, {})
         with pytest.raises(ArenaError, match=r"^no move for state 0 at node 'rc'$"):
             bob.move(0, "rc")
@@ -1199,7 +1224,7 @@ def replay_union_verdict(arena, cond, start, alice, bound, completed=None):
         except Undecided as undecided:
             table, key = undecided.args
             if table is moves:
-                options = arena.out_edges(key[1])
+                options = arena.out_edges[key[1]]
             else:
                 used = 1 + max(updates.values(), default=0)
                 options = range(min(used + 1, bound))
@@ -1221,7 +1246,7 @@ def replay_union_verdict(arena, cond, start, alice, bound, completed=None):
     states = tuple(range(1 + max(updates.values(), default=0)))
     for state in states:
         for node in arena.bob_nodes:
-            moves.setdefault((state, node), arena.out_edges(node)[0])
+            moves.setdefault((state, node), arena.out_edges[node][0])
         for edge in arena.edges:
             updates.setdefault((state, edge), state)
     return False, machines, (states, dict(moves), dict(updates)), lasso
@@ -1236,7 +1261,7 @@ def union_verdict_tables(verdict):
 def random_alice_machine(rng, arena):
     """A random Alice Mealy machine with two or three states."""
     states = tuple(range(rng.randint(2, 3)))
-    moves = {(s, n): rng.choice(arena.out_edges(n)) for s in states for n in arena.alice_nodes}
+    moves = {(s, n): rng.choice(arena.out_edges[n]) for s in states for n in arena.alice_nodes}
     updates = {(s, e): rng.choice(states) for s in states for e in arena.edges}
     return MealyStrategy(Player.ALICE, states, 0, moves, updates)
 
@@ -1334,7 +1359,7 @@ def benois_beating_walk(arena, valuation, start, alice):
     queue = [root]
     for vertex in queue:
         node, state = vertex
-        options = [alice.move(state, node)] if node in arena.alice_nodes else arena.out_edges(node)
+        options = [alice.move(state, node)] if node in arena.alice_nodes else arena.out_edges[node]
         for edge in options:
             target = (edge.target, alice.advance(state, edge))
             product.append((vertex, edge, target))
@@ -1447,7 +1472,7 @@ class TestBenoisDeciderAgainstEnumerator:
         assert walk is not None or verdict.wins_within_bound
         if walk is not None:
             stem, cycle = walk
-            assert cycle and valuation.val_word([e.color for e in cycle]).is_identity
+            assert cycle and valuation.val_word([e.color for e in cycle]) == FreeWord()
             lasso = play_lasso(arena, start, alice, walk_machine(arena, stem, cycle))
             assert lasso == Lasso(stem, cycle)
             assert not union.up_member(lasso.up_word())
@@ -1534,7 +1559,7 @@ def enumerate_prefix_products(depth):
         seen: set[FreeWord] = set()
         for position, sign in enumerate(signs):
             word = games.multiply(word, reduce_word([(generators[position % 2], sign)]))
-            if word.is_identity:
+            if not word:
                 return paths, False, f"identity at step {position + 1} of {signs}"
             if word in seen:
                 return paths, False, f"repeat at step {position + 1} of {signs}"

@@ -53,7 +53,7 @@ INT_XY = Valuation(("x", "y"), Integers(), {"x": -1, "y": 1})
 def negative_word_predicate(valuation: Valuation):
     """The per-word reference for ``negative_word_rows``: whether the word's
     value, composed from scratch by ``val_word``, is negative."""
-    return lambda word: valuation.group.is_negative(valuation.val_word(word))
+    return lambda word: valuation.group.sign(valuation.val_word(word)) is Ordering.LESS
 
 
 def _rows(predicate, alphabet, max_len: int) -> list[bytes]:
