@@ -25,7 +25,7 @@ from .conditions import (
     parse_condition,
 )
 from .errors import EtogError, NotationError, echo
-from .groups import Ordering
+from .groups import EQUAL
 from .laws import CheckResult
 from .notation import (
     format_element,
@@ -186,7 +186,7 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
         },
     )
 
-    for sigma in games.positional_strategies(arena, games.Player.ALICE):
+    for sigma in games.positional_strategies(arena, games.ALICE):
         name = f"counterexample.positional-{sigma.choice[start].index}-beaten"
         verdict = games.verify_union_strategy(arena, union, start, sigma, bob_memory)
         if verdict.wins_within_bound:
@@ -197,7 +197,7 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
         cycle = verdict.beating_lasso.cycle_colors
         shown = " ".join(cycle)
         detail = f"bob-memory={bob_memory} machines={verdict.machines_checked}"
-        if valuation.group.sign(valuation.val_word(cycle)) is Ordering.EQUAL:
+        if valuation.group.sign(valuation.val_word(cycle)) is EQUAL:
             result = CheckResult(name, True, f"{detail} cycle='{shown}' cycle-value=identity")
         else:
             result = CheckResult(name, False, detail, f"beating cycle {shown} has non-identity value")

@@ -65,6 +65,9 @@ class Player(enum.Enum):
         return self.value
 
 
+ALICE, BOB = Player  # read once, as groups reads the Ordering members
+
+
 @dataclass(frozen=True, eq=False)
 class Edge:
     """One declared edge.  Only :func:`parse_arena` builds edges, and each one
@@ -253,7 +256,7 @@ def play_lasso(arena: Arena, start: str, alice: Strategy, bob: Strategy) -> Lass
 def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrategy]:
     """All positional strategies of one player, in lexicographic order over
     (node declaration order, edge declaration order)."""
-    nodes = arena.alice_nodes if owner is Player.ALICE else arena.bob_nodes
+    nodes = arena.alice_nodes if owner is ALICE else arena.bob_nodes
     choices = itertools.product(*(arena.out_edges[node] for node in nodes))
     return [PositionalStrategy(owner, dict(zip(nodes, c))) for c in choices]
 
@@ -358,7 +361,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
         wins[start] = _alice_wins(start, arcs, alices, member, wins)
     witnesses = []
     for owner, own in zip(Player, (range(alices), range(alices, len(nodes)))):
-        alice = owner is Player.ALICE
+        alice = owner is ALICE
         lost = {v: won for v, won in wins.items() if won is not alice}
         fixed = list(arcs)
         choice = {}
@@ -372,7 +375,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
                     break
             choice[nodes[v]] = arena.out_edges[nodes[v]][i]
         witnesses.append(PositionalStrategy(owner, choice))
-    winners = {v: Player.ALICE if wins[i] else Player.BOB for i, v in enumerate(nodes)}
+    winners = {v: ALICE if wins[i] else BOB for i, v in enumerate(nodes)}
     return Solution(winners, *witnesses)
 
 
@@ -496,7 +499,7 @@ def verify_union_strategy(
             moves.setdefault((state, node), out_edges[node][0])
         for edge in arena.edges:
             updates.setdefault((state, edge), state)
-    machine = MealyStrategy(Player.BOB, states, 0, moves, updates)
+    machine = MealyStrategy(BOB, states, 0, moves, updates)
     return UnionVerdict(False, bob_memory_bound, machines, machine, lasso)
 
 
@@ -515,7 +518,7 @@ def alternating_strategy(arena: Arena, node: str) -> MealyStrategy:
             moves[(state, other)] = pick if other == node else arena.out_edges[other][0]
         for edge in arena.edges:
             updates[(state, edge)] = flipped if edge.source == node else state
-    return MealyStrategy(Player.ALICE, ("first", "second"), "first", moves, updates)
+    return MealyStrategy(ALICE, ("first", "second"), "first", moves, updates)
 
 
 def ramsey_distinct_check() -> str | None:

@@ -27,7 +27,10 @@ and only when every exponent sum vanishes does it build the quotient for the
 scan from degree 2.  The reversed order flips its inner group's ``compare``,
 and the lexicographic product takes its left part's ``compare``, or its right
 part's when the left parts are equal.  Both forward exactly, because the
-quotient of two pairs is the pair of the parts' quotients.
+quotient of two pairs is the pair of the parts' quotients.  The three
+``Ordering`` members are read once, as the module globals ``LESS``, ``EQUAL``
+and ``GREATER``, which the order queries here and in the layers above return
+and test.
 
 A free-group letter is a signed ``int``: ``letter(g, 1)`` is a positive code
 that spells the generator name ``g`` (its UTF-8 bytes after a leading 0x01
@@ -91,25 +94,26 @@ class Ordering(enum.Enum):
     GREATER = 1
 
     def flipped(self) -> "Ordering":
-        return _FLIPPED[self]
+        return _FLIPPED[self._value_]
 
     def __str__(self) -> str:
         return self.name.title()
 
 
-_FLIPPED = {
-    Ordering.LESS: Ordering.GREATER,
-    Ordering.EQUAL: Ordering.EQUAL,
-    Ordering.GREATER: Ordering.LESS,
-}
+# Read once: on Python 3.10 and 3.11 every ``Ordering.LESS`` runs the enum
+# metaclass's Python-level ``__getattr__`` (``EnumMeta``, ``EnumType`` from
+# 3.11), and on every version hashing a member runs the Python-level
+# ``Enum.__hash__``.  A module global and a table keyed by ``_value_`` skip both.
+LESS, EQUAL, GREATER = Ordering
+_FLIPPED = {-1: GREATER, 0: EQUAL, 1: LESS}
 
 
 def _sign_ordering(value: int) -> Ordering:
     if value > 0:
-        return Ordering.GREATER
+        return GREATER
     if value < 0:
-        return Ordering.LESS
-    return Ordering.EQUAL
+        return LESS
+    return EQUAL
 
 
 class FreeWord(tuple):
@@ -317,7 +321,7 @@ class LexVectors(OrderedGroup):
         for a in x:
             if a:
                 return _sign_ordering(a)
-        return Ordering.EQUAL
+        return EQUAL
 
     def validate(self, x) -> None:
         if (
@@ -382,17 +386,17 @@ class FreeGroup(OrderedGroup):
         for c in self.codes:
             total = x.count(c) - x.count(-c) - y.count(c) + y.count(-c)
             if total:
-                return Ordering.GREATER if total > 0 else Ordering.LESS
+                return GREATER if total > 0 else LESS
         w = multiply(x, y.inverse())
-        return self._scan(w) if w else Ordering.EQUAL
+        return self._scan(w) if w else EQUAL
 
     def sign(self, w: FreeWord) -> Ordering:
         if not w:
-            return Ordering.EQUAL
+            return EQUAL
         for c in self.codes:
             total = w.count(c) - w.count(-c)
             if total:
-                return Ordering.GREATER if total > 0 else Ordering.LESS
+                return GREATER if total > 0 else LESS
         return self._scan(w)  # degree-1 part vanished entirely
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
@@ -429,7 +433,7 @@ class MisorderedFreeGroup(FreeGroup):
     compare = OrderedGroup.compare
 
     def sign(self, w: FreeWord) -> Ordering:
-        return self._scan(w) if w else Ordering.EQUAL
+        return self._scan(w) if w else EQUAL
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
         # degree 1 too, and at least through degree 2, where (g0, g1) lives
@@ -483,13 +487,13 @@ class LexProduct(OrderedGroup):
 
     def sign(self, x) -> Ordering:
         first = self.left.sign(x[0])
-        if first is not Ordering.EQUAL:
+        if first is not EQUAL:
             return first
         return self.right.sign(x[1])
 
     def compare(self, x, y) -> Ordering:
         first = self.left.compare(x[0], y[0])
-        if first is not Ordering.EQUAL:
+        if first is not EQUAL:
             return first
         return self.right.compare(x[1], y[1])
 

@@ -16,6 +16,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import EtogCondition, UPWord, Valuation, Word, load_valuation, up_member_oracle
 from .groups import (
+    EQUAL,
+    GREATER,
+    LESS,
     FreeGroup,
     FreeWord,
     Integers,
@@ -235,7 +238,7 @@ def negative_word_rows(valuation: Valuation, max_len: int) -> list[bytes]:
     group = valuation.group
     compose = group.compose
     images = [valuation.value_of(color) for color in valuation.colors]
-    negative = functools.cache(lambda value: group.sign(value) is Ordering.LESS)
+    negative = functools.cache(lambda value: group.sign(value) is LESS)
     rows = []
     values = [group.identity()]
     for length in range(1, max_len + 1):
@@ -460,7 +463,7 @@ def check_invariant_subsemigroup(
             images[code], images[-code] = image, inv(image)
 
         def in_s(value) -> bool:
-            return group.sign(value) is not Ordering.LESS
+            return group.sign(value) is not LESS
     else:
         in_s, mul, inv = membership, multiply, FreeWord.inverse
         identity = FreeWord()
@@ -542,7 +545,6 @@ def order_axiom_battery(
     sample = element_sampler(spec, max_word_len)
     # looked up once: the loop below runs ``samples`` times
     compare, compose, invert = spec.compare, spec.compose, spec.invert
-    LESS, EQUAL, GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
     for _ in range(samples):
         x, y, z, g = sample(rng), sample(rng), sample(rng), sample(rng)
 
