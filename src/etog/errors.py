@@ -39,7 +39,8 @@ class FirstCoefficientMissingError(EtogError):
 
 
 class InputFileError(EtogError):
-    """An input file could not be read or is not ASCII text."""
+    """An input file could not be read, is not ASCII text, or holds more than
+    ``notation.MAX_INPUT_CHARS`` (2**20) characters."""
 
 
 class NotationError(EtogError, ValueError):

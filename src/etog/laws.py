@@ -32,7 +32,6 @@ from .groups import (
     letter,
     letter_parts,
     magnus_coefficient,
-    multiply,
 )
 from .notation import shipped_valuation_path
 
@@ -423,11 +422,7 @@ def check_fairly_mixing(
 
 
 def check_invariant_subsemigroup(
-    valuation: Valuation | None = None,
-    max_len: int = 4,
-    membership: Callable[[FreeWord], bool] | None = None,
-    colors: Sequence[str] | None = None,
-    name: str = "invariant-subsemigroup",
+    valuation: Valuation, max_len: int = 4, name: str = "invariant-subsemigroup"
 ) -> CheckResult:
     """Check S = {group words with non-negative value} over the color alphabet.
 
@@ -436,38 +431,25 @@ def check_invariant_subsemigroup(
     multiplication, closure of S under conjugation by arbitrary enumerated
     words, and that every word or its inverse lies in S.
 
-    With a ``valuation``, membership of a word depends only on its image value
-    (the valuation extends to a homomorphism with val(c^-1) = val(c)^-1), so
-    the scans run over distinct values.  A raw ``membership`` predicate scans
-    the words themselves.  Either way counterexamples are reported as witness
-    words.  The words are enumerated shortest first, and each word's value is
-    one product: its parent's value times its last letter's image.
+    Membership of a word depends only on its image value (the valuation
+    extends to a homomorphism with val(c^-1) = val(c)^-1), so the scans run
+    over distinct values; counterexamples are reported as witness words.  The
+    words are enumerated shortest first, and each word's value is one product:
+    its parent's value times its last letter's image.
     """
-    if (valuation is None) == (membership is None):
-        raise ValueError("pass exactly one of valuation / membership")
-    if valuation is not None:
-        colors = valuation.colors
-    if not colors:
-        raise ValueError("need a color alphabet")
+    colors, group = valuation.colors, valuation.group
     detail = f"exhaustive up to length {max_len} over {len(colors)} colors"
-
+    identity = group.identity()
+    mul, inv = group.compose, group.invert
     codes = [letter(color, 1) for color in colors]
     letters = codes + [-c for c in codes]
-    if valuation is not None:
-        group = valuation.group
-        identity = group.identity()
-        mul, inv = group.compose, group.invert
-        images = {}  # letter code -> image, for each color and its inverse
-        for code, color in zip(codes, colors):
-            image = valuation.value_of(color)
-            images[code], images[-code] = image, inv(image)
+    images = {}  # letter code -> image, for each color and its inverse
+    for code, color in zip(codes, colors):
+        image = valuation.value_of(color)
+        images[code], images[-code] = image, inv(image)
 
-        def in_s(value) -> bool:
-            return group.sign(value) is not LESS
-    else:
-        in_s, mul, inv = membership, multiply, FreeWord.inverse
-        identity = FreeWord()
-        images = {c: FreeWord((c,)) for c in letters}
+    def in_s(value) -> bool:
+        return group.sign(value) is not LESS
 
     # element -> the letters of the first (shortest) word that represents it.
     # Each reduced word's value is its parent's value times the image of its

@@ -43,6 +43,10 @@ MAX_NESTING = 100
 # A zlex(<d>) element is a d-tuple; refuse dimensions no spec needs.
 MAX_ZLEX_DIM = 1000
 
+# Input files are read whole; longer input is refused before an endless device
+# such as /dev/zero can exhaust memory.
+MAX_INPUT_CHARS = 2**20
+
 
 def _check_nesting(text: str) -> None:
     """Refuse specs whose parentheses nest deeper than :data:`MAX_NESTING`."""
@@ -57,14 +61,18 @@ def _check_nesting(text: str) -> None:
 
 
 def read_ascii(path: str) -> str:
-    """The text of an ASCII input file; failures raise :class:`InputFileError`."""
+    """The text of an ASCII input file of at most :data:`MAX_INPUT_CHARS`
+    characters; failures raise :class:`InputFileError`."""
     try:
         with open(path, "r", encoding="ascii") as handle:
-            return handle.read()
+            text = handle.read(MAX_INPUT_CHARS + 1)
     except (OSError, ValueError) as exc:  # ValueError: non-ASCII bytes, NUL in path
         # an OSError's str() repeats the path; its strerror does not
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise InputFileError(f"cannot read {echo(path)}: {reason}") from None
+    if len(text) > MAX_INPUT_CHARS:
+        raise InputFileError(f"cannot read {echo(path)}: more than {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _data_path(name: str) -> str:
@@ -133,9 +141,8 @@ def parse_group(text: str) -> OrderedGroup:
             raise NotationError(f"zlex dimension must be <= {MAX_ZLEX_DIM}")
         return LexVectors(dim)
     if text.startswith("free(") and text.endswith(")"):
-        names = [n.strip() for n in text[len("free(") : -1].split(",")]
-        if names == [""]:
-            raise NotationError("free group needs at least one generator")
+        body = text[len("free(") : -1]
+        names = [n.strip() for n in body.split(",")] if body.strip() else []
         for name in names:
             if not _NAME_RE.match(name):
                 raise NotationError(f"bad generator name: {echo(name)}")

@@ -5,18 +5,13 @@ carries a wall-clock budget which is asserted as well.  Run with
 ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the lines live).
 """
 
-import itertools
 import random
 import time
-
-import pytest
 
 from etog.cli import run_counterexample
 from etog.conditions import (
     EtogCondition,
-    UnionCondition,
     UPWord,
-    Valuation,
     parity_condition,
     up_member_oracle,
 )
@@ -27,7 +22,7 @@ from etog.games import (
     positional_strategies,
     solve_energy_game,
 )
-from etog.groups import FreeGroup, InverseOrder
+from etog.groups import FreeGroup
 from etog.laws import (
     check_closure,
     check_fairly_mixing,
@@ -37,6 +32,7 @@ from etog.laws import (
     standard_valuations,
     words_up_to,
 )
+from test_laws import even_length, predicate_valuation
 
 SUITE = standard_valuations()
 
@@ -186,8 +182,6 @@ def test_criterion_8_invariant_subsemigroup():
         result = check_invariant_subsemigroup(SUITE["free"], max_len=4)
         assert result.passed, result.line()
         control = check_invariant_subsemigroup(
-            membership=lambda w: len(w) % 2 == 0,
-            colors=SUITE["free"].colors,
-            max_len=2,
+            predicate_valuation(even_length, SUITE["free"].colors), max_len=2
         )
         assert not control.passed

@@ -18,7 +18,9 @@ from etog.cli import (
     shipped_valuation_path,
 )
 from etog.conditions import EtogCondition
+from etog.errors import InputFileError
 from etog.laws import standard_valuations
+from etog.notation import MAX_INPUT_CHARS, read_ascii
 
 VAL = shipped_valuation_path()
 
@@ -693,6 +695,30 @@ def test_refusal_prints_one_pinned_error_line(capsys, tmp_path, monkeypatch, mak
         # literal, not its 5000 characters; at 80 columns argparse's two
         # usage lines alone take about 120 bytes
         assert len(refusal.encode()) < 200 and len(err.encode()) < 400
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this system")
+def test_an_endless_input_file_is_refused_at_the_size_bound(capsys, monkeypatch):
+    # /dev/zero never ends; a read without a bound ran out of memory
+    argv = ["solve", "--arena", "/dev/zero", "--cond", f"etog({VAL})"]
+    code, err = _run_refusal(capsys, monkeypatch, argv)
+    assert (code, err) == (
+        2, f"error: cannot read '/dev/zero': more than {MAX_INPUT_CHARS} characters\n"
+    )
+
+
+def test_an_input_file_of_exactly_the_size_bound_is_read(tmp_path):
+    path = tmp_path / "bound.txt"
+    path.write_text("#" * MAX_INPUT_CHARS)
+    assert len(read_ascii(str(path))) == MAX_INPUT_CHARS
+
+
+def test_an_input_file_one_character_over_the_size_bound_is_refused(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("over.txt").write_text("#" * (MAX_INPUT_CHARS + 1))
+    with pytest.raises(InputFileError) as refused:
+        read_ascii("over.txt")
+    assert str(refused.value) == f"cannot read 'over.txt': more than {MAX_INPUT_CHARS} characters"
 
 
 @pytest.mark.parametrize(

@@ -283,13 +283,24 @@ class TestNotation:
         with pytest.raises(NotationError):
             parse_group("zlex(0)")
         with pytest.raises(NotationError):
-            parse_group("free()")
-        with pytest.raises(NotationError):
             parse_group("free(a,a)")
         with pytest.raises(NotationError):
             parse_group("free(e)")
         with pytest.raises(NotationError):
             parse_group("prod(int)")
+
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            # FreeGroup owns the empty-generator refusal; the parser only splits
+            ("free()", "free group needs at least one generator"),
+            ("free( )", "free group needs at least one generator"),
+            ("free(,)", "bad generator name: ''"),
+        ],
+    )
+    def test_free_spec_refusals(self, text, refusal):
+        with pytest.raises(NotationError, match=f"^{re.escape(refusal)}$"):
+            parse_group(text)
 
     def test_word_literal_errors_other_than_unknown_generators_propagate(self, monkeypatch):
         # only an unknown generator is a notation error; anything else is a bug

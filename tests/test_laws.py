@@ -1,7 +1,8 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import pytest
 
@@ -14,6 +15,8 @@ from etog.conditions import (
     parse_condition,
 )
 from etog.groups import (
+    EQUAL,
+    LESS,
     FreeGroup,
     FreeWord,
     Integers,
@@ -185,6 +188,35 @@ class TestFairlyMixing:
         assert not union.up_member(UPWord.make("", "a a^-1"))
 
 
+@dataclass(frozen=True)
+class PredicateFreeGroup(FreeGroup):
+    """A free group whose non-negative words are those where ``holds`` is
+    true: a membership predicate posing as an order, so that the invariant-
+    subsemigroup check can be shown sets that no order has.  Test-only, like
+    ``MisorderedFreeGroup``."""
+
+    holds: Callable[[FreeWord], bool]
+
+    def sign(self, w: FreeWord):
+        return EQUAL if self.holds(w) else LESS
+
+
+def predicate_valuation(holds, colors) -> Valuation:
+    """Each color of a ``PredicateFreeGroup`` mapped to its own letter: every
+    word's value is the reduced word itself, so the check's scan visits the
+    words in their own order and tests ``holds`` on each."""
+    group = PredicateFreeGroup(tuple(colors), holds)
+    return Valuation(group.generators, group, {c: FreeWord((letter(c, 1),)) for c in colors})
+
+
+def even_length(w: FreeWord) -> bool:
+    return len(w) % 2 == 0
+
+
+def odd_length(w: FreeWord) -> bool:
+    return len(w) % 2 == 1
+
+
 class TestInvariantSubsemigroup:
     def test_free_valuation_passes(self):
         result = check_invariant_subsemigroup(SUITE["free"], max_len=3)
@@ -197,21 +229,18 @@ class TestInvariantSubsemigroup:
         result = check_invariant_subsemigroup(valuation, max_len=3)
         assert result.passed, result.counterexample
 
-    def test_even_length_control_fails(self):
-        result = check_invariant_subsemigroup(
-            membership=lambda w: len(w) % 2 == 0, colors=("a", "b"), max_len=2
-        )
+    @staticmethod
+    def _assert_fails_as_the_per_letter_scan(holds):
+        result = check_invariant_subsemigroup(predicate_valuation(holds, ("a", "b")), max_len=2)
+        expected = _per_letter_subsemigroup(membership=holds, colors=("a", "b"), max_len=2)
+        assert (result.passed, result.counterexample) == expected
         assert not result.passed
+
+    def test_even_length_control_fails(self):
+        self._assert_fails_as_the_per_letter_scan(even_length)
 
     def test_odd_length_control_fails(self):
-        result = check_invariant_subsemigroup(
-            membership=lambda w: len(w) % 2 == 1, colors=("a", "b"), max_len=2
-        )
-        assert not result.passed
-
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            check_invariant_subsemigroup(SUITE["free"], membership=lambda w: True)
+        self._assert_fails_as_the_per_letter_scan(odd_length)
 
     # The word-level scan makes about 700k predicate calls for each free
     # valuation at length 3, so those run at length 2 only.
@@ -240,10 +269,10 @@ class TestInvariantSubsemigroup:
             return group.compare(value, group.identity()) is not Ordering.LESS
 
         by_value = check_invariant_subsemigroup(valuation, max_len=max_len)
-        by_word = check_invariant_subsemigroup(
+        by_word, _ = _per_letter_subsemigroup(
             membership=non_negative, colors=valuation.colors, max_len=max_len
         )
-        assert by_value.passed == by_word.passed == (label != "misordered-free")
+        assert by_value.passed == by_word == (label != "misordered-free")
 
     @pytest.mark.parametrize(
         "case",
@@ -263,16 +292,17 @@ class TestInvariantSubsemigroup:
         predicates = {
             "first-letter-positive": lambda w: not w.letters or w.letters[0] > 0,
             "last-letter-inverse": lambda w: not w.letters or w.letters[-1] < 0,
-            "even-length": lambda w: len(w) % 2 == 0,
-            "odd-length": lambda w: len(w) % 2 == 1,
+            "even-length": even_length,
+            "odd-length": odd_length,
         }
         if case in valuations:
             valuation, max_len = valuations[case]
-            kwargs = {"valuation": valuation, "max_len": max_len}
+            result = check_invariant_subsemigroup(valuation, max_len=max_len)
+            expected = _per_letter_subsemigroup(valuation, max_len=max_len)
         else:
-            kwargs = {"membership": predicates[case], "colors": ("a", "b", "c"), "max_len": 3}
-        result = check_invariant_subsemigroup(**kwargs)
-        expected = _per_letter_subsemigroup(**kwargs)
+            holds, colors = predicates[case], ("a", "b", "c")
+            result = check_invariant_subsemigroup(predicate_valuation(holds, colors), max_len=3)
+            expected = _per_letter_subsemigroup(membership=holds, colors=colors, max_len=3)
         assert (result.passed, result.counterexample) == expected
         assert result.passed == (case == "free-3")
 
