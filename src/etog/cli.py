@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import games, laws
 from .conditions import (
@@ -41,12 +41,12 @@ DEFAULT_SEED = 0
 MAX_RAMSEY_DEPTH = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
     command: str
     inputs: dict[str, str]
-    verdicts: list[CheckResult] = field(default_factory=list)
-    duration_s: float = 0.0
+    verdicts: tuple[CheckResult, ...]
+    duration_s: float
 
     @property
     def all_passed(self) -> bool:
@@ -176,21 +176,12 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
     started = time.perf_counter()
     arena, union, valuation = build_refutation_setup()
     start = arena.alice_nodes[0]
-    report = RunReport(
-        "counterexample",
-        {
-            "arena": shipped_arena_path(),
-            "valuation": shipped_valuation_path(),
-            "bob-memory": str(bob_memory),
-            "ramsey-depth": str(ramsey_depth),
-        },
-    )
-
+    verdicts = []
     for sigma in games.positional_strategies(arena, games.ALICE):
         name = f"counterexample.positional-{sigma.choice[start].index}-beaten"
         verdict = games.verify_union_strategy(arena, union, start, sigma, bob_memory)
         if verdict.wins_within_bound:
-            report.verdicts.append(
+            verdicts.append(
                 CheckResult(name, False, f"bob-memory={bob_memory}", "no beating opponent found")
             )
             continue
@@ -201,12 +192,12 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
             result = CheckResult(name, True, f"{detail} cycle='{shown}' cycle-value=identity")
         else:
             result = CheckResult(name, False, detail, f"beating cycle {shown} has non-identity value")
-        report.verdicts.append(result)
+        verdicts.append(result)
 
     alternating = games.alternating_strategy(arena, start)
     verdict = games.verify_union_strategy(arena, union, start, alternating, bob_memory)
     detail = f"bob-memory={bob_memory} machines={verdict.machines_checked}"
-    report.verdicts.append(
+    verdicts.append(
         CheckResult(
             "counterexample.alternating-wins",
             verdict.wins_within_bound,
@@ -218,7 +209,7 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
     )
 
     cancelled = games.ramsey_distinct_check()
-    report.verdicts.append(
+    verdicts.append(
         CheckResult(
             "counterexample.distinct-prefix-products",
             cancelled is None,
@@ -226,8 +217,17 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
             cancelled,
         )
     )
-    report.duration_s = time.perf_counter() - started
-    return report
+    return RunReport(
+        "counterexample",
+        {
+            "arena": shipped_arena_path(),
+            "valuation": shipped_valuation_path(),
+            "bob-memory": str(bob_memory),
+            "ramsey-depth": str(ramsey_depth),
+        },
+        tuple(verdicts),
+        time.perf_counter() - started,
+    )
 
 
 def cmd_counterexample(args) -> int:
@@ -257,7 +257,7 @@ def cmd_check(args) -> int:
             "closure-max-len": str(args.max_len),
             "inject-fault": str(args.inject_fault),
         },
-        results,
+        tuple(results),
         time.perf_counter() - started,
     )
     print(report.render(args.machine))
@@ -269,9 +269,8 @@ class _Parser(argparse.ArgumentParser):
     :func:`echo`.  argparse's refusals repeat an argument (an invalid choice,
     an unrecognized argument, an ambiguous option) or its tail after an option
     name (an ignored explicit argument), raw or as its repr.  The longest tail
-    of each argument that a refusal repeats is quoted through ``echo`` instead;
-    text of up to 40 characters, which ``echo`` quotes as its repr, prints
-    unchanged."""
+    of each argument that a refusal repeats, either way, is quoted through
+    ``echo`` instead; text whose repr ``echo`` prints whole prints unchanged."""
 
     _argv: tuple[str, ...] = ()
 
@@ -281,7 +280,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         for text in self._argv:
-            tail = next((text[i:] for i in range(len(text)) if text[i:] in message), "")
+            tails = (text[i:] for i in range(len(text)))
+            tail = next((t for t in tails if t in message or repr(t) in message), "")
             quoted = echo(tail)
             if quoted != repr(tail):
                 message = message.replace(repr(tail), quoted).replace(tail, quoted)

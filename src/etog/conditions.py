@@ -31,23 +31,23 @@ Word = tuple[str, ...]
 
 @dataclass(frozen=True)
 class Valuation:
-    """Map from a color alphabet into an ordered group."""
+    """Map from a color alphabet into an ordered group; the colors are the
+    mapping's keys, in insertion order."""
 
-    colors: tuple[str, ...]
     group: OrderedGroup
     mapping: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        if not self.colors:
+        if not self.mapping:
             raise NotationError("valuation defines no colors")
-        if len(set(self.colors)) != len(self.colors):
-            raise NotationError("duplicate color")
-        if set(self.mapping) != set(self.colors):
-            raise NotationError("valuation must assign exactly one image per color")
-        for color in self.colors:
+        for color, image in self.mapping.items():
             if color.split() != [color]:  # words split on whitespace
                 raise NotationError(f"bad color name {echo(color)}")
-            self.group.validate(self.mapping[color])
+            self.group.validate(image)
+
+    @property
+    def colors(self) -> tuple[str, ...]:
+        return tuple(self.mapping)
 
     def value_of(self, color: str):
         try:
@@ -188,8 +188,7 @@ def parity_condition(priorities: int) -> EtogCondition:
         vec = [0] * priorities
         vec[priorities - k] = (-1) ** k
         mapping[str(k)] = tuple(vec)
-    colors = tuple(str(k) for k in range(1, priorities + 1))
-    return EtogCondition(Valuation(colors, group, mapping))
+    return EtogCondition(Valuation(group, mapping))
 
 
 def strictify(valuation: Valuation) -> Valuation:
@@ -200,8 +199,8 @@ def strictify(valuation: Valuation) -> Valuation:
     on the identity becomes strictly positive.
     """
     group = LexProduct(valuation.group, Integers())
-    mapping = {c: (valuation.mapping[c], 1) for c in valuation.colors}
-    return Valuation(valuation.colors, group, mapping)
+    mapping = {c: (image, 1) for c, image in valuation.mapping.items()}
+    return Valuation(group, mapping)
 
 
 def parse_valuation(text: str) -> Valuation:
@@ -211,7 +210,6 @@ def parse_valuation(text: str) -> Valuation:
     line per color; ``#`` starts a comment.
     """
     group: OrderedGroup | None = None
-    colors: list[str] = []
     mapping: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -235,13 +233,12 @@ def parse_valuation(text: str) -> Valuation:
             color = color_part.strip()
             if color in mapping:
                 raise NotationError(f"line {lineno}: duplicate color {echo(color)}")
-            colors.append(color)
             mapping[color] = parse_element(group, literal)
             continue
         raise NotationError(f"line {lineno}: unrecognised directive {echo(tokens[0])}")
     if group is None:
         raise NotationError("valuation file has no 'group' line")
-    return Valuation(tuple(colors), group, mapping)
+    return Valuation(group, mapping)
 
 
 def load_valuation(path: str) -> Valuation:

@@ -5,17 +5,21 @@ file line, a path, a color or a node name) quotes it through :func:`echo`, so
 that no refusal repeats a long input in full.
 """
 
-# A refusal echoes user text up to this many characters.
+# A refusal echoes user text up to this many characters, as a repr of at most
+# this many characters plus its two quotes.
 _ECHO_HEAD = 40
 
 
 def echo(text: str) -> str:
-    """``text`` as a refusal quotes it: its repr, or past :data:`_ECHO_HEAD`
-    characters the repr of that head, then ``…``, then the text's length, so
-    that a refusal stays short."""
-    if len(text) > _ECHO_HEAD:
-        return f"{text[:_ECHO_HEAD]!r}… ({len(text)} characters)"
-    return repr(text)
+    """``text`` as a refusal quotes it: its repr when that is at most
+    :data:`_ECHO_HEAD` + 2 characters long, or else the repr of the longest
+    head whose repr fits that bound, then ``…``, then the text's length, so
+    that a refusal stays short however many characters the repr escapes."""
+    heads = (text[:k] for k in range(min(len(text), _ECHO_HEAD), -1, -1))
+    head = next(h for h in heads if len(repr(h)) <= _ECHO_HEAD + 2)
+    if head == text:
+        return repr(text)
+    return f"{head!r}… ({len(text)} characters)"
 
 
 class EtogError(Exception):
@@ -48,7 +52,7 @@ class NotationError(EtogError, ValueError):
     or a malformed argument to the constructor or function that owns the
     invariant (``FreeGroup``, ``MisorderedFreeGroup``, ``LexVectors``,
     ``reduce_word``, ``Valuation``, ``UnionCondition``, ``parity_condition``,
-    ``up_member_oracle``, ``verify_union_strategy``)."""
+    ``up_member_oracle``, ``verify_union_strategy``, ``negative_word_rows``)."""
 
 
 class UnknownGeneratorError(NotationError):

@@ -261,7 +261,7 @@ def positional_strategies(arena: Arena, owner: Player) -> list[PositionalStrateg
     return [PositionalStrategy(owner, dict(zip(nodes, c))) for c in choices]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Solution:
     winners: dict[str, Player]
     alice_strategy: PositionalStrategy
@@ -382,7 +382,7 @@ def solve_energy_game(arena: Arena, cond) -> Solution:
 _MISSING = object()  # a machine entry not decided yet
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnionVerdict:
     """Outcome of the bounded verification of an Alice strategy.
 

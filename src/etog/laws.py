@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import EtogCondition, UPWord, Valuation, Word, load_valuation, up_member_oracle
+from .errors import NotationError
 from .groups import (
     EQUAL,
     GREATER,
@@ -35,8 +36,12 @@ from .groups import (
 )
 from .notation import shipped_valuation_path
 
+# The closure rows grow as n**L over n colors: at length 10 the suite's
+# five-color valuations take about 250 MB, so longer words are refused.
+MAX_CLOSURE_LEN = 10
 
-@dataclass
+
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -207,16 +212,8 @@ def standard_valuations() -> dict[str, Valuation]:
     """
     free = load_valuation(shipped_valuation_path())
     return {
-        "int": Valuation(
-            ("x", "y", "z", "w"),
-            Integers(),
-            {"x": -1, "y": 1, "z": 0, "w": 2},
-        ),
-        "zlex2": Valuation(
-            ("c", "d", "u", "v"),
-            LexVectors(2),
-            {"c": (0, 1), "d": (-1, 0), "u": (1, -1), "v": (0, 0)},
-        ),
+        "int": Valuation(Integers(), {"x": -1, "y": 1, "z": 0, "w": 2}),
+        "zlex2": Valuation(LexVectors(2), {"c": (0, 1), "d": (-1, 0), "u": (1, -1), "v": (0, 0)}),
         "free": free,
         "inv-free": replace(free, group=InverseOrder(free.group)),
     }
@@ -232,11 +229,14 @@ def negative_word_rows(valuation: Valuation, max_len: int) -> list[bytes]:
     ``compose`` per word: each value times the image of its last color.  Only
     one length's values are kept to build the next row, and those of length
     ``max_len`` are not kept.  The sign of each distinct value is decided
-    once, in a cache that holds each distinct value once.
+    once, in a cache that holds each distinct value once.  A ``max_len``
+    over :data:`MAX_CLOSURE_LEN` is refused before any row is built.
     """
+    if max_len > MAX_CLOSURE_LEN:
+        raise NotationError(f"closure word length must be <= {MAX_CLOSURE_LEN}, got {max_len}")
     group = valuation.group
     compose = group.compose
-    images = [valuation.value_of(color) for color in valuation.colors]
+    images = list(valuation.mapping.values())
     negative = functools.cache(lambda value: group.sign(value) is LESS)
     rows = []
     values = [group.identity()]
@@ -437,15 +437,14 @@ def check_invariant_subsemigroup(
     words are enumerated shortest first, and each word's value is one product:
     its parent's value times its last letter's image.
     """
-    colors, group = valuation.colors, valuation.group
-    detail = f"exhaustive up to length {max_len} over {len(colors)} colors"
+    group = valuation.group
+    detail = f"exhaustive up to length {max_len} over {len(valuation.mapping)} colors"
     identity = group.identity()
     mul, inv = group.compose, group.invert
-    codes = [letter(color, 1) for color in colors]
+    codes = [letter(color, 1) for color in valuation.mapping]
     letters = codes + [-c for c in codes]
     images = {}  # letter code -> image, for each color and its inverse
-    for code, color in zip(codes, colors):
-        image = valuation.value_of(color)
+    for code, image in zip(codes, valuation.mapping.values()):
         images[code], images[-code] = image, inv(image)
 
     def in_s(value) -> bool:
@@ -632,8 +631,7 @@ def full_check_battery(
         ("prod-int-int", LexProduct(Integers(), Integers())),
     ):
         for result in order_axiom_battery(spec, rng, max(order_samples // 10, 100)):
-            result.name = f"{result.name}.{label}"
-            results.append(result)
+            results.append(replace(result, name=f"{result.name}.{label}"))
 
     results.append(magnus_soundness(free.generators, max_len=5))
 
@@ -666,8 +664,7 @@ def full_check_battery(
         for result in check_fairly_mixing(
             cond.up_member, valuation.colors, rng, samples=fm_samples
         ):
-            result.name = f"{result.name}.{label}"
-            results.append(result)
+            results.append(replace(result, name=f"{result.name}.{label}"))
 
     results.append(
         check_invariant_subsemigroup(

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import etog
 from etog import games
 from etog.cli import (
     MAX_RAMSEY_DEPTH,
+    RunReport,
     build_refutation_setup,
     main,
     run_counterexample,
@@ -18,7 +20,7 @@ from etog.cli import (
     shipped_valuation_path,
 )
 from etog.conditions import EtogCondition
-from etog.errors import InputFileError
+from etog.errors import InputFileError, echo
 from etog.laws import standard_valuations
 from etog.notation import MAX_INPUT_CHARS, read_ascii
 
@@ -321,6 +323,18 @@ class TestCounterexample:
             "counterexample: a b^-1 cancels at the seam"
         )
 
+    def test_a_failing_verdict_exits_1_without_the_claim(self, capsys, monkeypatch):
+        monkeypatch.setattr(games, "ramsey_distinct_check", lambda: "a b^-1 cancels at the seam")
+        code, out, err = run(capsys, "counterexample", "--machine")
+        assert (code, err) == (1, "experiment did NOT reproduce\n")
+        assert "CHECK counterexample.distinct-prefix-products FAIL" in out
+        assert "union not half-positional" not in out
+
+    def test_reports_are_immutable(self):
+        report = RunReport("check", {}, (), 0.0)
+        with pytest.raises(FrozenInstanceError):
+            report.duration_s = 1.0
+
     def test_ramsey_depth_is_capped_where_4_to_the_depth_still_prints(self, capsys):
         # Python's int-to-str limit cannot go below 640 digits; 4^1000 has 603
         assert len(str(4**MAX_RAMSEY_DEPTH)) <= sys.int_info.str_digits_check_threshold
@@ -372,6 +386,16 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--samples", "200", "--max-len", "3")
         assert code == 0
         assert "seed: 17" in out
+
+    def test_without_a_seed_or_etog_seed_it_runs_seed_0(self, capsys, monkeypatch):
+        # the fairly-mixing hit counts differ between seeds 0 and 1 at this budget
+        monkeypatch.delenv("ETOG_SEED", raising=False)
+        argv = ["check", "--samples", "1", "--max-len", "1", "--machine"]
+        unseeded = run(capsys, *argv)
+        assert unseeded == run(capsys, *argv, "--seed", "0")
+        assert unseeded != run(capsys, *argv, "--seed", "1")
+        code, out, _ = run(capsys, *argv[:-1])
+        assert code == 0 and "  seed: 0\n" in out
 
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "check", "--seed", "5", "--samples", "200", "--max-len", "3")
@@ -426,6 +450,7 @@ def _mismatched_union(tmp_path):
 NINES = "9" * 5000  # past Python's int-from-str digit limit, 4300 by default
 LETTERS = "a" * 5000  # as long, but no integer at all
 HEAD = repr("a" * 40)  # a refusal echoes the first 40 characters of a long literal
+ASTRAL = "\U00012544" * 40  # short, but its repr is 402 characters long
 DIGIT_LIMIT = f"integer literal has more than {sys.get_int_max_str_digits()} digits"
 
 
@@ -614,6 +639,33 @@ PINNED_REFUSALS = {
         lambda tmp_path: ["membership", "--cond", f"etog({LETTERS})", "--period", "a"],
         f"error: cannot read {HEAD}… (5000 characters): File name too long\n",
     ),
+    "duplicate-group-line": (
+        _valuation_file("group int\ngroup int\nval x = 1\n"),
+        "error: line 2: duplicate group line\n",
+    ),
+    "val-line-without-equals": (
+        _valuation_file("group int\n\nval x 1\n"),
+        "error: line 3: expected 'val <color> = <element>'\n",
+    ),
+    "three-member-union": (
+        lambda tmp_path: ["membership", "--cond", f"union(etog({VAL}),etog({VAL}),etog({VAL}))",
+                          "--period", "a"],
+        "error: union(...) takes exactly two condition specs\n",
+    ),
+    "three-component-product-literal": (
+        lambda tmp_path: ["compare", "prod(int,int)", "[1;2;3]", "e"],
+        "error: product literal takes exactly two components\n",
+    ),
+    # the closure rows grow as n^L; past the bound they would exhaust memory
+    "check-max-len-past-closure-bound": (
+        lambda tmp_path: ["check", "--samples", "1", "--max-len", "11"],
+        "error: closure word length must be <= 10, got 11\n",
+    ),
+    # each character's repr is ten characters long, so only four fit the echo
+    "escaped-astral-literal": (
+        lambda tmp_path: ["compare", "zlex(2)", ASTRAL, "e"],
+        f"error: vector literal must look like (1,0,-1): {ASTRAL[:4]!r}… (40 characters)\n",
+    ),
     "missing-valuation-file": (
         lambda tmp_path: ["membership", "--cond", "etog(missing.txt)", "--period", "a"],
         "error: cannot read 'missing.txt': No such file or directory\n",
@@ -721,16 +773,46 @@ def test_an_input_file_one_character_over_the_size_bound_is_refused(tmp_path, mo
     assert str(refused.value) == f"cannot read 'over.txt': more than {MAX_INPUT_CHARS} characters"
 
 
+# argparse repeats the astral arguments as their repr, 402 characters long
 @pytest.mark.parametrize(
-    "argv",
-    [["check", f"--s={LETTERS}"], ["check", f"--machine={LETTERS}"], ["check", f"-h{LETTERS}"]],
-    ids=["ambiguous-option", "ignored-explicit-argument", "ignored-short-explicit-argument"],
+    "argv, echoed",
+    [
+        (["check", f"--s={LETTERS}"], "'… (50"),
+        (["check", f"--machine={LETTERS}"], "'… (50"),
+        (["check", f"-h{LETTERS}"], "'… (50"),
+        (["check", f"--machine={ASTRAL}"], f"{ASTRAL[:4]!r}… (40 characters)"),
+        (["check", f"-h{ASTRAL}"], f"{ASTRAL[:4]!r}… (40 characters)"),
+        ([ASTRAL], f"{ASTRAL[:4]!r}… (40 characters)"),
+    ],
+    ids=["ambiguous-option", "ignored-explicit-argument", "ignored-short-explicit-argument",
+         "astral-ignored-explicit-argument", "astral-ignored-short-explicit-argument",
+         "astral-invalid-command"],
 )
-def test_argparse_quotes_an_argument_or_its_tail_through_echo(capsys, monkeypatch, argv):
+def test_argparse_quotes_an_argument_or_its_tail_through_echo(capsys, monkeypatch, argv, echoed):
     code, err = _run_refusal(capsys, monkeypatch, argv)
     assert code == 2
-    assert "'… (50" in err
+    assert echoed in err
     assert len(err.encode()) < 400
+
+
+BACKSLASHES = "\\" * 40
+
+
+@pytest.mark.parametrize(
+    "text, quoted",
+    [
+        ("a" * 40, HEAD),
+        ("a" * 41, f"{HEAD}… (41 characters)"),
+        ("\x1f" * 20, repr("\x1f" * 10) + "… (20 characters)"),
+        (ASTRAL, f"{ASTRAL[:4]!r}… (40 characters)"),
+        (BACKSLASHES, f"{BACKSLASHES[:20]!r}… (40 characters)"),
+    ],
+    ids=["40-letters", "41-letters", "20-controls", "40-astral", "40-backslashes"],
+)
+def test_echo_bounds_the_repr_it_prints(text, quoted):
+    # the repr, or the longest head whose repr fits 42 characters
+    assert echo(text) == quoted
+    assert len(quoted.split("…")[0]) <= 42
 
 
 def test_arena_error_does_not_depend_on_the_hash_seed(tmp_path):

@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -61,9 +61,7 @@ FREE_VAL = SUITE["free"]
 UNION = UnionCondition(
     (
         EtogCondition(FREE_VAL),
-        EtogCondition(
-            Valuation(FREE_VAL.colors, InverseOrder(FREE_VAL.group), FREE_VAL.mapping)
-        ),
+        EtogCondition(replace(FREE_VAL, group=InverseOrder(FREE_VAL.group))),
     )
 )
 
@@ -255,7 +253,7 @@ SHOWN = f"{'a' * 40!r}… (5000 characters)"  # how a refusal quotes either
 LONG_ARENA = make_arena(
     [f"node {LONG} A", "node s B", f"edge {LONG} {LONG} {LONG}", f"edge s {LONG} {LONG}"]
 )
-LONG_COND = EtogCondition(Valuation((LONG,), Integers(), {LONG: 1}))
+LONG_COND = EtogCondition(Valuation(Integers(), {LONG: 1}))
 NOBODY = (PositionalStrategy(Player.ALICE, {}), PositionalStrategy(Player.BOB, {}))
 
 
@@ -300,14 +298,14 @@ def random_arena(rng, max_nodes, max_out, colors):
 class TestSolver:
     def test_two_loop_alice_node(self):
         arena = make_arena(["node n A", "edge n x n", "edge n y n"])
-        cond = EtogCondition(Valuation(("x", "y"), Integers(), {"x": -1, "y": 1}))
+        cond = EtogCondition(Valuation(Integers(), {"x": -1, "y": 1}))
         solution = solve_energy_game(arena, cond)
         assert solution.winners == {"n": Player.ALICE}
         assert solution.alice_strategy.choice["n"].color == "x"
 
     def test_two_loop_bob_node(self):
         arena = make_arena(["node n B", "edge n x n", "edge n y n"])
-        cond = EtogCondition(Valuation(("x", "y"), Integers(), {"x": -1, "y": 1}))
+        cond = EtogCondition(Valuation(Integers(), {"x": -1, "y": 1}))
         solution = solve_energy_game(arena, cond)
         assert solution.winners == {"n": Player.BOB}
         assert solution.bob_strategy.choice["n"].color == "y"
@@ -326,13 +324,7 @@ class TestSolver:
                 "edge k y2 c",
             ]
         )
-        cond = EtogCondition(
-            Valuation(
-                ("x1", "x2", "y1", "y2"),
-                Integers(),
-                {"x1": -1, "x2": 0, "y1": 1, "y2": -2},
-            )
-        )
+        cond = EtogCondition(Valuation(Integers(), {"x1": -1, "x2": 0, "y1": 1, "y2": -2}))
         solution = solve_energy_game(arena, cond)
         assert all(w is Player.ALICE for w in solution.winners.values())
 
@@ -342,9 +334,25 @@ class TestSolver:
 
     def test_alphabet_mismatch(self):
         arena = make_arena(["node n A", "edge n q n"])
-        cond = EtogCondition(Valuation(("x",), Integers(), {"x": -1}))
+        cond = EtogCondition(Valuation(Integers(), {"x": -1}))
         with pytest.raises(UnknownColorError):
             solve_energy_game(arena, cond)
+
+    def test_a_condition_that_is_no_energy_condition_is_a_type_error(self):
+        arena = make_arena(["node n A", "edge n x n"])
+        with pytest.raises(TypeError, match="^expected an energy condition, got object$"):
+            solve_energy_game(arena, object())
+
+    def test_solutions_and_verdicts_are_immutable(self):
+        arena = make_arena(["node n A", "edge n x n"])
+        cond = EtogCondition(Valuation(Integers(), {"x": -1}))
+        solution = solve_energy_game(arena, cond)
+        with pytest.raises(FrozenInstanceError):
+            solution.winners = {}
+        alice = solution.alice_strategy
+        verdict = verify_union_strategy(arena, UnionCondition((cond,)), "n", alice, 1)
+        with pytest.raises(FrozenInstanceError):
+            verdict.machines_checked = 0
 
     def test_misordered_group_is_a_named_failure(self):
         # under the broken order t p is not negative but its rotation p t is,
@@ -356,7 +364,7 @@ class TestSolver:
         )
         p, t = reduce_word([("a", 1)]), reduce_word([("a", -1), ("b", -1)])
         misordered = MisorderedFreeGroup(("a", "b"))
-        cond = EtogCondition(Valuation(("p", "t"), misordered, {"p": p, "t": t}))
+        cond = EtogCondition(Valuation(misordered, {"p": p, "t": t}))
         assert not cond.up_member(UPWord((), ("t", "p")))
         assert cond.up_member(UPWord((), ("p", "t")))
         with pytest.raises(RuntimeError, match="^no uniform positional witness exists$"):
@@ -370,7 +378,7 @@ class TestSolver:
             [f"node n{i} {'AB'[i % 2]}" for i in range(size)]
             + [f"edge n{i} x n{(i + 1) % size}" for i in range(size)]
         )
-        cond = EtogCondition(Valuation(("x",), Integers(), {"x": -1}))
+        cond = EtogCondition(Valuation(Integers(), {"x": -1}))
         solution = solve_energy_game(arena, cond)
         assert set(solution.winners.values()) == {Player.ALICE}
         assert len(solution.alice_strategy.choice) + len(solution.bob_strategy.choice) == size
@@ -383,7 +391,7 @@ class TestSolver:
 
     def test_agrees_with_bruteforce_oracle_on_small_arenas(self):
         rng = random.Random(100)
-        valuation = Valuation(("x", "y"), Integers(), {"x": -1, "y": 1})
+        valuation = Valuation(Integers(), {"x": -1, "y": 1})
         cond = EtogCondition(valuation)
 
         def lasso_accepted(arena, start, sigma, tau):
@@ -431,7 +439,7 @@ class TestSolver:
     def test_witnesses_are_uniform(self):
         # the returned strategies must win from every node of their region
         rng = random.Random(7)
-        valuation = Valuation(("x", "y"), Integers(), {"x": -1, "y": 1})
+        valuation = Valuation(Integers(), {"x": -1, "y": 1})
         cond = EtogCondition(valuation)
         for _ in range(40):
             arena = random_arena(rng, max_nodes=4, max_out=3, colors=("x", "y"))
@@ -752,7 +760,7 @@ def cycle_fold_solution(arena, cond):
     return Solution(winners, alice, bob)
 
 
-ZERO_INT = Valuation(("x", "y"), Integers(), {"x": 0, "y": 0})
+ZERO_INT = Valuation(Integers(), {"x": 0, "y": 0})
 
 
 def full_pair_arenas(cond):

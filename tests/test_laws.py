@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from typing import Callable
 
 import pytest
@@ -32,13 +32,16 @@ from etog.groups import (
     multiply,
 )
 from etog import laws
+from etog.errors import NotationError
 from etog.laws import (
+    MAX_CLOSURE_LEN,
     CheckResult,
     check_closure,
     check_fairly_mixing,
     check_invariant_subsemigroup,
     element_sampler,
     full_check_battery,
+    magnus_soundness,
     negative_word_rows,
     order_axiom_battery,
     reduced_word_sampler,
@@ -50,7 +53,7 @@ from etog.laws import (
 from etog.notation import shipped_valuation_path
 
 SUITE = standard_valuations()
-INT_XY = Valuation(("x", "y"), Integers(), {"x": -1, "y": 1})
+INT_XY = Valuation(Integers(), {"x": -1, "y": 1})
 
 
 def negative_word_predicate(valuation: Valuation):
@@ -98,6 +101,15 @@ class TestClosure:
         assert not result.passed
         assert "concatenation" in result.counterexample
 
+    def test_rows_past_the_length_bound_are_refused(self):
+        assert MAX_CLOSURE_LEN == 10
+        with pytest.raises(NotationError, match=r"^closure word length must be <= 10, got 11$"):
+            negative_word_rows(INT_XY, MAX_CLOSURE_LEN + 1)
+
+    def test_rows_at_the_length_bound_are_built(self):
+        rows = negative_word_rows(INT_XY, MAX_CLOSURE_LEN)
+        assert rows == _rows(negative_word_predicate(INT_XY), ("x", "y"), MAX_CLOSURE_LEN)
+
     def test_bound_is_the_number_of_rows(self):
         valuation = SUITE["free"]
         result = check_closure(negative_word_rows(valuation, 3), valuation.colors)
@@ -115,6 +127,17 @@ class TestFairlyMixing:
         results = check_fairly_mixing(cond.up_member, INT_XY.colors, rng, samples=800)
         assert all(r.passed for r in results), [r.line() for r in results]
 
+    def test_empty_prefix_control_fails_condition_b(self):
+        # x^omega and alpha have empty prefixes, so both are in the set, but
+        # x.alpha has the prefix x
+        results = check_fairly_mixing(
+            lambda word: not word.prefix, ("x", "y"), random.Random(0), samples=200
+        )
+        assert results[1].line() == (
+            "CHECK fairly-mixing.B FAIL samples=200 hypothesis-hits=1 max-len=4 "
+            "counterexample: x=y alpha=[ | y x y y]"
+        )
+
     def test_prefix_dependent_control_fails_condition_a(self):
         def first_letter_is_x(word: UPWord) -> bool:
             sequence = word.prefix + word.period
@@ -130,11 +153,7 @@ class TestFairlyMixing:
         union = UnionCondition(
             (
                 EtogCondition(valuation),
-                EtogCondition(
-                    Valuation(
-                        valuation.colors, InverseOrder(valuation.group), valuation.mapping
-                    )
-                ),
+                EtogCondition(replace(valuation, group=InverseOrder(valuation.group))),
             )
         )
         rng = random.Random(11)
@@ -156,7 +175,7 @@ class TestFairlyMixing:
 
     def test_union_control_lines(self):
         valuation = SUITE["free"]
-        reverse = Valuation(valuation.colors, InverseOrder(valuation.group), valuation.mapping)
+        reverse = replace(valuation, group=InverseOrder(valuation.group))
         union = UnionCondition((EtogCondition(valuation), EtogCondition(reverse)))
         results = check_fairly_mixing(
             union.up_member, valuation.colors, random.Random(11), samples=1000
@@ -176,11 +195,7 @@ class TestFairlyMixing:
         union = UnionCondition(
             (
                 EtogCondition(valuation),
-                EtogCondition(
-                    Valuation(
-                        valuation.colors, InverseOrder(valuation.group), valuation.mapping
-                    )
-                ),
+                EtogCondition(replace(valuation, group=InverseOrder(valuation.group))),
             )
         )
         assert union.up_member(UPWord.make("", "a"))
@@ -201,12 +216,21 @@ class PredicateFreeGroup(FreeGroup):
         return EQUAL if self.holds(w) else LESS
 
 
+class SwappedTwo(Integers):
+    """Integers whose non-negative set holds -2 in place of 2: every element
+    or its inverse is in it, but 1 + 1 is not.  Test-only, like
+    ``MisorderedFreeGroup``."""
+
+    def sign(self, x: int) -> Ordering:
+        return EQUAL if (x >= 0) != (abs(x) == 2) else LESS
+
+
 def predicate_valuation(holds, colors) -> Valuation:
     """Each color of a ``PredicateFreeGroup`` mapped to its own letter: every
     word's value is the reduced word itself, so the check's scan visits the
     words in their own order and tests ``holds`` on each."""
     group = PredicateFreeGroup(tuple(colors), holds)
-    return Valuation(group.generators, group, {c: FreeWord((letter(c, 1),)) for c in colors})
+    return Valuation(group, {c: FreeWord((letter(c, 1),)) for c in colors})
 
 
 def even_length(w: FreeWord) -> bool:
@@ -223,9 +247,7 @@ class TestInvariantSubsemigroup:
         assert result.passed, result.counterexample
 
     def test_identity_only_valuation_passes(self):
-        valuation = Valuation(
-            ("p", "q"), FreeGroup(("a", "b")), {"p": FreeWord(), "q": FreeWord()}
-        )
+        valuation = Valuation(FreeGroup(("a", "b")), {"p": FreeWord(), "q": FreeWord()})
         result = check_invariant_subsemigroup(valuation, max_len=3)
         assert result.passed, result.counterexample
 
@@ -235,6 +257,13 @@ class TestInvariantSubsemigroup:
         expected = _per_letter_subsemigroup(membership=holds, colors=("a", "b"), max_len=2)
         assert (result.passed, result.counterexample) == expected
         assert not result.passed
+
+    def test_set_not_closed_under_products_fails(self):
+        result = check_invariant_subsemigroup(Valuation(SwappedTwo(), {"x": 1}), max_len=2)
+        assert result.line() == (
+            "CHECK invariant-subsemigroup FAIL exhaustive up to length 2 over 1 colors "
+            "counterexample: product escapes S: (x) (x)"
+        )
 
     def test_even_length_control_fails(self):
         self._assert_fails_as_the_per_letter_scan(even_length)
@@ -252,9 +281,7 @@ class TestInvariantSubsemigroup:
     def test_value_and_word_sources_agree(self, label, max_len):
         if label == "misordered-free":
             free = SUITE["free"]
-            valuation = Valuation(
-                free.colors, MisorderedFreeGroup(("a", "b")), free.mapping
-            )
+            valuation = replace(free, group=MisorderedFreeGroup(("a", "b")))
         else:
             valuation = SUITE[label]
         group = valuation.group
@@ -286,7 +313,7 @@ class TestInvariantSubsemigroup:
         valuations = {
             "free-3": (free, 3),
             "misordered-free-2": (
-                Valuation(free.colors, MisorderedFreeGroup(("a", "b")), free.mapping), 2
+                replace(free, group=MisorderedFreeGroup(("a", "b"))), 2
             ),
         }
         predicates = {
@@ -377,6 +404,42 @@ class TestReducedWords:
                 assert not (s == t and e == -f)
 
 
+class FlatNearZero(Integers):
+    """Integers whose sign is ``EQUAL`` for -1, 0 and 1: a preorder that
+    calls distinct neighbours equal, so antisymmetry and transitivity fail.
+    Test-only, like ``MisorderedFreeGroup``."""
+
+    def sign(self, x: int) -> Ordering:
+        return EQUAL if abs(x) <= 1 else super().sign(x)
+
+
+class NonZeroIsGreater(Integers):
+    """Integers whose every non-zero element is ``GREATER``: each distinct pair
+    compares greater both ways round, and x + (-x) leaves the positive cone.
+    Test-only, like ``MisorderedFreeGroup``."""
+
+    def sign(self, x: int) -> Ordering:
+        return Ordering.GREATER if x else EQUAL
+
+
+class _FixedSamples:
+    """An rng whose ``randint`` returns the given integers in turn."""
+
+    def __init__(self, values) -> None:
+        self.values = iter(values)
+
+    def randint(self, low: int, high: int) -> int:
+        return next(self.values)
+
+
+# each broken order with the exact set of order-axiom checks it fails
+BROKEN_ORDERS = {
+    "flat-near-zero": (FlatNearZero(), {"antisymmetry-identity", "transitivity"}),
+    "non-zero-is-greater": (NonZeroIsGreater(), {"totality", "bi-invariance", "cone-product"}),
+    "misordered-free": (MisorderedFreeGroup(("a", "b")), {"bi-invariance", "cone-conjugation"}),
+}
+
+
 class TestOrderAxioms:
     @pytest.mark.parametrize("label", sorted(SUITE))
     def test_suite_specs_pass(self, label):
@@ -390,6 +453,28 @@ class TestOrderAxioms:
         results = order_axiom_battery(faulty, rng, samples=2000)
         by_name = {r.name: r for r in results}
         assert not by_name["order-axioms.bi-invariance"].passed
+
+    @pytest.mark.parametrize("label", BROKEN_ORDERS)
+    def test_broken_order_fails_exactly_its_checks(self, label):
+        group, broken = BROKEN_ORDERS[label]
+        results = order_axiom_battery(group, random.Random(0), samples=2000)
+        failed = {r.name.removeprefix("order-axioms.") for r in results if not r.passed}
+        assert failed == broken
+        assert all(r.counterexample for r in results if not r.passed)
+
+    def test_every_order_axiom_check_fails_on_some_broken_order(self):
+        results = order_axiom_battery(Integers(), random.Random(0), samples=1)
+        names = {r.name.removeprefix("order-axioms.") for r in results}
+        assert len(names) == 6
+        assert set().union(*(broken for _, broken in BROKEN_ORDERS.values())) == names
+
+    def test_flat_near_zero_fails_transitivity_in_both_directions(self):
+        # x <= y <= z but x > z, and x >= y >= z but x < z: each is its own branch
+        group = FlatNearZero()
+        for x, y, z in ((2, 1, 0), (0, 1, 2)):
+            results = order_axiom_battery(group, _FixedSamples([x, y, z, 0]), samples=1)
+            by_name = {r.name: r for r in results}
+            assert by_name["order-axioms.transitivity"].counterexample == f"x={x} y={y} z={z}"
 
 
 class TestFullBattery:
@@ -465,6 +550,41 @@ def test_battery_takes_the_free_group_from_the_suite(monkeypatch, inject_fault):
     assert generators == [("a", "b", "c")]
 
 
+def test_battery_reports_an_oracle_mismatch(monkeypatch):
+    # an oracle that calls every period a member disagrees with each valuation
+    # on its first non-negative period
+    monkeypatch.setattr(laws, "up_member_oracle", lambda cond, word, horizon: True)
+    results = full_check_battery(
+        seed=0,
+        order_samples=100,
+        closure_max_len=1,
+        fm_samples=1,
+        subsemigroup_max_len=1,
+        per_law_max_period=1,
+    )
+    assert [r.line() for r in results if r.name.startswith("per-law.")] == [
+        f"CHECK per-law.oracle-equivalence.{label} FAIL all {count} periods up to length 1, "
+        f"horizon 50x period counterexample: {period}"
+        for label, count, period in (
+            ("int", 2, "y"), ("zlex2", 1, "c"), ("free", 1, "eps"), ("inv-free", 1, "eps")
+        )
+    ]
+
+
+def test_magnus_soundness_reports_a_word_without_a_coefficient(monkeypatch):
+    monkeypatch.setattr(laws, "magnus_coefficient", lambda word, monomial: 0)
+    assert magnus_soundness(("a", "b"), 2).line() == (
+        "CHECK magnus-soundness FAIL words up to length 2 "
+        "counterexample: no usable coefficient for FreeWord(a)"
+    )
+
+
+def test_check_results_are_immutable():
+    result = CheckResult("closure", True, "detail")
+    with pytest.raises(FrozenInstanceError):
+        result.name = "renamed"
+
+
 def test_words_up_to_counts():
     assert sum(1 for _ in words_up_to(("x", "y"), 3)) == 2 + 4 + 8
 
@@ -527,7 +647,7 @@ def _closure_tables(rng: random.Random, alphabet: tuple, max_len: int):
     for label in sorted(SUITE):
         suite = SUITE[label]
         colors = suite.colors[: len(alphabet)]
-        valuation = Valuation(colors, suite.group, {c: suite.mapping[c] for c in colors})
+        valuation = Valuation(suite.group, {c: suite.mapping[c] for c in colors})
         # words lists each length in itertools.product order, as the rows do
         entries = b"".join(negative_word_rows(valuation, max_len))
         tables.append({w: bool(entry) for w, entry in zip(words, entries, strict=True)})

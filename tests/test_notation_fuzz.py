@@ -65,6 +65,8 @@ def _parsed_or_refused(parse, *args):
 @example(text=f"({PAST_LIMIT},0)")
 @example(text=f"zlex({PAST_LIMIT})")
 @example(text=f"group int\nval x = {PAST_LIMIT}")
+# 40 characters whose repr is 402 characters long
+@example(text="\U00012544" * 40)
 def test_parsers_refuse_only_with_etog_errors(tmp_path, monkeypatch, text):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "v.txt").write_text("group free(a,b)\nval x = a\nval y = b^-1\n")
