@@ -386,15 +386,19 @@ _MISSING = object()  # a machine entry not decided yet
 class UnionVerdict:
     """Outcome of the bounded verification of an Alice strategy.
 
-    ``wins_within_bound`` only speaks about opponents with at most
-    ``bob_memory_bound`` states; it is not a proof over all strategies.
+    ``wins_within_bound`` holds exactly when no beating lasso was found.  It
+    only speaks about opponents with at most the ``bob_memory_bound`` states
+    that :func:`verify_union_strategy` was given; it is not a proof over all
+    strategies.
     """
 
-    wins_within_bound: bool
-    bob_memory_bound: int
     machines_checked: int
     beating_strategy: MealyStrategy | None = None
     beating_lasso: Lasso | None = None
+
+    @property
+    def wins_within_bound(self) -> bool:
+        return self.beating_lasso is None
 
 
 def verify_union_strategy(
@@ -487,7 +491,7 @@ def verify_union_strategy(
             del table[key]
             frames.pop()
         else:
-            return UnionVerdict(True, bob_memory_bound, machines)
+            return UnionVerdict(machines)
         for dropped in joints[length:]:
             del seen[dropped]
         del joints[length:], path[length:], colors[length:]
@@ -500,7 +504,7 @@ def verify_union_strategy(
         for edge in arena.edges:
             updates.setdefault((state, edge), state)
     machine = MealyStrategy(BOB, states, 0, moves, updates)
-    return UnionVerdict(False, bob_memory_bound, machines, machine, lasso)
+    return UnionVerdict(machines, machine, lasso)
 
 
 def alternating_strategy(arena: Arena, node: str) -> MealyStrategy:

@@ -43,15 +43,20 @@ MAX_CLOSURE_LEN = 10
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One law verdict: it fails exactly when it holds a counterexample."""
+
     name: str
-    passed: bool
     detail: str
     counterexample: str | None = None
 
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
     def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        tail = f" counterexample: {self.counterexample}" if self.counterexample else ""
-        return f"CHECK {self.name} {status} {self.detail}{tail}"
+        if self.counterexample is None:
+            return f"CHECK {self.name} PASS {self.detail}"
+        return f"CHECK {self.name} FAIL {self.detail} counterexample: {self.counterexample}"
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +257,7 @@ def negative_word_rows(valuation: Valuation, max_len: int) -> list[bytes]:
 # closure of a word set and its complement under concatenation / cyclic shift
 
 
-def check_closure(
-    rows: Sequence[bytes],
-    alphabet: Sequence[str],
-    name: str = "closure",
-) -> CheckResult:
+def check_closure(rows: Sequence[bytes], alphabet: Sequence[str]) -> CheckResult:
     """Exhaustively verify concatenation and cyclic-shift closure.
 
     ``rows`` holds one ``bytes`` row per length 1..``max_len``, where max_len
@@ -265,7 +266,8 @@ def check_closure(
     order, is in the set, and 0 when it is not.  For all non-empty u, v with
     |u|+|v| <= max_len the set and its complement must both be closed under
     concatenation, and for every word up to max_len membership must be
-    constant on its cyclic shifts.  Returns the first counterexample if any.
+    constant on its cyclic shifts.  The result is named ``closure`` and holds
+    the first counterexample, if any.
 
     Membership is constant on all cyclic shifts exactly when it is constant
     under the shift by one letter, which takes the word with code
@@ -302,8 +304,7 @@ def check_closure(
                 shifted = (code % low) * n ** cut + code // low
                 if row[shifted] != value:
                     return CheckResult(
-                        name,
-                        False,
+                        "closure",
                         detail,
                         "cyclic shift changes membership: "
                         f"{' '.join(word(length, code))} vs {' '.join(word(length, shifted))}",
@@ -322,11 +323,11 @@ def check_closure(
                     b = size - 1 - (bad.bit_length() - 1) // 8
                     broken = "set" if in_u else "complement"
                     return CheckResult(
-                        name, False, detail,
+                        "closure", detail,
                         f"{broken} not closed under concatenation: "
                         f"{' '.join(word(len_u, a))} | {' '.join(word(len_v, b))}",
                     )
-    return CheckResult(name, True, detail)
+    return CheckResult("closure", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +370,7 @@ def check_fairly_mixing(
     def verdict(law: str, failure: str | None, hits: int | None = None) -> CheckResult:
         counted = "" if hits is None else f" hypothesis-hits={hits}"
         detail = f"samples={samples}{counted} max-len={max_len}"
-        return CheckResult(f"fairly-mixing.{law}", failure is None, detail, failure)
+        return CheckResult(f"fairly-mixing.{law}", detail, failure)
 
     failure = None
     for _ in range(samples):
@@ -421,9 +422,7 @@ def check_fairly_mixing(
 # invariant sub-semigroup induced by a valuation
 
 
-def check_invariant_subsemigroup(
-    valuation: Valuation, max_len: int = 4, name: str = "invariant-subsemigroup"
-) -> CheckResult:
+def check_invariant_subsemigroup(valuation: Valuation, max_len: int = 4) -> CheckResult:
     """Check S = {group words with non-negative value} over the color alphabet.
 
     Enumerates every reduced word over the colors and their formal inverses up
@@ -472,7 +471,7 @@ def check_invariant_subsemigroup(
         return format_word(FreeWord(witness[g]))
 
     def fail(message: str) -> CheckResult:
-        return CheckResult(name, False, detail, message)
+        return CheckResult("invariant-subsemigroup", detail, message)
 
     members = []
     for g in witness:
@@ -489,7 +488,7 @@ def check_invariant_subsemigroup(
         for x in members:
             if not in_s(mul(mul(g, x), g_inv)):
                 return fail(f"conjugate escapes S: g={shown(g)} x={shown(x)}")
-    return CheckResult(name, True, detail)
+    return CheckResult("invariant-subsemigroup", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +564,7 @@ def order_axiom_battery(
 
     detail = f"samples={samples} max-word-len={max_word_len}"
     return [
-        CheckResult(f"order-axioms.{check}", message is None, detail, message)
+        CheckResult(f"order-axioms.{check}", detail, message)
         for check, message in failures.items()
     ]
 
@@ -588,13 +587,10 @@ def magnus_soundness(generators: Sequence[str], max_len: int) -> CheckResult:
         if not any(magnus_coefficient(word, mono) for mono in monomials):
             return CheckResult(
                 "magnus-soundness",
-                False,
                 f"words up to length {max_len}",
                 f"no usable coefficient for {word!r}",
             )
-    return CheckResult(
-        "magnus-soundness", True, f"all {checked} reduced words up to length {max_len}"
-    )
+    return CheckResult("magnus-soundness", f"all {checked} reduced words up to length {max_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +608,10 @@ def full_check_battery(
 ) -> list[CheckResult]:
     """Run every law checker at the given budgets.
 
+    Checkers name their results by law; a result of a check run once per
+    group or valuation of the suite gets that suite label appended, as in
+    ``closure.free``.
+
     ``inject_fault`` checks :class:`MisorderedFreeGroup` instead of the free
     group's order; the battery is expected to fail (bi-invariance in
     particular), which demonstrates that the checks can actually see a broken
@@ -620,6 +620,9 @@ def full_check_battery(
     rng = random.Random(seed)
     results: list[CheckResult] = []
     suite = standard_valuations()
+
+    def labelled(result: CheckResult, label: str) -> CheckResult:
+        return replace(result, name=f"{result.name}.{label}")
 
     free = suite["free"].group
     free_spec = MisorderedFreeGroup(free.generators) if inject_fault else free
@@ -631,13 +634,13 @@ def full_check_battery(
         ("prod-int-int", LexProduct(Integers(), Integers())),
     ):
         for result in order_axiom_battery(spec, rng, max(order_samples // 10, 100)):
-            results.append(replace(result, name=f"{result.name}.{label}"))
+            results.append(labelled(result, label))
 
     results.append(magnus_soundness(free.generators, max_len=5))
 
     for label, valuation in suite.items():
         rows = negative_word_rows(valuation, closure_max_len)
-        results.append(check_closure(rows, valuation.colors, name=f"closure.{label}"))
+        results.append(labelled(check_closure(rows, valuation.colors), label))
 
     for label, valuation in suite.items():
         cond = EtogCondition(valuation)
@@ -653,7 +656,6 @@ def full_check_battery(
         results.append(
             CheckResult(
                 f"per-law.oracle-equivalence.{label}",
-                mismatch is None,
                 f"all {count} periods up to length {per_law_max_period}, horizon 50x period",
                 mismatch,
             )
@@ -664,11 +666,8 @@ def full_check_battery(
         for result in check_fairly_mixing(
             cond.up_member, valuation.colors, rng, samples=fm_samples
         ):
-            results.append(replace(result, name=f"{result.name}.{label}"))
+            results.append(labelled(result, label))
 
-    results.append(
-        check_invariant_subsemigroup(
-            suite["free"], max_len=subsemigroup_max_len, name="invariant-subsemigroup.free"
-        )
-    )
+    subsemigroup = check_invariant_subsemigroup(suite["free"], max_len=subsemigroup_max_len)
+    results.append(labelled(subsemigroup, "free"))
     return results

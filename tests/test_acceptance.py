@@ -96,12 +96,8 @@ def test_criterion_3_order_axioms_for_the_free_group_order():
 
 def test_criterion_4_closure_laws():
     with _Budget("4 closure-laws", 60.0):
-        for label, valuation in SUITE.items():
-            result = check_closure(
-                negative_word_rows(valuation, 6),
-                valuation.colors,
-                name=f"closure.{label}",
-            )
+        for valuation in SUITE.values():
+            result = check_closure(negative_word_rows(valuation, 6), valuation.colors)
             assert result.passed, result.line()
 
 

@@ -11,8 +11,10 @@ import pytest
 import etog
 from etog import games
 from etog.cli import (
+    MAX_BOB_MEMORY,
     MAX_RAMSEY_DEPTH,
     RunReport,
+    build_parser,
     build_refutation_setup,
     main,
     run_counterexample,
@@ -292,12 +294,12 @@ class TestCounterexample:
     def test_no_beating_opponent_fails_each_positional_verdict(self, monkeypatch):
         # cannot happen on the shipped arena, so the verifier is replaced
         def never_beaten(arena, union, start, alice, bob_memory):
-            return games.UnionVerdict(True, bob_memory, 5)
+            return games.UnionVerdict(machines_checked=5)
 
         monkeypatch.setattr(games, "verify_union_strategy", never_beaten)
         lines = [verdict.line() for verdict in run_counterexample(2, 3).verdicts]
         assert lines[:2] == [
-            f"CHECK counterexample.positional-{i}-beaten FAIL bob-memory=2 "
+            f"CHECK counterexample.positional-{i}-beaten FAIL bob-memory=2 machines=5 "
             "counterexample: no beating opponent found"
             for i in (0, 1)
         ]
@@ -306,7 +308,7 @@ class TestCounterexample:
         def beaten_on_eps_a(arena, union, start, alice, bob_memory):
             by_color = {edge.color: edge for edge in arena.edges}
             lasso = games.Lasso((), (by_color["eps"], by_color["a"]))
-            return games.UnionVerdict(False, bob_memory, 3, None, lasso)
+            return games.UnionVerdict(machines_checked=3, beating_lasso=lasso)
 
         monkeypatch.setattr(games, "verify_union_strategy", beaten_on_eps_a)
         lines = [verdict.line() for verdict in run_counterexample(2, 3).verdicts]
@@ -347,6 +349,18 @@ class TestCounterexample:
             main(["counterexample", "--ramsey-depth", str(MAX_RAMSEY_DEPTH + 1)])
         assert exc.value.code == 2
         assert f"must be <= {MAX_RAMSEY_DEPTH}" in capsys.readouterr().err
+
+    def test_bob_memory_is_capped_at_parse_time(self, capsys):
+        # parsed only: a run at the cap takes about a minute
+        args = build_parser().parse_args(["counterexample", "--bob-memory", str(MAX_BOB_MEMORY)])
+        assert args.bob_memory == MAX_BOB_MEMORY == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "--bob-memory", "5", "--machine"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: etog ")
+        assert err.endswith("error: argument --bob-memory: must be <= 4, got 5\n")
+        assert err.count("error: ") == 1
 
     def test_ramsey_depth_cap_prints_under_the_lowest_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
@@ -709,6 +723,7 @@ def _run_refusal(capsys, monkeypatch, argv):
         lambda tmp_path: ["compare", "inv(" * 2000 + "int" + ")" * 2000, "1", "2"],
         lambda tmp_path: ["compare", "zlex(1001)", "e", "e"],
         lambda tmp_path: ["counterexample", "--bob-memory", "0"],
+        lambda tmp_path: ["counterexample", "--bob-memory", str(MAX_BOB_MEMORY + 1)],
         lambda tmp_path: ["counterexample", "--ramsey-depth", "-1"],
         lambda tmp_path: ["counterexample", "--ramsey-depth", "1001"],
         lambda tmp_path: ["check", "--samples", "0"],
@@ -721,7 +736,7 @@ def _run_refusal(capsys, monkeypatch, argv):
         *(make_argv for make_argv, _ in PINNED_REFUSALS.values()),
     ],
     ids=["missing-arena", "missing-valuation", "non-ascii-valuation",
-         "deep-nesting", "huge-zlex-dimension", "zero-bob-memory",
+         "deep-nesting", "huge-zlex-dimension", "zero-bob-memory", "bob-memory-over-cap",
          "negative-ramsey-depth", "ramsey-depth-over-cap", "zero-check-samples",
          "negative-check-samples", "zero-check-max-len", "empty-period",
          "union-alphabet-mismatch", "empty-arena", "huge-period-value",

@@ -3,7 +3,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -944,6 +944,15 @@ class TestUnionVerification:
         verdict = verify_union_strategy(refutation_arena, UNION, "sq", sigma, 2)
         assert not verdict.wins_within_bound
         assert verdict.beating_lasso.cycle_colors == ("eps", "b", "eps", "b^-1")
+
+    def test_a_verdict_wins_exactly_when_it_holds_no_beating_lasso(self, refutation_arena):
+        names = [field.name for field in fields(games.UnionVerdict)]
+        assert names == ["machines_checked", "beating_strategy", "beating_lasso"]
+        assert games.UnionVerdict(5).wins_within_bound
+        sigma = positional_strategies(refutation_arena, Player.ALICE)[0]
+        beaten = verify_union_strategy(refutation_arena, UNION, "sq", sigma, 2)
+        verdict = games.UnionVerdict(3, beaten.beating_strategy, beaten.beating_lasso)
+        assert not verdict.wins_within_bound
 
     def test_alternating_alice_wins_within_bound_three(self, refutation_arena):
         sigma = alternating_strategy(refutation_arena, "sq")

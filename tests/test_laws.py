@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from typing import Callable
 
 import pytest
@@ -531,7 +531,7 @@ def test_battery_takes_the_free_group_from_the_suite(monkeypatch, inject_fault):
 
     def record_generators(gens, max_len):
         generators.append(gens)
-        return CheckResult("magnus-soundness", True, "recorded")
+        return CheckResult("magnus-soundness", "recorded")
 
     monkeypatch.setattr(laws, "standard_valuations", lambda: suite)
     monkeypatch.setattr(laws, "order_axiom_battery", record_spec)
@@ -580,19 +580,29 @@ def test_magnus_soundness_reports_a_word_without_a_coefficient(monkeypatch):
 
 
 def test_check_results_are_immutable():
-    result = CheckResult("closure", True, "detail")
+    result = CheckResult("closure", "detail")
     with pytest.raises(FrozenInstanceError):
         result.name = "renamed"
+
+
+def test_a_check_result_fails_exactly_when_it_holds_a_counterexample():
+    assert [field.name for field in fields(CheckResult)] == ["name", "detail", "counterexample"]
+    result = CheckResult("x", "d")
+    assert result.passed and result.line() == "CHECK x PASS d"
+    failed = replace(result, counterexample="oops")
+    assert failed == CheckResult("x", "d", "oops")
+    assert not failed.passed and failed.line() == "CHECK x FAIL d counterexample: oops"
+    assert replace(failed, counterexample=None) == result
 
 
 def test_words_up_to_counts():
     assert sum(1 for _ in words_up_to(("x", "y"), 3)) == 2 + 4 + 8
 
 
-def _word_by_word_closure(predicate, alphabet, max_len, name="closure"):
-    """The check_closure that the row method replaced, kept verbatim as the
-    slow path: one dict entry per word, every shift and every (u, v) pair."""
-    detail = f"exhaustive up to length {max_len} over {len(alphabet)} colors"
+def _word_by_word_closure(predicate, alphabet, max_len):
+    """The check_closure that the row method replaced, kept as the slow path:
+    one dict entry per word, every shift and every (u, v) pair.  Returns the
+    first counterexample, or None."""
     by_length: list[list[tuple]] = [[]]
     table: dict[tuple, bool] = {}
     for length in range(1, max_len + 1):
@@ -604,12 +614,7 @@ def _word_by_word_closure(predicate, alphabet, max_len, name="closure"):
         for cut in range(1, len(word)):
             shifted = word[cut:] + word[:cut]
             if table[shifted] != value:
-                return CheckResult(
-                    name,
-                    False,
-                    detail,
-                    f"cyclic shift changes membership: {' '.join(word)} vs {' '.join(shifted)}",
-                )
+                return f"cyclic shift changes membership: {' '.join(word)} vs {' '.join(shifted)}"
     for len_u in range(1, max_len):
         for len_v in range(1, max_len - len_u + 1):
             for u in by_length[len_u]:
@@ -617,16 +622,13 @@ def _word_by_word_closure(predicate, alphabet, max_len, name="closure"):
                 for v in by_length[len_v]:
                     joined = table[u + v]
                     if in_u and table[v] and not joined:
-                        return CheckResult(
-                            name, False, detail,
-                            f"set not closed under concatenation: {' '.join(u)} | {' '.join(v)}",
-                        )
+                        return f"set not closed under concatenation: {' '.join(u)} | {' '.join(v)}"
                     if not in_u and not table[v] and joined:
-                        return CheckResult(
-                            name, False, detail,
-                            f"complement not closed under concatenation: {' '.join(u)} | {' '.join(v)}",
+                        return (
+                            "complement not closed under concatenation: "
+                            f"{' '.join(u)} | {' '.join(v)}"
                         )
-    return CheckResult(name, True, detail)
+    return None
 
 
 def _necklace(word: tuple) -> tuple:
@@ -667,8 +669,7 @@ def test_row_closure_matches_word_by_word_closure(colors, max_len):
     alphabet = ("p", "q", "r", "s")[:colors]
     for table in _closure_tables(rng, alphabet, max_len):
         fast = check_closure(_rows(table.__getitem__, alphabet, max_len), alphabet)
-        slow = _word_by_word_closure(table.__getitem__, alphabet, max_len)
-        assert (fast.passed, fast.counterexample) == (slow.passed, slow.counterexample)
+        assert fast.counterexample == _word_by_word_closure(table.__getitem__, alphabet, max_len)
 
 
 @pytest.mark.parametrize("label", sorted(SUITE))
