@@ -45,7 +45,6 @@ from .groups import (
     LexProduct,
     LexVectors,
     OrderedGroup,
-    Ordering,
     letter,
     letter_parts,
     magnus_coefficient,

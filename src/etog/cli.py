@@ -25,7 +25,6 @@ from .conditions import (
     parse_condition,
 )
 from .errors import EtogError, NotationError, echo
-from .groups import EQUAL
 from .laws import CheckResult
 from .notation import (
     format_element,
@@ -37,6 +36,8 @@ from .notation import (
 )
 
 DEFAULT_SEED = 0
+# indexed by an order query's result plus 1: sign and compare return -1, 0 or 1
+ORDER_NAMES = ("Less", "Equal", "Greater")
 # 4^1000 has 603 digits, under the 640-digit floor of Python's int-to-str limit
 MAX_RAMSEY_DEPTH = 1000
 # the Bob machines grow super-exponentially with their memory: on a 2-vCPU
@@ -105,7 +106,7 @@ def cmd_compare(args) -> int:
     spec = parse_group(args.spec)
     left = parse_element(spec, args.left)
     right = parse_element(spec, args.right)
-    print(spec.compare(left, right))
+    print(ORDER_NAMES[spec.compare(left, right) + 1])
     return 0
 
 
@@ -123,7 +124,7 @@ def cmd_membership(args) -> int:
         group, value = part.valuation.group, part.valuation.val_word(word.period)
         lines.append(
             f"  member {i}: period value = {format_element(group, value)}, "
-            f"sign = {group.sign(value)}, member = {member}"
+            f"sign = {ORDER_NAMES[group.sign(value) + 1]}, member = {member}"
         )
     print(f"condition: {describe_condition(cond)}")
     print(f"period: {' '.join(word.period)}")
@@ -189,7 +190,7 @@ def run_counterexample(bob_memory: int, ramsey_depth: int) -> RunReport:
             continue
         cycle = verdict.beating_lasso.cycle_colors
         shown = " ".join(cycle)
-        if valuation.group.sign(valuation.val_word(cycle)) is EQUAL:
+        if valuation.group.sign(valuation.val_word(cycle)) == 0:
             result = CheckResult(name, f"{detail} cycle='{shown}' cycle-value=identity")
         else:
             result = CheckResult(name, detail, f"beating cycle {shown} has non-identity value")
@@ -344,9 +345,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except EtogError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # Writing stdout failed (the input readers raise EtogError).  Point
+        # stdout at os.devnull, so that the flush at interpreter exit stays
+        # silent; a closed pipe means the reader left, and is not reported.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 1
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .errors import NotationError, UnknownColorError, echo
-from .groups import LESS, Integers, InverseOrder, LexProduct, LexVectors, OrderedGroup
+from .groups import Integers, InverseOrder, LexProduct, LexVectors, OrderedGroup
 from .notation import (
     _check_nesting,
     _split_top,
@@ -104,7 +104,7 @@ class EtogCondition:
         """
         for color in word.prefix:
             self.valuation.value_of(color)
-        return self.valuation.group.sign(self.valuation.val_word(word.period)) is LESS
+        return self.valuation.group.sign(self.valuation.val_word(word.period)) < 0
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def up_member_oracle(cond: EtogCondition, word: UPWord, horizon: int) -> bool:
         while gap < max_gap:
             acc = compose(acc, chunk)
             gap += 1
-            if sign(acc) is LESS:
+            if sign(acc) < 0:
                 return True
         reached[chunk] = (gap, acc)
     return False

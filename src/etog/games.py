@@ -65,7 +65,9 @@ class Player(enum.Enum):
         return self.value
 
 
-ALICE, BOB = Player  # read once, as groups reads the Ordering members
+# Read once: on Python 3.10 and 3.11 every ``Player.ALICE`` runs the enum
+# metaclass's Python-level ``__getattr__``.
+ALICE, BOB = Player
 
 
 @dataclass(frozen=True, eq=False)

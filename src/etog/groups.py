@@ -18,19 +18,17 @@ images, ``parse_element`` builds only valid elements and ``format_element``
 checks before rendering.  ``compose``, ``invert``, ``sign`` and ``compare``
 trust their operands.
 
-Each group implements ``sign(x)``, the order of ``x`` against the identity;
-``compare(x, y)`` is ``sign(x * y^-1)``, which is how the base class derives
-it.  Nearly every order query (membership, the oracle, the law checkers) is a
-sign test, so it never builds the quotient.  Three groups compare without
-building it first.  The free group reads degree 1 off the two whole operands,
-and only when every exponent sum vanishes does it build the quotient for the
-scan from degree 2.  The reversed order flips its inner group's ``compare``,
-and the lexicographic product takes its left part's ``compare``, or its right
-part's when the left parts are equal.  Both forward exactly, because the
-quotient of two pairs is the pair of the parts' quotients.  The three
-``Ordering`` members are read once, as the module globals ``LESS``, ``EQUAL``
-and ``GREATER``, which the order queries here and in the layers above return
-and test.
+Each group implements ``sign(x)``, the order of ``x`` against the identity
+as the ``int`` -1, 0 or 1; ``compare(x, y)`` is ``sign(x * y^-1)``, which is
+how the base class derives it.  Nearly every order query (membership, the
+oracle, the law checkers) is a sign test, so it never builds the quotient.
+Three groups compare without building it first.  The free group reads degree
+1 off the two whole operands, and only when every exponent sum vanishes does
+it build the quotient for the scan from degree 2.  The reversed order negates
+its inner group's ``compare``, and the lexicographic product takes its left
+part's ``compare``, or its right part's when the left parts are equal.  Both
+forward exactly, because the quotient of two pairs is the pair of the parts'
+quotients.
 
 A free-group letter is a signed ``int``: ``letter(g, 1)`` is a positive code
 that spells the generator name ``g`` (its UTF-8 bytes after a leading 0x01
@@ -49,7 +47,6 @@ module is safe for concurrent use.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -86,34 +83,8 @@ def letter_parts(code: Letter) -> tuple[str, int]:
     return raw[1:].decode("utf-8"), 1 if code > 0 else -1
 
 
-class Ordering(enum.Enum):
-    """Three-way comparison result."""
-
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-    def flipped(self) -> "Ordering":
-        return _FLIPPED[self._value_]
-
-    def __str__(self) -> str:
-        return self.name.title()
-
-
-# Read once: on Python 3.10 and 3.11 every ``Ordering.LESS`` runs the enum
-# metaclass's Python-level ``__getattr__`` (``EnumMeta``, ``EnumType`` from
-# 3.11), and on every version hashing a member runs the Python-level
-# ``Enum.__hash__``.  A module global and a table keyed by ``_value_`` skip both.
-LESS, EQUAL, GREATER = Ordering
-_FLIPPED = {-1: GREATER, 0: EQUAL, 1: LESS}
-
-
-def _sign_ordering(value: int) -> Ordering:
-    if value > 0:
-        return GREATER
-    if value < 0:
-        return LESS
-    return EQUAL
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
 class FreeWord(tuple):
@@ -263,14 +234,14 @@ class OrderedGroup:
     def invert(self, x):
         raise NotImplementedError
 
-    def sign(self, x) -> Ordering:
-        """The order of ``x`` against the identity."""
+    def sign(self, x) -> int:
+        """The order of ``x`` against the identity: -1, 0 or 1."""
         raise NotImplementedError
 
     def validate(self, x) -> None:
         raise NotImplementedError
 
-    def compare(self, x, y) -> Ordering:
+    def compare(self, x, y) -> int:
         return self.sign(self.compose(x, self.invert(y)))
 
 
@@ -287,8 +258,7 @@ class Integers(OrderedGroup):
     def invert(self, x: int) -> int:
         return -x
 
-    def sign(self, x: int) -> Ordering:
-        return _sign_ordering(x)
+    sign = staticmethod(_sign)
 
     def validate(self, x) -> None:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -317,11 +287,11 @@ class LexVectors(OrderedGroup):
     def invert(self, x):
         return tuple(map(operator.neg, x))
 
-    def sign(self, x) -> Ordering:
+    def sign(self, x) -> int:
         for a in x:
             if a:
-                return _sign_ordering(a)
-        return EQUAL
+                return 1 if a > 0 else -1
+        return 0
 
     def validate(self, x) -> None:
         if (
@@ -379,24 +349,24 @@ class FreeGroup(OrderedGroup):
         if not all(abs(c) in self.codes for c in x):
             raise SpecMismatchError(f"{mismatch}: {x!r}")
 
-    def compare(self, x: FreeWord, y: FreeWord) -> Ordering:
+    def compare(self, x: FreeWord, y: FreeWord) -> int:
         # Degree 1 of x y^-1 is x's exponent sums less y's.  For x = p u s and
         # y = p v s, multiply cancels s and leaves p (u v^-1) p^-1; conjugation
         # keeps the lowest-degree terms, so the scan stops where u v^-1's would.
         for c in self.codes:
             total = x.count(c) - x.count(-c) - y.count(c) + y.count(-c)
             if total:
-                return GREATER if total > 0 else LESS
+                return 1 if total > 0 else -1
         w = multiply(x, y.inverse())
-        return self._scan(w) if w else EQUAL
+        return self._scan(w) if w else 0
 
-    def sign(self, w: FreeWord) -> Ordering:
+    def sign(self, w: FreeWord) -> int:
         if not w:
-            return EQUAL
+            return 0
         for c in self.codes:
             total = w.count(c) - w.count(-c)
             if total:
-                return GREATER if total > 0 else LESS
+                return 1 if total > 0 else -1
         return self._scan(w)  # degree-1 part vanished entirely
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
@@ -405,12 +375,12 @@ class FreeGroup(OrderedGroup):
             monos = itertools.product(self.generators, repeat=degree)
             yield from (m for m in monos if m.count(m[0]) < degree)
 
-    def _scan(self, w: FreeWord) -> Ordering:
+    def _scan(self, w: FreeWord) -> int:
         """Sign of the first non-zero coefficient in :meth:`_monomials` order."""
         for mono in self._monomials(len(w)):
             c = magnus_coefficient(w, mono)
             if c:
-                return _sign_ordering(c)
+                return _sign(c)
         raise FirstCoefficientMissingError(
             f"no non-constant coefficient up to degree {len(w)} for {w!r}"
         )
@@ -432,8 +402,8 @@ class MisorderedFreeGroup(FreeGroup):
 
     compare = OrderedGroup.compare
 
-    def sign(self, w: FreeWord) -> Ordering:
-        return self._scan(w) if w else EQUAL
+    def sign(self, w: FreeWord) -> int:
+        return self._scan(w) if w else 0
 
     def _monomials(self, max_degree: int) -> Iterator[tuple[str, ...]]:
         # degree 1 too, and at least through degree 2, where (g0, g1) lives
@@ -459,11 +429,11 @@ class InverseOrder(OrderedGroup):
     def invert(self, x):
         return self.inner.invert(x)
 
-    def sign(self, x) -> Ordering:
-        return self.inner.sign(x).flipped()
+    def sign(self, x) -> int:
+        return -self.inner.sign(x)
 
-    def compare(self, x, y) -> Ordering:
-        return self.inner.compare(x, y).flipped()
+    def compare(self, x, y) -> int:
+        return -self.inner.compare(x, y)
 
     def validate(self, x) -> None:
         self.inner.validate(x)
@@ -485,17 +455,11 @@ class LexProduct(OrderedGroup):
     def invert(self, x):
         return (self.left.invert(x[0]), self.right.invert(x[1]))
 
-    def sign(self, x) -> Ordering:
-        first = self.left.sign(x[0])
-        if first is not EQUAL:
-            return first
-        return self.right.sign(x[1])
+    def sign(self, x) -> int:
+        return self.left.sign(x[0]) or self.right.sign(x[1])
 
-    def compare(self, x, y) -> Ordering:
-        first = self.left.compare(x[0], y[0])
-        if first is not EQUAL:
-            return first
-        return self.right.compare(x[1], y[1])
+    def compare(self, x, y) -> int:
+        return self.left.compare(x[0], y[0]) or self.right.compare(x[1], y[1])
 
     def validate(self, x) -> None:
         # a FreeWord is a tuple too, but never a product pair

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -845,6 +846,31 @@ def test_arena_error_does_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 2, proc.stderr
         errors.add(proc.stderr)
     assert errors == {"error: node 'c' has no outgoing edge\n"}
+
+
+def _compare_into(stdout):
+    """``etog compare int 1 2`` in a child process, its stdout on ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(etog.__file__).parent.parent))
+    argv = [sys.executable, "-m", "etog.cli", "compare", "int", "1", "2"]
+    return subprocess.run(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        proc = _compare_into(write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_stdout_prints_one_error_line_and_exits_2():
+    with open("/dev/full", "wb") as full:
+        proc = _compare_into(full)
+    expected = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert (proc.returncode, proc.stderr) == (2, expected)
 
 
 GOLDEN = Path(__file__).parent / "golden"

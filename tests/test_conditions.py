@@ -22,7 +22,6 @@ from etog.groups import (
     InverseOrder,
     LexVectors,
     OrderedGroup,
-    Ordering,
 )
 from etog.laws import standard_valuations
 
@@ -125,7 +124,7 @@ class TestOracle:
         import itertools
 
         for period in itertools.product(valuation.colors, repeat=2):
-            negative = valuation.group.sign(valuation.val_word(period)) is Ordering.LESS
+            negative = valuation.group.sign(valuation.val_word(period)) == -1
             assert cond.up_member(UPWord((), period)) == negative
 
     def test_prefix_colors_are_validated_like_membership(self):
@@ -165,10 +164,10 @@ class TestOracle:
 
 
 class _BelowMinusThree(Integers):
-    """Integers whose "sign" is LESS exactly at x <= -3; not an order."""
+    """Integers whose "sign" is -1 exactly at x <= -3; not an order."""
 
-    def sign(self, x: int) -> Ordering:
-        return Ordering.LESS if x <= -3 else Ordering.GREATER
+    def sign(self, x: int) -> int:
+        return -1 if x <= -3 else 1
 
 
 class _CountingSigns(OrderedGroup):
@@ -190,7 +189,7 @@ class _CountingSigns(OrderedGroup):
     def validate(self, x) -> None:
         self.inner.validate(x)
 
-    def sign(self, x) -> Ordering:
+    def sign(self, x) -> int:
         self.signs += 1
         return self.inner.sign(x)
 
@@ -215,7 +214,7 @@ def _offset_by_offset_oracle(cond: EtogCondition, word: UPWord, horizon: int) ->
         acc = identity
         for _gap in range(1, max_gap + 1):
             acc = group.compose(acc, chunk)
-            if group.sign(acc) is Ordering.LESS:
+            if group.sign(acc) == -1:
                 return True
     return False
 
@@ -267,15 +266,15 @@ class TestStrictify:
         v = strictify(Valuation(Integers(), {"x": 0}))
         value = v.val_word(("x",))
         assert value == (0, 1)
-        assert v.group.sign(value) is Ordering.GREATER
+        assert v.group.sign(value) == 1
 
     def test_negative_color_stays_negative(self):
         v = strictify(Valuation(Integers(), {"x": -1}))
-        assert v.group.sign(v.val_word(("x",))) is Ordering.LESS
+        assert v.group.sign(v.val_word(("x",))) == -1
 
     def test_identity_color_of_free_valuation(self):
         v = strictify(FREE_VAL)
-        assert v.group.sign(v.val_word(("eps",))) is Ordering.GREATER
+        assert v.group.sign(v.val_word(("eps",))) == 1
 
     def test_negative_word_set_is_preserved(self):
         import itertools
@@ -284,8 +283,8 @@ class TestStrictify:
         lifted = strictify(original)
         for length in (1, 2, 3):
             for word in itertools.product(original.colors, repeat=length):
-                negative = original.group.sign(original.val_word(word)) is Ordering.LESS
-                assert (lifted.group.sign(lifted.val_word(word)) is Ordering.LESS) == negative
+                negative = original.group.sign(original.val_word(word)) == -1
+                assert (lifted.group.sign(lifted.val_word(word)) == -1) == negative
                 assert lifted.val_word(word) != lifted.group.identity()
 
 

@@ -32,7 +32,6 @@ from etog.groups import (
     LexProduct,
     LexVectors,
     MisorderedFreeGroup,
-    Ordering,
     format_word,
     letter,
     letter_parts,
@@ -200,31 +199,31 @@ class TestMagnusCoefficient:
 
 class TestFreeCompare:
     def test_generator_positive(self):
-        assert AB.compare(word("a"), E) is Ordering.GREATER
+        assert AB.compare(word("a"), E) == 1
 
     def test_commutator_orientation(self):
-        assert AB.compare(word("a b a^-1 b^-1"), E) is Ordering.GREATER
-        assert AB.compare(word("b a b^-1 a^-1"), E) is Ordering.LESS
+        assert AB.compare(word("a b a^-1 b^-1"), E) == 1
+        assert AB.compare(word("b a b^-1 a^-1"), E) == -1
 
     def test_equal_iff_identity_quotient(self):
-        assert AB.compare(word("a b"), word("a b")) is Ordering.EQUAL
-        assert AB.compare(word("a b b^-1"), word("a")) is Ordering.EQUAL
+        assert AB.compare(word("a b"), word("a b")) == 0
+        assert AB.compare(word("a b b^-1"), word("a")) == 0
 
     def test_generator_order_matters(self):
         ba = FreeGroup(("b", "a"))
         # under generator order b < a the commutator's leading monomial flips
-        assert ba.compare(word("a b a^-1 b^-1"), E) is Ordering.LESS
+        assert ba.compare(word("a b a^-1 b^-1"), E) == -1
 
     def test_inverse_order_swaps(self):
         inv = InverseOrder(Integers())
-        assert inv.compare(3, 5) is Ordering.GREATER
-        assert inv.compare(5, 3) is Ordering.LESS
-        assert inv.compare(4, 4) is Ordering.EQUAL
+        assert inv.compare(3, 5) == 1
+        assert inv.compare(5, 3) == -1
+        assert inv.compare(4, 4) == 0
 
     def test_product_left_dominant(self):
         spec = LexProduct(Integers(), Integers())
-        assert spec.compare((1, -5), (0, 100)) is Ordering.GREATER
-        assert spec.compare((0, -1), (0, 0)) is Ordering.LESS
+        assert spec.compare((1, -5), (0, 100)) == 1
+        assert spec.compare((0, -1), (0, 0)) == -1
 
     def test_deep_word_compares_without_error(self):
         # a commutator of commutators sits deep in the lower central series
@@ -233,7 +232,7 @@ class TestFreeCompare:
             multiply(inner, word("b")),
             multiply(inner.inverse(), word("b^-1")),
         )
-        assert AB.compare(nested, E) in (Ordering.LESS, Ordering.GREATER)
+        assert AB.compare(nested, E) in (-1, 1)
 
 
 class TestMisorderFault:
@@ -244,11 +243,11 @@ class TestMisorderFault:
     def test_breaks_translation_invariance(self):
         faulty = MisorderedFreeGroup(("a", "b"))
         low, high = word("b^-1"), E
-        assert faulty.compare(low, high) is Ordering.LESS
+        assert faulty.compare(low, high) == -1
         g = word("a^-1")
         assert (
             faulty.compare(faulty.compose(g, low), faulty.compose(g, high))
-            is Ordering.GREATER
+            == 1
         )
 
 
@@ -472,33 +471,33 @@ def _quotient(x: FreeWord, y: FreeWord) -> FreeWord:
     return reduce_word(map(letter_parts, x.letters + tuple(-c for c in reversed(y.letters))))
 
 
-def _brute_literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
+def _brute_literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> int:
     """The comparison with brute-force coefficients: reduce x*y^-1 and take the
     first non-zero ``_brute_coefficient`` in degree-then-lex order."""
     w = _quotient(x, y)
     if not w:
-        return Ordering.EQUAL
+        return 0
     for degree in range(1, len(w.letters) + 1):
         for m in product(spec.generators, repeat=degree):
             coefficient = _brute_coefficient(w, m)
             if coefficient:
-                return Ordering.GREATER if coefficient > 0 else Ordering.LESS
+                return 1 if coefficient > 0 else -1
     raise AssertionError(f"no usable coefficient for {w!r}")
 
 
-def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> Ordering:
+def _literal_compare(spec: FreeGroup, x: FreeWord, y: FreeWord) -> int:
     """The comparison spelled out with no shortcuts: reduce x*y^-1, expand it
     as a power series one degree deeper at a time, and take the first
     non-zero coefficient in degree-then-lex order."""
     w = _quotient(x, y)
     if not w:
-        return Ordering.EQUAL
+        return 0
     for degree in range(1, len(w.letters) + 1):
         series = _magnus_series(w, degree)
         for m in product(spec.generators, repeat=degree):
             coefficient = series.get(m, 0)
             if coefficient:
-                return Ordering.GREATER if coefficient > 0 else Ordering.LESS
+                return 1 if coefficient > 0 else -1
     raise AssertionError(f"no usable coefficient for {w!r}")
 
 
@@ -529,7 +528,7 @@ def test_magnus_series_matches_brute_force():
                 assert series.get(m, 0) == _brute_coefficient(w, m), (w, m)
     for _ in range(100):
         x, y = sample(rng), sample(rng)
-        assert _literal_compare(ABC, x, y) is _brute_literal_compare(ABC, x, y), (x, y)
+        assert _literal_compare(ABC, x, y) == _brute_literal_compare(ABC, x, y), (x, y)
 
 
 def _commutator(rng, weight: int, generators: tuple[str, ...] = ("a", "b")) -> FreeWord:
@@ -572,14 +571,14 @@ def test_optimised_compare_matches_literal_expansion():
     for _ in range(1200):
         x = sample(rng)
         y = sample(rng)
-        assert AB.compare(x, y) is _literal_compare(AB, x, y), (x, y)
+        assert AB.compare(x, y) == _literal_compare(AB, x, y), (x, y)
     # shared-prefix pairs make the scanned quotient a conjugate p (u v^-1) p^-1
     sample_prefix, sample = element_sampler(AB, 4), element_sampler(AB, 3)
     for _ in range(800):
         prefix = sample_prefix(rng)
         x = multiply(prefix, sample(rng))
         y = multiply(prefix, sample(rng))
-        assert AB.compare(x, y) is _literal_compare(AB, x, y), (x, y)
+        assert AB.compare(x, y) == _literal_compare(AB, x, y), (x, y)
     # shared suffixes, shared prefixes and suffixes, equal words, and one word
     # a suffix of the other exercise the seam cancellation in the quotient,
     # over 2 and 3 generators
@@ -595,7 +594,7 @@ def test_optimised_compare_matches_literal_expansion():
                 (suffix, multiply(u, suffix)),
                 (multiply(u, suffix), suffix),
             ):
-                assert spec.compare(x, y) is _literal_compare(spec, x, y), (x, y)
+                assert spec.compare(x, y) == _literal_compare(spec, x, y), (x, y)
     # directed pairs x = w c, y = w for a commutator c of weight 2 to 6, over
     # two and three generators: every exponent sum of x y^-1 = w c w^-1 is 0,
     # so degree 1 decides nothing, and the scan reads degree 2 to 6.  When
@@ -615,8 +614,8 @@ def test_optimised_compare_matches_literal_expansion():
             # make the scan run through every monomial up to its length
             assert x == _quotient(x, E), x
             expected = _literal_compare(spec, x, w)
-            assert spec.compare(x, w) is expected, (x, w)
-            assert spec.compare(w, x) is expected.flipped(), (w, x)
+            assert spec.compare(x, w) == expected, (x, w)
+            assert spec.compare(w, x) == -expected, (w, x)
             u, v = _stripped(x, w)
             sums_vanish = all(
                 u.count(g) - u.count(-g) == v.count(g) - v.count(-g) for g in spec.codes
@@ -635,11 +634,11 @@ def _free_words(generators: tuple[str, ...], max_size: int = 8):
     ).map(reduce_word)
 
 
-def _native(greater: bool, less: bool) -> Ordering:
-    return Ordering.GREATER if greater else Ordering.LESS if less else Ordering.EQUAL
+def _native(greater: bool, less: bool) -> int:
+    return 1 if greater else -1 if less else 0
 
 
-def _pair_reference(x) -> Ordering:
+def _pair_reference(x) -> int:
     # left coordinate dominates; the right one decides only on a tie
     if x[0]:
         return _native(x[0] > 0, x[0] < 0)
@@ -673,14 +672,17 @@ SIGN_CASES = {
 def test_sign_matches_independent_reference(name, data):
     spec, elements, reference = SIGN_CASES[name]
     x = data.draw(elements)
-    assert spec.sign(x) is reference(x), x
+    result = spec.sign(x)
+    # the plain int -1, 0 or 1: not a bool, which would also equal 0 or 1
+    assert type(result) is int and result in (-1, 0, 1), (x, result)
+    assert result == reference(x), x
 
 
 @given(_free_words(ABC.generators, 4), _free_words(ABC.generators), _free_words(ABC.generators))
 @settings(deadline=None)
 def test_free_compare_strips_prefix_to_the_same_sign(prefix, u, v):
     x, y = multiply(prefix, u), multiply(prefix, v)
-    assert ABC.compare(x, y) is _literal_compare(ABC, x, y), (x, y)
+    assert ABC.compare(x, y) == _literal_compare(ABC, x, y), (x, y)
 
 
 # specs whose compare forwards to their parts' compare: over the free group's
@@ -698,8 +700,9 @@ FORWARDED_COMPARE_SPECS = {
 def test_forwarded_compare_is_the_sign_of_the_quotient(name):
     # the base contract compare(x, y) = sign(x * y^-1), against 2,100 pairs;
     # a third are equal and, for products, a third share their left part.
-    # The order-axiom battery cannot see an unflipped InverseOrder.compare:
-    # it is a valid order, only not this one.
+    # The order-axiom battery cannot see an InverseOrder.compare that forgets
+    # to negate: it is a valid order, only not this one.  Swapping the
+    # operands must negate the result.
     spec = FORWARDED_COMPARE_SPECS[name]
     sample, rng = element_sampler(spec, 4), random.Random(name)
     pair = isinstance(getattr(spec, "inner", spec), LexProduct)
@@ -710,7 +713,8 @@ def test_forwarded_compare_is_the_sign_of_the_quotient(name):
         elif i % 3 == 1 and pair:
             y = (x[0], y[1])
         quotient = spec.sign(spec.compose(x, spec.invert(y)))
-        assert spec.compare(x, y) is quotient, (x, y)
+        assert spec.compare(x, y) == quotient, (x, y)
+        assert spec.compare(y, x) == -spec.compare(x, y), (x, y)
 
 
 class _EveryMonomialFreeGroup(FreeGroup):
@@ -756,9 +760,9 @@ def test_free_sign_skips_pure_powers_soundly():
     short_words = [(AB, w) for w in ab_words] + [(ABC, w) for w in abc_words]
     for spec, w in short_words + long_words:
         unskipped = _EveryMonomialFreeGroup(spec.generators)
-        assert spec.sign(w) is unskipped.sign(w), w
+        assert spec.sign(w) == unskipped.sign(w), w
     for spec, w in short_words:
-        assert spec.sign(w) is _literal_compare(spec, w, E), w
+        assert spec.sign(w) == _literal_compare(spec, w, E), w
 
 
 def test_magnus_soundness_guards_missing_coefficient():
@@ -870,19 +874,19 @@ def _pair_coefficient(letters: tuple, monomial: tuple[str, ...]) -> int:
     return c[-1]
 
 
-def _pair_sign(generators: tuple[str, ...], letters: tuple) -> Ordering:
+def _pair_sign(generators: tuple[str, ...], letters: tuple) -> int:
     if not letters:
-        return Ordering.EQUAL
+        return 0
     for g in generators:
         total = letters.count((g, 1)) - letters.count((g, -1))
         if total:
-            return Ordering.GREATER if total > 0 else Ordering.LESS
+            return 1 if total > 0 else -1
     for degree in range(2, len(letters) + 1):
         for mono in product(generators, repeat=degree):
             if mono.count(mono[0]) < degree:
                 c = _pair_coefficient(letters, mono)
                 if c:
-                    return Ordering.GREATER if c > 0 else Ordering.LESS
+                    return 1 if c > 0 else -1
     raise AssertionError(f"no usable coefficient for {letters!r}")
 
 
@@ -913,7 +917,7 @@ def test_integer_letters_match_pair_letters_on_every_oracle_power():
                     acc = multiply(acc, chunk)
                     pair_acc = _pair_multiply(pair_acc, pair_chunk)
                     assert tuple(map(letter_parts, acc.letters)) == pair_acc, (rotation, k)
-                    assert group.sign(acc) is _pair_sign(group.generators, pair_acc), (
+                    assert group.sign(acc) == _pair_sign(group.generators, pair_acc), (
                         rotation,
                         k,
                     )

@@ -15,8 +15,6 @@ from etog.conditions import (
     parse_condition,
 )
 from etog.groups import (
-    EQUAL,
-    LESS,
     FreeGroup,
     FreeWord,
     Integers,
@@ -25,7 +23,6 @@ from etog.groups import (
     LexVectors,
     MisorderedFreeGroup,
     OrderedGroup,
-    Ordering,
     format_word,
     letter,
     letter_parts,
@@ -59,7 +56,7 @@ INT_XY = Valuation(Integers(), {"x": -1, "y": 1})
 def negative_word_predicate(valuation: Valuation):
     """The per-word reference for ``negative_word_rows``: whether the word's
     value, composed from scratch by ``val_word``, is negative."""
-    return lambda word: valuation.group.sign(valuation.val_word(word)) is Ordering.LESS
+    return lambda word: valuation.group.sign(valuation.val_word(word)) == -1
 
 
 def _rows(predicate, alphabet, max_len: int) -> list[bytes]:
@@ -213,7 +210,7 @@ class PredicateFreeGroup(FreeGroup):
     holds: Callable[[FreeWord], bool]
 
     def sign(self, w: FreeWord):
-        return EQUAL if self.holds(w) else LESS
+        return 0 if self.holds(w) else -1
 
 
 class SwappedTwo(Integers):
@@ -221,8 +218,8 @@ class SwappedTwo(Integers):
     or its inverse is in it, but 1 + 1 is not.  Test-only, like
     ``MisorderedFreeGroup``."""
 
-    def sign(self, x: int) -> Ordering:
-        return EQUAL if (x >= 0) != (abs(x) == 2) else LESS
+    def sign(self, x: int) -> int:
+        return 0 if (x >= 0) != (abs(x) == 2) else -1
 
 
 def predicate_valuation(holds, colors) -> Valuation:
@@ -293,7 +290,7 @@ class TestInvariantSubsemigroup:
                 if exponent < 0:
                     image = group.invert(image)
                 value = group.compose(value, image)
-            return group.compare(value, group.identity()) is not Ordering.LESS
+            return group.compare(value, group.identity()) >= 0
 
         by_value = check_invariant_subsemigroup(valuation, max_len=max_len)
         by_word, _ = _per_letter_subsemigroup(
@@ -348,7 +345,7 @@ def _per_letter_subsemigroup(valuation=None, max_len=4, membership=None, colors=
             images[code], images[-code] = image, inv(image)
 
         def in_s(value) -> bool:
-            return group.sign(value) is not Ordering.LESS
+            return group.sign(value) >= 0
 
         def element(word: FreeWord):
             value = group.identity()
@@ -405,21 +402,21 @@ class TestReducedWords:
 
 
 class FlatNearZero(Integers):
-    """Integers whose sign is ``EQUAL`` for -1, 0 and 1: a preorder that
+    """Integers whose sign is 0 for -1, 0 and 1: a preorder that
     calls distinct neighbours equal, so antisymmetry and transitivity fail.
     Test-only, like ``MisorderedFreeGroup``."""
 
-    def sign(self, x: int) -> Ordering:
-        return EQUAL if abs(x) <= 1 else super().sign(x)
+    def sign(self, x: int) -> int:
+        return 0 if abs(x) <= 1 else super().sign(x)
 
 
 class NonZeroIsGreater(Integers):
-    """Integers whose every non-zero element is ``GREATER``: each distinct pair
+    """Integers whose every non-zero element has sign 1: each distinct pair
     compares greater both ways round, and x + (-x) leaves the positive cone.
     Test-only, like ``MisorderedFreeGroup``."""
 
-    def sign(self, x: int) -> Ordering:
-        return Ordering.GREATER if x else EQUAL
+    def sign(self, x: int) -> int:
+        return 1 if x else 0
 
 
 class _FixedSamples:
